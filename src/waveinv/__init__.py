@@ -16,7 +16,6 @@ from .forward import (
     excitation,
     forward_jacobian,
     forward_response,
-    gigahertz_config,
     residual_jacobian,
     wave_speeds,
 )

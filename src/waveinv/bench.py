@@ -21,12 +21,10 @@ from .forward import (
     EvalCounter,
     ForwardConfig,
     MaterialParams,
-    excitation,
-    forward_jacobian,
     forward_response,
     phase_objective_terms,
 )
-from .optim import OptimizeOptions, OptTrace, bfgs_baseline, optimize, write_trace_csv
+from .optim import METHODS, OptimizeOptions, OptTrace, bfgs_baseline, optimize, write_trace_csv
 from .signals import (
     PhaseObjectiveConfig,
     Signal,
@@ -75,7 +73,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 OBJECTIVES = ("signal", "envelope", "autocorr-phase")
-OPTIMIZERS = ("modified-lm", "gauss-newton", "scaled-gd", "bfgs")
 
 #: Relative error floor used when log-averaging error trajectories.
 _LOG_FLOOR = 1e-16
@@ -116,14 +113,30 @@ class ExperimentConfig:
             raise ConfigError(f"unknown material {self.material!r}; expected one of {MATERIALS}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}; expected one of {OBJECTIVES}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZERS}")
+        if self.optimizer not in METHODS:
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {METHODS}")
         if self.n_refs < 1:
             raise ConfigError("need at least one reference")
         if not (self.cutoff > 0.0):
             raise ConfigError("success cutoff must be positive")
         if self.eval_budget < 1:
             raise ConfigError("evaluation budget must be at least 1")
+        if self.max_iters < 1:
+            raise ConfigError("iteration limit max_iters must be at least 1")
+        try:
+            fwd = self.forward_config()
+            self.objective_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # gamma_k = exp(-C k^2 / (bT)^2) must stay positive up to the last lag
+        # k = n/2 - 1, and exp underflows to 0 below about exp(-745)
+        bt2, last_lag2 = (fwd.b * fwd.duration) ** 2, (fwd.n // 2 - 1) ** 2
+        if self.objective == "autocorr-phase" and self.damping * last_lag2 > 745.0 * bt2:
+            c_max = 745.0 * bt2 / last_lag2
+            raise ConfigError(
+                f"damping {self.damping} underflows the phase weights at the last lag; "
+                f"the largest usable damping for this grid is 745*(bT)^2/(n/2-1)^2 = {c_max:.4g}"
+            )
 
     def forward_config(self) -> ForwardConfig:
         return ForwardConfig(L=self.L, fbar=self.fbar, tbar=self.tbar, n=self.n, dt=self.dt)
@@ -324,10 +337,10 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
 
         def evaluate(x, need_jacobian=True):
             m = MaterialParams(E=float(x[0]), nu=float(x[1]), rho=rho)
-            out = forward_response(m, fwd, counter=counter)
+            out = forward_response(m, fwd, counter=counter, need_jacobian=need_jacobian)
             if not need_jacobian:
                 return ref_vec - out.signal.samples, None
-            d_e, d_nu = forward_jacobian(m, fwd)
+            d_e, d_nu = out.jacobian
             return ref_vec - out.signal.samples, np.column_stack([d_e.samples, d_nu.samples])
 
     else:  # envelope
@@ -336,11 +349,10 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
 
         def evaluate(x, need_jacobian=True):
             m = MaterialParams(E=float(x[0]), nu=float(x[1]), rho=rho)
-            out = forward_response(m, fwd, counter=counter)
+            out = forward_response(m, fwd, counter=counter, need_jacobian=need_jacobian)
             if not need_jacobian:
                 return ref_vec - envelope(out.signal).samples, None
-            d_e, d_nu = forward_jacobian(m, fwd)
-            env, jac = _envelope_terms(out.signal, d_e, d_nu)
+            env, jac = _envelope_terms(out.signal, *out.jacobian)
             return ref_vec - env, jac
 
     def fg(x):

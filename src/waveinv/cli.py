@@ -13,6 +13,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bench import (
     ConfigError,
     gen_refs,
@@ -78,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_BATCH
             write_batch(result, args.out)
             wins = result.evals_to_success()
-            median = f"{sorted(wins)[len(wins) // 2]}" if wins else "-"
+            median = f"{np.median(wins):g}" if wins else "-"
             print(
                 f"{cfg.optimizer} on {cfg.material}/{cfg.objective}: "
                 f"{sum(r.success for r in result.runs)}/{len(result.runs)} successful, "

@@ -22,21 +22,12 @@ counts.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (
-    PhaseFeature,
-    PhaseObjectiveConfig,
-    PipelineError,
-    Signal,
-    Spectrum,
-    damping_weights,
-    stable_arg,
-    unwrap,
-)
+from .signals import PhaseFeature, PhaseObjectiveConfig, Signal, Spectrum, phase_features
 
 __all__ = [
     "MaterialParams",
@@ -45,7 +36,6 @@ __all__ = [
     "EvalCounter",
     "TruncationError",
     "default_config",
-    "gigahertz_config",
     "excitation",
     "wave_speeds",
     "packet_delays",
@@ -55,9 +45,10 @@ __all__ = [
     "phase_objective_terms",
 ]
 
-#: Damping weight below which a zero-magnitude autocorrelation coefficient is
-#: considered harmless for differentiation (its phase never matters).
-_UNDAMPED_TOL = 1e-12
+#: Fine-table length of the carrier factorization: frequency index
+#: k = _CARRIER_BLOCK * q + r splits exp(-i tau k dw) into a coarse factor in
+#: q and a fine factor in r.
+_CARRIER_BLOCK = 64
 
 
 class TruncationError(ValueError):
@@ -142,43 +133,24 @@ def default_config(**overrides) -> ForwardConfig:
     return ForwardConfig(**overrides)
 
 
-def gigahertz_config(**overrides) -> ForwardConfig:
-    """Gigahertz-carrier preset (1 GHz, tbar = 3 us, 20 mm sample).
-
-    Flagged: with these literal values the packet centers fall far outside
-    any power-of-two window of reasonable length at 16x oversampling, so
-    evaluating the response raises :class:`TruncationError` unless n, dt are
-    overridden.  Shipped for completeness; the MHz preset is the default.
-    """
-    params = dict(fbar=1.0e9, tbar=3.0e-6, n=4096, dt=6.25e-11)
-    params.update(overrides)
-    return ForwardConfig(**params)
-
-
 @dataclass(frozen=True)
 class ModelOutput:
-    """One forward evaluation: the response signal, its one-sided spectrum,
-    and the evaluation-count contribution (always 1)."""
+    """One forward evaluation: the response signal and its one-sided
+    spectrum, plus the derivative signals (dy/dE, dy/dnu) when requested."""
 
     signal: Signal
     spectrum: Spectrum
-    eval_count_delta: int = 1
+    jacobian: tuple[Signal, Signal] | None = None
 
 
 class EvalCounter:
-    """Thread-safe forward-evaluation counter, owned per optimization run."""
+    """Forward-evaluation counter, owned per optimization run."""
 
     def __init__(self) -> None:
-        self._count = 0
-        self._lock = threading.Lock()
+        self.count = 0
 
     def add(self, delta: int = 1) -> None:
-        with self._lock:
-            self._count += delta
-
-    @property
-    def count(self) -> int:
-        return self._count
+        self.count += delta
 
 
 def excitation(cfg: ForwardConfig) -> Signal:
@@ -221,95 +193,84 @@ def _check_window(tau: np.ndarray, cfg: ForwardConfig) -> None:
         )
 
 
-def _response_spectrum(m: MaterialParams, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided response spectrum Y and its derivatives dY/dE, dY/dnu."""
-    tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
-    _check_window(tau, cfg)
+@functools.lru_cache(maxsize=16)
+def _excitation_spectrum(cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided excitation spectrum P and its time derivative -i omega P,
+    computed once per configuration; both arrays are read-only."""
     p_spec = np.fft.rfft(excitation(cfg).samples)
     omega = 2 * np.pi * np.arange(p_spec.size) / cfg.duration
-    carriers = np.exp(-1j * np.outer(tau, omega))  # (3, n/2+1)
+    p_rate = -1j * omega * p_spec
+    p_spec.flags.writeable = False
+    p_rate.flags.writeable = False
+    return p_spec, p_rate
+
+
+def _carrier_tables(tau: np.ndarray, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse and fine factors of the carriers exp(-i tau_j omega_k).
+
+    With omega_k = k dw and k = B q + r (B = _CARRIER_BLOCK), the carrier is
+    coarse[j, q] * fine[j, r] with coarse = exp(-i tau B dw q) and
+    fine = exp(-i tau dw r): about 3 (n/2 / B + B) complex exponentials
+    instead of 3 (n/2 + 1).
+    """
+    dw = 2 * np.pi / cfg.duration
+    n_blocks = -(-(cfg.n // 2 + 1) // _CARRIER_BLOCK)
+    coarse = np.exp(-1j * np.outer(tau * (_CARRIER_BLOCK * dw), np.arange(n_blocks)))
+    fine = np.exp(-1j * np.outer(tau * dw, np.arange(_CARRIER_BLOCK)))
+    return coarse, fine
+
+
+def _response_spectrum(
+    m: MaterialParams, cfg: ForwardConfig, need_jacobian: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One-sided response spectrum Y and, on request, its derivatives
+    stacked as rows [dY/dE, dY/dnu].
+
+    Y = P sum_j a_j c_j and dY/dp = -i omega P sum_j a_j (d tau_j / dp) c_j
+    over the carriers c_j = exp(-i tau_j omega), so one small product of
+    weight rows with the carrier tables gives every sum.
+    """
+    tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
+    _check_window(tau, cfg)
+    p_spec, p_rate = _excitation_spectrum(cfg)
     a = np.asarray(cfg.amplitudes)
-    y = p_spec * (a @ carriers)
-    phase_rate = -1j * omega * carriers
-    dy_de = p_spec * ((a * dtau_de) @ phase_rate)
-    dy_dnu = p_spec * ((a * dtau_dnu) @ phase_rate)
-    return y, dy_de, dy_dnu
+    weights = np.stack([a, a * dtau_de, a * dtau_dnu]) if need_jacobian else a[None, :]
+    coarse, fine = _carrier_tables(tau, cfg)
+    # sums[i, q, r] = sum_j weights[i, j] coarse[j, q] fine[j, r]
+    sums = (weights[:, :, None] * coarse).transpose(0, 2, 1) @ fine
+    sums = sums.reshape(len(weights), -1)[:, : p_spec.size]
+    y = p_spec * sums[0]
+    return y, (p_rate * sums[1:] if need_jacobian else None)
 
 
-def forward_response(m: MaterialParams, cfg: ForwardConfig, counter: EvalCounter | None = None) -> ModelOutput:
-    """Simulated transmission response for one material; one model evaluation."""
-    y, _, _ = _response_spectrum(m, cfg)
+def forward_response(
+    m: MaterialParams,
+    cfg: ForwardConfig,
+    counter: EvalCounter | None = None,
+    need_jacobian: bool = False,
+) -> ModelOutput:
+    """Simulated transmission response for one material; one model
+    evaluation.  With ``need_jacobian`` the output also carries the
+    analytic derivative signals, from the same response spectrum."""
+    y, dy = _response_spectrum(m, cfg, need_jacobian)
     if counter is not None:
         counter.add(1)
+    jacobian = None
+    if need_jacobian:
+        d_e, d_nu = np.fft.irfft(dy, n=cfg.n)
+        jacobian = (Signal(d_e, dt=cfg.dt), Signal(d_nu, dt=cfg.dt))
     return ModelOutput(
         signal=Signal(np.fft.irfft(y, n=cfg.n), dt=cfg.dt),
         spectrum=Spectrum(y, df=1.0 / cfg.duration),
+        jacobian=jacobian,
     )
 
 
 def forward_jacobian(m: MaterialParams, cfg: ForwardConfig) -> tuple[Signal, Signal]:
-    """Analytic derivatives (dy/dE, dy/dnu) of the time response.
-
-    Shares the forward pass of the matching :func:`forward_response` call:
-    it never increments an evaluation counter on its own.
-    """
-    _, dy_de, dy_dnu = _response_spectrum(m, cfg)
-    return (
-        Signal(np.fft.irfft(dy_de, n=cfg.n), dt=cfg.dt),
-        Signal(np.fft.irfft(dy_dnu, n=cfg.n), dt=cfg.dt),
-    )
-
-
-def _cross_corr_pos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Positive-lag cross-correlation c_k = sum_{i=k} a[i] conj(b[i-k])."""
-    m = a.size
-    nfft = 1 << int(np.ceil(np.log2(2 * m)))
-    return np.fft.ifft(np.fft.fft(a, nfft) * np.conj(np.fft.fft(b, nfft)))[:m]
-
-
-def _phase_feature_terms(
-    y: np.ndarray,
-    dy_list: list[np.ndarray],
-    duration: float,
-    objective: PhaseObjectiveConfig,
-) -> tuple[PhaseFeature, np.ndarray]:
-    """Phase feature of a one-sided response spectrum plus its parameter
-    derivatives, chained through autocorrelation, argument, and damping.
-
-    The unwrap stage and the pseudo-phase subtraction leave derivatives
-    untouched away from branch crossings; the argument differentiates as
-    d arg(z) = Im(conj(z) dz) / |z|^2.
-    """
-    v = y[1:]
-    if not np.any(v != 0.0):
-        raise PipelineError("zero response cannot be transformed to phase features")
-    e = _cross_corr_pos(v, v)
-    e[0] = e[0].real
-    gamma = damping_weights(v.size, objective.bandwidth_hz, duration, objective.damping)
-
-    k = np.arange(v.size)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    z = e * sign
-    raw = np.arctan2(z.imag, z.real)
-    zero = np.abs(e) == 0.0
-    raw[zero] = 0.0
-    feature = PhaseFeature(values=gamma * (unwrap(raw) - np.pi * k), gamma=gamma)
-
-    if dy_list and np.any(zero & (gamma > _UNDAMPED_TOL)):
-        raise PipelineError(
-            "zero-magnitude autocorrelation coefficient at an undamped index; "
-            "phase derivative is singular there"
-        )
-    mag2 = np.abs(e) ** 2
-    safe_mag2 = np.where(zero, 1.0, mag2)
-    columns = []
-    for dy in dy_list:
-        dv = dy[1:]
-        de = _cross_corr_pos(dv, v) + _cross_corr_pos(v, dv)
-        dtheta = np.where(zero, 0.0, (np.conj(e) * de).imag / safe_mag2)
-        columns.append(gamma * dtheta)
-    dfeature = np.column_stack(columns) if columns else np.empty((v.size, 0))
-    return feature, dfeature
+    """Analytic derivatives (dy/dE, dy/dnu) of the time response; counts no
+    evaluation.  Callers that also need the response pass
+    ``need_jacobian=True`` to :func:`forward_response` instead."""
+    return forward_response(m, cfg, need_jacobian=True).jacobian
 
 
 def phase_objective_terms(
@@ -322,15 +283,13 @@ def phase_objective_terms(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual r = ref - sim of phase features and the model Jacobian
     d(sim feature)/d(E, nu), in one counted forward evaluation."""
-    y, dy_de, dy_dnu = _response_spectrum(m, cfg)
+    y, dy = _response_spectrum(m, cfg, need_jacobian)
     if counter is not None:
         counter.add(1)
-    dy_list = [dy_de, dy_dnu] if need_jacobian else []
-    feature, dfeature = _phase_feature_terms(y, dy_list, cfg.duration, objective)
+    feature, dfeature = phase_features(y, cfg.duration, objective, dy)
     if not np.array_equal(feature.gamma, ref_feature.gamma):
         raise ValueError("reference feature was produced with different damping weights")
-    residual = ref_feature.values - feature.values
-    return residual, (dfeature if need_jacobian else None)
+    return ref_feature.values - feature.values, dfeature
 
 
 def residual_jacobian(

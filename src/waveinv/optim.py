@@ -94,8 +94,6 @@ class StepReport:
     dx: np.ndarray
     lambda_: float
     eta_bar: float
-    gn_metric_norm: float
-    method_tag: str
 
 
 def rescale_jacobian(J: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -159,13 +157,12 @@ def eta_bar(state: OptState) -> float:
     return float(np.linalg.norm(state.r) / state.r0_norm)
 
 
-def _lm_core(state: OptState, scaled_gd_only: bool, tag: str) -> StepReport:
+def _lm_core(state: OptState, scaled_gd_only: bool) -> StepReport:
     jt = rescale_jacobian(state.J, state.x)
     dx_star = gd_step(jt, state.r)
     metric = jt.T @ jt
     lam = lambda_k(metric, dx_star)
     eta = eta_bar(state)
-    gn_norm = metric_norm(metric, np.linalg.solve(metric, dx_star))
     if scaled_gd_only:
         dxt = lam * dx_star
     else:
@@ -174,26 +171,20 @@ def _lm_core(state: OptState, scaled_gd_only: bool, tag: str) -> StepReport:
             dxt = np.linalg.solve(damped, dx_star)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("damped normal equations are singular", 0.0) from exc
-    return StepReport(
-        dx=state.x * dxt,
-        lambda_=lam,
-        eta_bar=eta,
-        gn_metric_norm=gn_norm,
-        method_tag=tag,
-    )
+    return StepReport(dx=state.x * dxt, lambda_=lam, eta_bar=eta)
 
 
 def modified_lm_step(state: OptState) -> StepReport:
     """Step-size-adapted Levenberg-Marquardt increment
     dxt = (Jt' Jt + eta_bar / lambda * I)^-1 Jt' r, mapped back to physical
     units."""
-    return _lm_core(state, scaled_gd_only=False, tag="modified-lm")
+    return _lm_core(state, scaled_gd_only=False)
 
 
 def corrected_gd_step(state: OptState) -> StepReport:
     """Locally step-size-adapted gradient descent dxt = lambda * Jt' r;
     selectable for ablations."""
-    return _lm_core(state, scaled_gd_only=True, tag="scaled-gd")
+    return _lm_core(state, scaled_gd_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +350,7 @@ def optimize(
             else:
                 jt = rescale_jacobian(state.J, state.x)
                 dxt = gn_step(jt, r)
-                report = StepReport(
-                    dx=state.x * dxt,
-                    lambda_=np.nan,
-                    eta_bar=eta_bar(state),
-                    gn_metric_norm=metric_norm(jt.T @ jt, dxt),
-                    method_tag="gauss-newton",
-                )
+                report = StepReport(dx=state.x * dxt, lambda_=np.nan, eta_bar=eta_bar(state))
         except (SingularMatrixError, ValueError) as exc:
             trace.status = "error"
             trace.message = str(exc)

@@ -22,6 +22,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +41,9 @@ __all__ = [
     "envelope",
     "autocorr_spectrum",
     "unwrap",
+    "damping_weights",
     "stable_arg",
+    "phase_features",
     "phase_residual",
     "residual_signal",
     "residual_envelope",
@@ -53,6 +56,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+
+#: Damping weight below which a zero-magnitude autocorrelation coefficient is
+#: considered harmless for differentiation (its phase never matters).
+_UNDAMPED_TOL = 1e-12
 
 #: Magic bytes of the raw binary signal format (8 bytes, followed by the
 #: sample count as a little-endian 64-bit unsigned integer).
@@ -161,7 +168,7 @@ class PhaseObjectiveConfig:
 
     ``bandwidth_hz`` is the excitation bandwidth b entering the damping
     weights gamma_k = exp(-C k^2 / (bT)^2); ``damping`` is the dimensionless
-    C, clamped to [1, 10].
+    C, which must lie in [1, 10].
     """
 
     bandwidth_hz: float
@@ -170,7 +177,9 @@ class PhaseObjectiveConfig:
     def __post_init__(self) -> None:
         if not (self.bandwidth_hz > 0.0):
             raise ValueError("bandwidth must be positive")
-        object.__setattr__(self, "damping", float(min(10.0, max(1.0, self.damping))))
+        if not (1.0 <= self.damping <= 10.0):
+            raise ValueError(f"damping constant must lie in [1, 10], got {self.damping}")
+        object.__setattr__(self, "damping", float(self.damping))
 
 
 def dft_forward(s: Signal) -> Spectrum:
@@ -224,17 +233,25 @@ def autocorr_spectrum(u: Spectrum) -> Spectrum:
     sum of squared coefficient magnitudes (the static mode of the squared
     envelope, up to scale).
     """
-    v = u.coeffs
+    e, _ = _autocorr(u.coeffs)
+    return Spectrum(e, df=u.df)
+
+
+def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-lag autocorrelation E of v and the zero-padded FFT of v it
+    was computed from.
+
+    The padded length is a power of two of at least 2 v.size, so the
+    circular correlation of the padded sequences equals the linear one:
+    E = ifft(|fft(v)|^2)[:v.size], equal to the direct sum to roundoff.
+    """
     m = v.size
     if m == 0:
         raise ValueError("autocorrelation of an empty spectrum is undefined")
-    # Positive-lag correlation via FFT-accelerated linear convolution of
-    # v with its reversed conjugate; equals the direct sum to roundoff.
-    nfft = 1 << int(np.ceil(np.log2(2 * m)))
-    fv = np.fft.fft(v, nfft)
-    corr = np.fft.ifft(fv * np.conj(fv))[:m]
-    corr[0] = corr[0].real  # exact: E_0 is a sum of |V_i|^2
-    return Spectrum(corr, df=u.df)
+    fv = np.fft.fft(v, 1 << int(np.ceil(np.log2(2 * m))))
+    e = np.fft.ifft(fv * np.conj(fv))[:m]
+    e[0] = e[0].real  # exact: E_0 is a sum of |V_i|^2
+    return e, fv
 
 
 def unwrap(phases: np.ndarray) -> np.ndarray:
@@ -254,12 +271,43 @@ def unwrap(phases: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def damping_weights(n_coeffs: int, b: float, duration: float, c: float) -> np.ndarray:
-    """Gaussian frequency weights gamma_k = exp(-C k^2 / (b T)^2)."""
+    """Gaussian frequency weights gamma_k = exp(-C k^2 / (b T)^2).
+
+    Computed once per argument tuple; the returned array is read-only.
+    """
     if b <= 0.0 or duration <= 0.0:
         raise ValueError("bandwidth and duration must be positive")
     k = np.arange(n_coeffs, dtype=np.float64)
-    return np.exp(-c * k**2 / (b * duration) ** 2)
+    gamma = np.exp(-c * k**2 / (b * duration) ** 2)
+    gamma.flags.writeable = False
+    return gamma
+
+
+@functools.lru_cache(maxsize=32)
+def _pseudo_phases(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-coefficients Y_k = (-1)^k and pseudo-phases pi*k, k < m;
+    read-only."""
+    k = np.arange(m)
+    y = np.where(k % 2 == 0, 1.0, -1.0)
+    phi = np.pi * k
+    y.flags.writeable = False
+    phi.flags.writeable = False
+    return y, phi
+
+
+def _stable_phase(e: np.ndarray, gamma: np.ndarray) -> tuple[PhaseFeature, np.ndarray]:
+    """Damped, normalized, unwrapped phases of an autocorrelation E, and the
+    mask of its exactly-zero coefficients."""
+    if not np.any(e != 0.0):
+        raise PipelineError("all-zero spectrum has no well-defined phases")
+    y, phi = _pseudo_phases(e.size)
+    z = e * y  # E_k / Y_k = E_k * Y_k
+    raw = np.arctan2(z.imag, z.real)
+    zero = e == 0.0
+    raw[zero] = 0.0
+    return PhaseFeature(values=gamma * (unwrap(raw) - phi), gamma=gamma), zero
 
 
 def stable_arg(e: Spectrum, b: float, duration: float, c: float = 1.0) -> PhaseFeature:
@@ -274,17 +322,52 @@ def stable_arg(e: Spectrum, b: float, duration: float, c: float = 1.0) -> PhaseF
     """
     if not (1.0 <= c <= 10.0):
         raise ValueError(f"damping constant must lie in [1, 10], got {c}")
-    coeffs = e.coeffs
-    if not np.any(coeffs != 0.0):
-        raise PipelineError("all-zero spectrum has no well-defined phases")
-    k = np.arange(coeffs.size)
-    y = np.where(k % 2 == 0, 1.0, -1.0)  # Y_k = (-1)^k, so E_k / Y_k = E_k * Y_k
-    z = coeffs * y
-    raw = np.arctan2(z.imag, z.real)
-    raw[np.abs(coeffs) == 0.0] = 0.0
-    gamma = damping_weights(coeffs.size, b, duration, c)
-    values = gamma * (unwrap(raw) - np.pi * k)
-    return PhaseFeature(values=values, gamma=gamma)
+    feature, _ = _stable_phase(e.coeffs, damping_weights(e.n_coeffs, b, duration, c))
+    return feature
+
+
+def phase_features(
+    coeffs: np.ndarray,
+    duration: float,
+    objective: PhaseObjectiveConfig,
+    dcoeffs: np.ndarray | None = None,
+) -> tuple[PhaseFeature, np.ndarray | None]:
+    """Phase feature of a one-sided spectrum and, on request, its derivative
+    columns: the single implementation of the phase transform.
+
+    ``coeffs`` holds the n/2 + 1 one-sided coefficients of a record of
+    length ``duration`` (static term first, as from ``rfft``); the static
+    term is dropped, the rest autocorrelated (:func:`autocorr_spectrum`)
+    and turned into damped phases (:func:`stable_arg`).  ``dcoeffs`` of
+    shape (p, n/2 + 1) holds derivatives of ``coeffs`` with respect to p
+    parameters; the result then carries the (n/2, p) derivative of the
+    feature values, else None.
+
+    With X = fft(dV) conj(fft(V)) on the zero-padded grid, the derivative of
+    the autocorrelation is dE = ifft(X + conj(X)), so all p columns cost one
+    batched FFT pair on top of the features.  The unwrap stage and the
+    pseudo-phase subtraction leave derivatives untouched away from branch
+    crossings; the argument differentiates as d arg(z) = Im(conj(z) dz) / |z|^2.
+    """
+    v = coeffs[1:]
+    if not np.any(v != 0.0):
+        raise PipelineError("zero spectrum cannot be transformed to phase features")
+    e, fv = _autocorr(v)
+    gamma = damping_weights(v.size, objective.bandwidth_hz, duration, objective.damping)
+    feature, zero = _stable_phase(e, gamma)
+    if dcoeffs is None:
+        return feature, None
+
+    if np.any(zero & (gamma > _UNDAMPED_TOL)):
+        raise PipelineError(
+            "zero-magnitude autocorrelation coefficient at an undamped index; "
+            "phase derivative is singular there"
+        )
+    x = np.fft.fft(dcoeffs[:, 1:], fv.size, axis=-1) * np.conj(fv)
+    de = np.fft.ifft(x + np.conj(x), axis=-1)[:, : v.size]
+    mag2 = np.where(zero, 1.0, e.real**2 + e.imag**2)
+    dtheta = np.where(zero, 0.0, (np.conj(e) * de).imag / mag2)
+    return feature, (gamma * dtheta).T
 
 
 def phase_residual(ref_feature: PhaseFeature, sim_feature: PhaseFeature) -> np.ndarray:
@@ -325,12 +408,8 @@ def transform_pipeline(s: Signal, cfg: PhaseObjectiveConfig) -> PhaseFeature:
 
     Deterministic: identical inputs give bitwise-identical outputs.
     """
-    spec = dft_forward(s)
-    positive = Spectrum(spec.coeffs[1:], df=spec.df)
-    if not np.any(positive.coeffs != 0.0):
-        raise PipelineError("zero signal cannot be transformed to phase features")
-    acf = autocorr_spectrum(positive)
-    return stable_arg(acf, b=cfg.bandwidth_hz, duration=s.duration, c=cfg.damping)
+    feature, _ = phase_features(dft_forward(s).coeffs, s.duration, cfg)
+    return feature
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from waveinv import cli
 from waveinv.bench import (
     BenchResult,
     ConfigError,
     ExperimentConfig,
+    RunResult,
     config_checksum,
     draw_starts,
     gen_refs,
     load_config,
+    make_objective,
     manifold_export,
     mean_reference,
     optimize_batch,
@@ -28,6 +31,7 @@ from waveinv.bench import (
 from waveinv.bench import _count_interior_minima
 from waveinv.cli import main as cli_main
 from waveinv.forward import MaterialParams
+from waveinv.optim import OptRecord, OptTrace
 from waveinv.stats import BUILTIN_PRIORS
 
 
@@ -86,6 +90,18 @@ class TestConfig:
     def test_seed_override(self):
         cfg = load_config(None, {"seed": 1234})
         assert cfg.seed == 1234
+
+    def test_damping_just_below_underflow_limit_evaluates(self):
+        # the limit at the default grid is 745 (bT)^2 / (n/2 - 1)^2 = 4.923
+        cfg = small_cfg(damping=4.9)
+        ref = mean_reference(cfg)
+        evaluate = make_objective(cfg, ref)[0]
+        r, jac = evaluate(ref.truth.as_vector())
+        assert np.all(np.isfinite(r)) and np.all(np.isfinite(jac))
+        with pytest.raises(ConfigError):
+            small_cfg(damping=4.93)
+        # the raw-signal objectives never form the phase weights
+        assert small_cfg(damping=4.93, objective="signal").damping == 4.93
 
 
 class TestGenRefs:
@@ -377,6 +393,37 @@ class TestCli:
 
     def test_missing_refs_exits_2(self, tmp_path):
         assert self.run_cli("--out", str(tmp_path / "empty"), "optimize") == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("damping = 50", "[1, 10]"),
+            ("damping = 0.5", "[1, 10]"),
+            ("damping = 5", "largest usable damping for this grid is 745*(bT)^2/(n/2-1)^2 = 4.923"),
+            ("n = 1000", "power of two"),
+            ("max_iters = 0", "max_iters"),
+        ],
+    )
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, line, message):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"n_refs = 2\nlhs_restarts = 5\n{line}\n")
+        out = tmp_path / "o"
+        assert self.run_cli("--config", str(cfg_file), "--out", str(out), "gen-refs") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_optimize_prints_the_median_of_an_even_count(self, tmp_path, capsys, monkeypatch):
+        cfg = small_cfg()
+        truth = MaterialParams(E=4e9, nu=0.4, rho=1400.0)
+        result = BenchResult(cfg=cfg)
+        for i, evals in enumerate((3, 5, 8, 13)):
+            trace = OptTrace(records=[OptRecord(k=0, eval_count=evals, x=truth.as_vector(), objective=0.0)])
+            result.runs.append(RunResult(i, truth, trace, truth.as_vector(), True, evals))
+        monkeypatch.setattr(cli, "read_refs", lambda out: [])
+        monkeypatch.setattr(cli, "optimize_batch", lambda cfg, refs: result)
+        monkeypatch.setattr(cli, "write_batch", lambda result, out: None)
+        assert self.run_cli("--out", str(tmp_path), "optimize") == 0
+        assert "4/4 successful, median evals 6.5;" in capsys.readouterr().out
 
     def test_all_truncated_batch_exits_3(self, tmp_path):
         cfg_file = tmp_path / "trunc.cfg"

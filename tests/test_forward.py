@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from waveinv import forward
 from waveinv.forward import (
     EvalCounter,
     ForwardConfig,
@@ -13,13 +14,19 @@ from waveinv.forward import (
     forward_jacobian,
     forward_response,
     packet_delays,
-    gigahertz_config,
     phase_objective_terms,
     residual_jacobian,
     wave_speeds,
 )
-from waveinv.forward import _phase_feature_terms
-from waveinv.signals import PhaseObjectiveConfig, PipelineError, envelope, transform_pipeline
+from waveinv.signals import (
+    PhaseObjectiveConfig,
+    PipelineError,
+    damping_weights,
+    envelope,
+    phase_features,
+    transform_pipeline,
+)
+from waveinv.stats import BUILTIN_PRIORS, MATERIALS
 
 PEEK = MaterialParams(E=3.9559e9, nu=0.40079, rho=1400.3)
 
@@ -40,14 +47,6 @@ class TestConfig:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             ForwardConfig(n=1000)
-
-    def test_gigahertz_preset_flagged(self):
-        cfg = gigahertz_config()
-        assert cfg.fbar == 1.0e9
-        assert cfg.tbar == 3.0e-6
-        # the literal preset cannot fit its packets into the window
-        with pytest.raises(TruncationError):
-            forward_response(PEEK, cfg)
 
 
 class TestExcitation:
@@ -190,7 +189,8 @@ class TestForwardResponse:
         assert counter.count == 1
         forward_jacobian(PEEK, cfg)  # shares the pass: no increment
         assert counter.count == 1
-        assert forward_response(PEEK, cfg).eval_count_delta == 1
+        forward_response(PEEK, cfg, counter=counter, need_jacobian=True)
+        assert counter.count == 2
 
 
 class TestForwardJacobian:
@@ -272,10 +272,85 @@ class TestResidualJacobian:
         y[3] = 1.0 + 0.5j
         dy = np.ones_like(y)
         with pytest.raises(PipelineError):
-            _phase_feature_terms(y, [dy], duration=1.0, objective=PhaseObjectiveConfig(bandwidth_hz=1e6))
+            phase_features(y, 1.0, PhaseObjectiveConfig(bandwidth_hz=1e6), dy[None, :])
 
     def test_residual_against_reference_feature(self):
         r, jac = phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)
         sim = self.feature_at(PEEK)
         np.testing.assert_allclose(r, self.ref.values - sim, atol=1e-12)
         assert jac.shape == (r.size, 2)
+
+
+class TestPhaseKernelCost:
+    """Work per evaluation, counted by call (no timing)."""
+
+    def test_fft_and_excitation_calls_per_evaluation(self, monkeypatch):
+        cfg = default_config()
+        obj = objective_for(cfg)
+        ref = transform_pipeline(forward_response(PEEK, cfg).signal, obj)
+        calls = {"fft": 0, "excitation": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+        monkeypatch.setattr(forward, "excitation", counted(forward.excitation, "excitation"))
+        forward._excitation_spectrum.cache_clear()
+
+        phase_objective_terms(PEEK, cfg, obj, ref)
+        assert calls["excitation"] == 1
+        calls["fft"] = 0
+        _, jac = phase_objective_terms(PEEK, cfg, obj, ref)
+        assert jac.shape == (cfg.n // 2, 2)
+        assert calls["fft"] <= 4
+        assert calls["excitation"] == 1  # served from the cache
+
+    def test_cached_arrays_are_read_only(self):
+        cfg = default_config()
+        cached = forward._excitation_spectrum(cfg)
+        assert forward._excitation_spectrum(ForwardConfig()) is cached
+        obj = objective_for(cfg)
+        gamma = damping_weights(cfg.n // 2, obj.bandwidth_hz, cfg.duration, obj.damping)
+        assert damping_weights(cfg.n // 2, obj.bandwidth_hz, cfg.duration, obj.damping) is gamma
+        for array in (*cached, gamma):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+class TestCarrierTables:
+    @pytest.mark.parametrize("material", MATERIALS)
+    def test_tables_match_direct_exponentials(self, material):
+        # over the +-2 sigma prior box, the factored carriers stay within
+        # 1e-11 rad of exp(-i tau omega) evaluated directly
+        cfg = default_config()
+        omega = 2 * np.pi * np.arange(cfg.n // 2 + 1) / cfg.duration
+        prior = BUILTIN_PRIORS[material]
+        (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
+        for e in np.linspace(e_mean - 2 * e_std, e_mean + 2 * e_std, 5):
+            for nu in np.linspace(nu_mean - 2 * nu_std, nu_mean + 2 * nu_std, 5):
+                tau, _, _ = packet_delays(MaterialParams(e, nu, prior.rho_si()), cfg)
+                coarse, fine = forward._carrier_tables(tau, cfg)
+                table = (coarse[:, :, None] * fine[:, None, :]).reshape(3, -1)[:, : omega.size]
+                direct = np.exp(-1j * np.outer(tau, omega))
+                assert np.max(np.abs(np.angle(table * np.conj(direct)))) <= 1e-11
+                assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-12
+
+    def test_response_spectrum_matches_direct_sum(self):
+        cfg = default_config()
+        tau, dtau_de, dtau_dnu = packet_delays(PEEK, cfg)
+        p_spec = np.fft.rfft(excitation(cfg).samples)
+        omega = 2 * np.pi * np.arange(p_spec.size) / cfg.duration
+        carriers = np.exp(-1j * np.outer(tau, omega))
+        a = np.asarray(cfg.amplitudes)
+        want = [p_spec * (a @ carriers)]
+        for dtau in (dtau_de, dtau_dnu):
+            want.append(p_spec * ((a * dtau) @ (-1j * omega * carriers)))
+        y, dy = forward._response_spectrum(PEEK, cfg)
+        for got, ref in zip((y, dy[0], dy[1]), want):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))

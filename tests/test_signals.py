@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveinv.signals import (
     PhaseObjectiveConfig,
@@ -14,6 +16,7 @@ from waveinv.signals import (
     dft_forward,
     dft_inverse,
     envelope,
+    phase_features,
     phase_residual,
     read_signal_binary,
     read_signal_csv,
@@ -258,9 +261,95 @@ class TestStableArg:
         with pytest.raises(PipelineError):
             stable_arg(Spectrum(np.zeros(4, dtype=complex), df=1.0), b=1.0, duration=1.0)
 
-    def test_config_clamps_damping(self):
-        assert PhaseObjectiveConfig(bandwidth_hz=1.0, damping=0.2).damping == 1.0
-        assert PhaseObjectiveConfig(bandwidth_hz=1.0, damping=50.0).damping == 10.0
+    def test_config_rejects_out_of_range_damping(self):
+        for c in (0.2, 50.0):
+            with pytest.raises(ValueError):
+                PhaseObjectiveConfig(bandwidth_hz=1.0, damping=c)
+        assert PhaseObjectiveConfig(bandwidth_hz=1.0, damping=10).damping == 10.0
+
+
+def direct_phase_terms(coeffs, dcoeffs, gamma):
+    """Loop reference of the phase transform: direct-sum autocorrelation
+    and its derivative, argument, unwrap, damping."""
+    v = coeffs[1:]
+    m = v.size
+    e = np.array([sum(v[i] * np.conj(v[i - k]) for i in range(k, m)) for k in range(m)])
+    de = np.array(
+        [
+            [sum(dv[i] * np.conj(v[i - k]) + v[i] * np.conj(dv[i - k]) for i in range(k, m)) for k in range(m)]
+            for dv in dcoeffs[:, 1:]
+        ]
+    )
+    k = np.arange(m)
+    values = gamma * (np.unwrap(np.angle(e * (-1.0) ** k)) - np.pi * k)
+    dvalues = gamma[:, None] * (np.conj(e)[:, None] * de.T).imag / (np.abs(e) ** 2)[:, None]
+    return values, dvalues
+
+
+class TestPhaseFeatures:
+    def crafted(self, n=64, seed=5):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        dcoeffs = rng.standard_normal((2, n // 2 + 1)) + 1j * rng.standard_normal((2, n // 2 + 1))
+        return coeffs, dcoeffs
+
+    def test_matches_direct_sum_reference(self):
+        coeffs, dcoeffs = self.crafted()
+        obj = PhaseObjectiveConfig(bandwidth_hz=16.0, damping=1.0)  # bT = 16 over 32 lags
+        feature, jac = phase_features(coeffs, 1.0, obj, dcoeffs)
+        values, dvalues = direct_phase_terms(coeffs, dcoeffs, feature.gamma)
+        assert jac.shape == (32, 2)
+        assert np.max(np.abs(feature.values - values)) <= 1e-12
+        assert np.max(np.abs(jac - dvalues)) <= 1e-12 * np.max(np.abs(dvalues))
+
+    def test_features_without_jacobian_are_identical(self):
+        coeffs, dcoeffs = self.crafted()
+        obj = PhaseObjectiveConfig(bandwidth_hz=16.0)
+        plain, none = phase_features(coeffs, 1.0, obj)
+        with_jac, _ = phase_features(coeffs, 1.0, obj, dcoeffs)
+        assert none is None
+        assert np.array_equal(plain.values, with_jac.values)
+
+    def test_autocorr_wrapper_agrees_with_kernel(self):
+        coeffs, _ = self.crafted()
+        b, duration = 16.0, 1.0
+        wrapped = stable_arg(autocorr_spectrum(Spectrum(coeffs[1:], df=1.0)), b=b, duration=duration)
+        feature, _ = phase_features(coeffs, duration, PhaseObjectiveConfig(bandwidth_hz=b))
+        assert np.array_equal(wrapped.values, feature.values)
+
+
+class TestPhaseProperties:
+    """The structural claims behind the phase objective, as properties."""
+
+    cfg = PhaseObjectiveConfig(bandwidth_hz=0.65e6, damping=1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(min_value=1e-3, max_value=1e3),
+        tbar=st.floats(min_value=2e-6, max_value=5e-6),
+    )
+    def test_amplitude_scaling_leaves_features_unchanged(self, alpha, tbar):
+        s = packet_signal(tbar=tbar)
+        a = transform_pipeline(s, self.cfg)
+        b = transform_pipeline(Signal(alpha * s.samples, dt=s.dt), self.cfg)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(shift=st.integers(min_value=-8, max_value=8), tbar=st.floats(min_value=3e-6, max_value=5e-6))
+    def test_time_shift_enters_the_phase_linearly(self, shift, tbar):
+        # sim[i] = ref[i + shift] => residual_k = -gamma_k * omega_k * shift * dt.
+        # The packet starts at least 6 sigma into the record: a packet cut by
+        # the record start has near-zeros in its autocorrelation at mid lags,
+        # where a shift can move the unwrap branch by 2 pi (tbar = 2 us gives
+        # 2 pi gamma_k jumps near k = 660).
+        s = packet_signal(tbar=tbar)
+        sim = Signal(np.roll(s.samples, -shift), dt=s.dt)
+        ref = transform_pipeline(s, self.cfg)
+        r = phase_residual(ref, transform_pipeline(sim, self.cfg))
+        omega = 2 * np.pi * np.arange(r.size) / s.duration
+        want = -ref.gamma * omega * shift * s.dt
+        interior = slice(1, r.size // 2)
+        assert np.max(np.abs(r[interior] - want[interior])) <= 1e-6
 
 
 class TestPhaseResidual:
