@@ -17,6 +17,7 @@ from .forward import (
     forward_jacobian,
     forward_response,
     residual_jacobian,
+    response_spectrum,
     wave_speeds,
 )
 from .optim import (
@@ -41,6 +42,7 @@ from .signals import (
     PipelineError,
     Signal,
     Spectrum,
+    analytic_from_spectrum,
     analytic_signal,
     autocorr_spectrum,
     dft_forward,

@@ -23,12 +23,13 @@ from .forward import (
     MaterialParams,
     forward_response,
     phase_objective_terms,
+    response_spectrum,
 )
 from .optim import METHODS, OptimizeOptions, OptTrace, bfgs_baseline, optimize, write_trace_csv
 from .signals import (
     PhaseObjectiveConfig,
     Signal,
-    analytic_signal,
+    analytic_from_spectrum,
     envelope,
     read_signal_csv,
     transform_pipeline,
@@ -298,18 +299,6 @@ def mean_reference(cfg: ExperimentConfig) -> Reference:
 # ---------------------------------------------------------------------------
 # objective closures
 
-def _envelope_terms(out_signal, d_e, d_nu):
-    a = analytic_signal(out_signal)
-    env = np.abs(a)
-    floor = 1e-12 * max(float(env.max()), 1e-300)
-    env_safe = np.maximum(env, floor)
-    cols = []
-    for ds in (d_e, d_nu):
-        da = analytic_signal(ds)
-        cols.append((a.conj() * da).real / env_safe)
-    return env, np.column_stack(cols)
-
-
 def make_objective(cfg: ExperimentConfig, ref: Reference):
     """Build the residual/Jacobian and scalar/gradient callbacks for one
     reference, sharing an evaluation counter.
@@ -337,11 +326,11 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
 
         def evaluate(x, need_jacobian=True):
             m = MaterialParams(E=float(x[0]), nu=float(x[1]), rho=rho)
-            out = forward_response(m, fwd, counter=counter, need_jacobian=need_jacobian)
+            y, dy = response_spectrum(m, fwd, counter, need_jacobian)
             if not need_jacobian:
-                return ref_vec - out.signal.samples, None
-            d_e, d_nu = out.jacobian
-            return ref_vec - out.signal.samples, np.column_stack([d_e.samples, d_nu.samples])
+                return ref_vec - np.fft.irfft(y, fwd.n), None
+            s = np.fft.irfft(np.vstack([y, dy]), fwd.n)
+            return ref_vec - s[0], s[1:].T
 
     else:  # envelope
         ref_vec = envelope(ref.signal).samples
@@ -349,11 +338,15 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
 
         def evaluate(x, need_jacobian=True):
             m = MaterialParams(E=float(x[0]), nu=float(x[1]), rho=rho)
-            out = forward_response(m, fwd, counter=counter, need_jacobian=need_jacobian)
+            y, dy = response_spectrum(m, fwd, counter, need_jacobian)
             if not need_jacobian:
-                return ref_vec - envelope(out.signal).samples, None
-            env, jac = _envelope_terms(out.signal, *out.jacobian)
-            return ref_vec - env, jac
+                return ref_vec - np.abs(analytic_from_spectrum(y, fwd.n)), None
+            # d|a| = Re(conj(a) da) / |a|, with |a| floored where it vanishes
+            a = analytic_from_spectrum(np.vstack([y, dy]), fwd.n)
+            env = np.abs(a[0])
+            floor = 1e-12 * max(float(env.max()), 1e-300)
+            jac = (a[0].conj() * a[1:]).real / np.maximum(env, floor)
+            return ref_vec - env, jac.T
 
     def fg(x):
         r, jac = evaluate(x, True)
@@ -508,12 +501,12 @@ def optimize_batch(cfg: ExperimentConfig, refs: list[Reference]) -> BenchResult:
                 RunResult(ref.ref_id, ref.truth, OptTrace(status="error", message=str(exc)), x0, False, None)
             )
             continue
-        if trace.records and trace.eval_count != counter.count:
-            log.warning(
-                "run %d: trace counted %d evaluations, model counted %d",
-                ref.ref_id,
-                trace.eval_count,
-                counter.count,
+        # every counted evaluation is in the trace, except one that raised
+        unrecorded = counter.count - trace.eval_count
+        if unrecorded != 0 and not (trace.status == "error" and unrecorded == 1):
+            raise RuntimeError(
+                f"run {ref.ref_id}: trace counted {trace.eval_count} evaluations, "
+                f"model counted {counter.count}"
             )
         evals = trace.evals_to(lambda rec: rec.rel1 < cfg.cutoff)
         result.runs.append(

@@ -39,6 +39,7 @@ __all__ = [
     "excitation",
     "wave_speeds",
     "packet_delays",
+    "response_spectrum",
     "forward_response",
     "forward_jacobian",
     "residual_jacobian",
@@ -136,11 +137,10 @@ def default_config(**overrides) -> ForwardConfig:
 @dataclass(frozen=True)
 class ModelOutput:
     """One forward evaluation: the response signal and its one-sided
-    spectrum, plus the derivative signals (dy/dE, dy/dnu) when requested."""
+    spectrum."""
 
     signal: Signal
     spectrum: Spectrum
-    jacobian: tuple[Signal, Signal] | None = None
 
 
 class EvalCounter:
@@ -220,15 +220,19 @@ def _carrier_tables(tau: np.ndarray, cfg: ForwardConfig) -> tuple[np.ndarray, np
     return coarse, fine
 
 
-def _response_spectrum(
-    m: MaterialParams, cfg: ForwardConfig, need_jacobian: bool = True
+def response_spectrum(
+    m: MaterialParams,
+    cfg: ForwardConfig,
+    counter: EvalCounter | None = None,
+    need_jacobian: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One-sided response spectrum Y and, on request, its derivatives
-    stacked as rows [dY/dE, dY/dnu].
+    stacked as rows [dY/dE, dY/dnu]; one model evaluation.
 
     Y = P sum_j a_j c_j and dY/dp = -i omega P sum_j a_j (d tau_j / dp) c_j
     over the carriers c_j = exp(-i tau_j omega), so one small product of
-    weight rows with the carrier tables gives every sum.
+    weight rows with the carrier tables gives every sum.  Every objective
+    starts here; a non-finite spectrum raises ``ValueError``.
     """
     tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
     _check_window(tau, cfg)
@@ -240,37 +244,32 @@ def _response_spectrum(
     sums = (weights[:, :, None] * coarse).transpose(0, 2, 1) @ fine
     sums = sums.reshape(len(weights), -1)[:, : p_spec.size]
     y = p_spec * sums[0]
-    return y, (p_rate * sums[1:] if need_jacobian else None)
+    dy = p_rate * sums[1:] if need_jacobian else None
+    if not (np.isfinite(y).all() and (dy is None or np.isfinite(dy).all())):
+        raise ValueError("simulated response is not finite")
+    if counter is not None:
+        counter.add(1)
+    return y, dy
 
 
 def forward_response(
-    m: MaterialParams,
-    cfg: ForwardConfig,
-    counter: EvalCounter | None = None,
-    need_jacobian: bool = False,
+    m: MaterialParams, cfg: ForwardConfig, counter: EvalCounter | None = None
 ) -> ModelOutput:
     """Simulated transmission response for one material; one model
-    evaluation.  With ``need_jacobian`` the output also carries the
-    analytic derivative signals, from the same response spectrum."""
-    y, dy = _response_spectrum(m, cfg, need_jacobian)
-    if counter is not None:
-        counter.add(1)
-    jacobian = None
-    if need_jacobian:
-        d_e, d_nu = np.fft.irfft(dy, n=cfg.n)
-        jacobian = (Signal(d_e, dt=cfg.dt), Signal(d_nu, dt=cfg.dt))
+    evaluation."""
+    y, _ = response_spectrum(m, cfg, counter)
     return ModelOutput(
         signal=Signal(np.fft.irfft(y, n=cfg.n), dt=cfg.dt),
         spectrum=Spectrum(y, df=1.0 / cfg.duration),
-        jacobian=jacobian,
     )
 
 
 def forward_jacobian(m: MaterialParams, cfg: ForwardConfig) -> tuple[Signal, Signal]:
     """Analytic derivatives (dy/dE, dy/dnu) of the time response; counts no
-    evaluation.  Callers that also need the response pass
-    ``need_jacobian=True`` to :func:`forward_response` instead."""
-    return forward_response(m, cfg, need_jacobian=True).jacobian
+    evaluation."""
+    _, dy = response_spectrum(m, cfg, need_jacobian=True)
+    d_e, d_nu = np.fft.irfft(dy, n=cfg.n)
+    return Signal(d_e, dt=cfg.dt), Signal(d_nu, dt=cfg.dt)
 
 
 def phase_objective_terms(
@@ -283,9 +282,7 @@ def phase_objective_terms(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual r = ref - sim of phase features and the model Jacobian
     d(sim feature)/d(E, nu), in one counted forward evaluation."""
-    y, dy = _response_spectrum(m, cfg, need_jacobian)
-    if counter is not None:
-        counter.add(1)
+    y, dy = response_spectrum(m, cfg, counter, need_jacobian)
     feature, dfeature = phase_features(y, cfg.duration, objective, dy)
     if not np.array_equal(feature.gamma, ref_feature.gamma):
         raise ValueError("reference feature was produced with different damping weights")

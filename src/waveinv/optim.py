@@ -71,13 +71,11 @@ class SingularMatrixError(np.linalg.LinAlgError):
 @dataclass
 class OptState:
     """One optimizer iterate: parameters, residual, model Jacobian in
-    physical units, iteration index, and evaluation bookkeeping."""
+    physical units, and the initial residual norm."""
 
     x: np.ndarray
     r: np.ndarray
     J: np.ndarray
-    eval_count: int
-    k: int
     r0_norm: float
 
     def __post_init__(self) -> None:
@@ -269,6 +267,14 @@ def _rel2(r_norm: float, ref_norm: float | None) -> float:
     return float(r_norm / ref_norm)
 
 
+def _non_finite(trace: OptTrace, what: str) -> OptTrace:
+    """End a run at its last record, whose evaluation returned NaN or inf:
+    no stopping test can hold on such values."""
+    trace.status = "non-finite"
+    trace.message = f"{what} is not finite at evaluation {trace.eval_count}"
+    return trace
+
+
 def _apply_bounds(x: np.ndarray, dx: np.ndarray, bounds) -> np.ndarray | None:
     """Halve dx (at most 10 times) until x + dx is strictly inside the
     bounds; None when even the smallest step leaves the box."""
@@ -293,7 +299,8 @@ def optimize(
     the residual r = ref - f(x) and, on request, the model Jacobian df/dx.
     The trace holds one record per model evaluation; for these methods one
     iteration is exactly one evaluation because the Jacobian shares the
-    forward pass.
+    forward pass.  An evaluation whose residual or Jacobian holds NaN or inf
+    ends the run at its record with status ``non-finite``.
     """
     if opts.method == "bfgs":
         raise ValueError("use bfgs_baseline for the BFGS method")
@@ -315,6 +322,7 @@ def optimize(
             trace.message = str(exc)
             return trace
         r = np.asarray(r, dtype=float)
+        jac = np.asarray(jac, dtype=float)
         r_norm = float(np.linalg.norm(r))
         if k == 0:
             r0_norm = r_norm
@@ -328,6 +336,8 @@ def optimize(
         )
         trace.records.append(record)
 
+        if not (np.isfinite(record.objective) and np.isfinite(jac).all()):
+            return _non_finite(trace, "residual or Jacobian")
         if r0_norm == 0.0 or (r0_norm > 0.0 and r_norm / r0_norm < opts.objective_tol):
             trace.status = "converged"
             trace.message = "relative residual below tolerance"
@@ -341,7 +351,7 @@ def optimize(
                 return trace
         prev_norm = r_norm
 
-        state = OptState(x=x, r=r, J=np.asarray(jac, dtype=float), eval_count=trace.eval_count, k=k, r0_norm=r0_norm)
+        state = OptState(x=x, r=r, J=jac, r0_norm=r0_norm)
         try:
             if opts.method == "modified-lm":
                 report = modified_lm_step(state)
@@ -378,6 +388,10 @@ def optimize(
 # ---------------------------------------------------------------------------
 # BFGS baseline
 
+def _finite_fg(f: float, g: np.ndarray) -> bool:
+    return bool(np.isfinite(f) and np.isfinite(g).all())
+
+
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 _MAX_LS_TRIALS = 20
@@ -399,7 +413,9 @@ def bfgs_baseline(
     ``fg(x)`` returns the objective 0.5 ||r||^2 and its gradient in one
     model evaluation (the gradient shares the forward pass).  Every
     line-search trial is one evaluation and lands in the trace, so the
-    cumulative counts are comparable with the residual-based methods.
+    cumulative counts are comparable with the residual-based methods.  A
+    NaN or inf objective or gradient ends the run at its record with status
+    ``non-finite``.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = OptTrace()
@@ -425,6 +441,8 @@ def bfgs_baseline(
         trace.message = str(exc)
         return trace
     record_eval(0, x, f)
+    if not _finite_fg(f, g):
+        return _non_finite(trace, "objective or gradient")
     f0 = f
     g_scale = max(float(np.linalg.norm(g)), 1e-300)
     first_update = True
@@ -470,6 +488,8 @@ def bfgs_baseline(
                     trace.message = str(exc)
                     return trace
                 record_eval(k, x_trial, f_new)
+                if not _finite_fg(f_new, g_new):
+                    return _non_finite(trace, "objective or gradient")
                 slope_trial = float(g_new @ p)
                 armijo = f_new <= f + _WOLFE_C1 * alpha * slope
                 curvature = abs(slope_trial) <= _WOLFE_C2 * abs(slope)

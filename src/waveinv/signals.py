@@ -38,6 +38,7 @@ __all__ = [
     "dft_forward",
     "dft_inverse",
     "analytic_signal",
+    "analytic_from_spectrum",
     "envelope",
     "autocorr_spectrum",
     "unwrap",
@@ -199,21 +200,34 @@ def dft_inverse(spec: Spectrum) -> Signal:
 
 
 def analytic_signal(s: Signal) -> np.ndarray:
-    """Complex analytic signal a(t) = u(t) + i*H(u)(t).
+    """Complex analytic signal a(t) = u(t) + i*H(u)(t) of the demeaned
+    samples u; see :func:`analytic_from_spectrum`."""
+    return analytic_from_spectrum(np.fft.rfft(s.samples), s.n)
 
-    Computed in the frequency domain via H(U)(w) = -i sgn(w) U(w): positive
-    frequencies doubled, negative zeroed.  The mean is subtracted first so
-    the static coefficient vanishes; the self-conjugate Nyquist bin keeps
-    unit weight so that Re(a) reproduces the input exactly.
+
+@functools.lru_cache(maxsize=8)
+def _analytic_weights(n: int) -> np.ndarray:
+    """One-sided analytic-signal weights [0, 2, ..., 2, 1] for n samples;
+    read-only."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 0.0
+    w[-1] = 1.0
+    w.flags.writeable = False
+    return w
+
+
+def analytic_from_spectrum(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Analytic signals of n-sample records from their one-sided spectra.
+
+    ``coeffs`` holds the n/2 + 1 coefficients of one record, as from
+    ``rfft``, or of several stacked along the leading axis.  In the
+    frequency domain H(U)(w) = -i sgn(w) U(w), so the analytic spectrum is U
+    with positive frequencies doubled and negative ones zeroed: one
+    zero-padded inverse FFT.  The static coefficient gets weight 0, which
+    demeans the record; the self-conjugate Nyquist bin keeps unit weight so
+    that Re(a) reproduces the demeaned record exactly.
     """
-    n = s.n
-    u = s.samples - s.samples.mean()
-    spec = np.fft.fft(u)
-    weights = np.zeros(n)
-    weights[0] = 1.0
-    weights[1 : n // 2] = 2.0
-    weights[n // 2] = 1.0
-    return np.fft.ifft(spec * weights)
+    return np.fft.ifft(coeffs * _analytic_weights(n), n, axis=-1)
 
 
 def envelope(s: Signal) -> Signal:
@@ -249,9 +263,15 @@ def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m == 0:
         raise ValueError("autocorrelation of an empty spectrum is undefined")
     fv = np.fft.fft(v, 1 << int(np.ceil(np.log2(2 * m))))
-    e = np.fft.ifft(fv * np.conj(fv))[:m]
-    e[0] = e[0].real  # exact: E_0 is a sum of |V_i|^2
+    e = _real_ifft_head(fv.real**2 + fv.imag**2, m)
+    e[0] = e[0].real  # exact: E_0 is a sum of |V_i|^2 (conj left a -0.0 there)
     return e, fv
+
+
+def _real_ifft_head(x: np.ndarray, m: int) -> np.ndarray:
+    """First m terms of ifft(x) along the last axis for real x, as
+    conj(rfft(x))[:m] / N: half the work of a complex ifft."""
+    return np.conj(np.fft.rfft(x, axis=-1, norm="forward")[..., :m])
 
 
 def unwrap(phases: np.ndarray) -> np.ndarray:
@@ -344,10 +364,11 @@ def phase_features(
     feature values, else None.
 
     With X = fft(dV) conj(fft(V)) on the zero-padded grid, the derivative of
-    the autocorrelation is dE = ifft(X + conj(X)), so all p columns cost one
-    batched FFT pair on top of the features.  The unwrap stage and the
-    pseudo-phase subtraction leave derivatives untouched away from branch
-    crossings; the argument differentiates as d arg(z) = Im(conj(z) dz) / |z|^2.
+    the autocorrelation is dE = ifft(X + conj(X)) = ifft(2 Re X), so all p
+    columns cost one batched FFT and one batched real-input FFT on top of
+    the features.  The unwrap stage and the pseudo-phase subtraction leave
+    derivatives untouched away from branch crossings; the argument
+    differentiates as d arg(z) = Im(conj(z) dz) / |z|^2.
     """
     v = coeffs[1:]
     if not np.any(v != 0.0):
@@ -364,7 +385,7 @@ def phase_features(
             "phase derivative is singular there"
         )
     x = np.fft.fft(dcoeffs[:, 1:], fv.size, axis=-1) * np.conj(fv)
-    de = np.fft.ifft(x + np.conj(x), axis=-1)[:, : v.size]
+    de = _real_ifft_head(2.0 * x.real, v.size)
     mag2 = np.where(zero, 1.0, e.real**2 + e.imag**2)
     dtheta = np.where(zero, 0.0, (np.conj(e) * de).imag / mag2)
     return feature, (gamma * dtheta).T

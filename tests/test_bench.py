@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from waveinv import cli
+from waveinv import bench, cli, signals
 from waveinv.bench import (
     BenchResult,
     ConfigError,
@@ -30,7 +30,7 @@ from waveinv.bench import (
 )
 from waveinv.bench import _count_interior_minima
 from waveinv.cli import main as cli_main
-from waveinv.forward import MaterialParams
+from waveinv.forward import EvalCounter, MaterialParams, forward_jacobian, forward_response
 from waveinv.optim import OptRecord, OptTrace
 from waveinv.stats import BUILTIN_PRIORS
 
@@ -186,6 +186,32 @@ class TestOptimizeBatch:
         trace, counter = run_single(cfg, refs[0], starts[0])
         assert trace.eval_count == counter.count
 
+    def test_eval_count_mismatch_raises(self, monkeypatch):
+        cfg = small_cfg(n_refs=1)
+        refs = gen_refs(cfg)
+        trace = OptTrace(
+            records=[OptRecord(k=0, eval_count=1, x=refs[0].truth.as_vector(), objective=0.0)],
+            status="converged",
+        )
+        counter = EvalCounter()
+        counter.add(2)
+        monkeypatch.setattr(bench, "run_single", lambda cfg, ref, x0: (trace, counter))
+        with pytest.raises(RuntimeError, match="trace counted 1 evaluations, model counted 2"):
+            optimize_batch(cfg, refs)
+
+    def test_failed_evaluation_may_go_unrecorded(self, monkeypatch):
+        # an evaluation that raised was counted but left no record
+        cfg = small_cfg(n_refs=1)
+        refs = gen_refs(cfg)
+        trace = OptTrace(
+            records=[OptRecord(k=0, eval_count=1, x=refs[0].truth.as_vector(), objective=1.0)],
+            status="error",
+        )
+        counter = EvalCounter()
+        counter.add(2)
+        monkeypatch.setattr(bench, "run_single", lambda cfg, ref, x0: (trace, counter))
+        assert optimize_batch(cfg, refs).runs[0].trace.status == "error"
+
     def test_histogram_conservation(self):
         cfg = small_cfg(n_refs=5)
         result = optimize_batch(cfg, gen_refs(cfg))
@@ -256,6 +282,89 @@ class TestOptimizeBatch:
         x0 = refs[0].truth.as_vector() * np.array([1.0005, 1.0002])
         trace, _ = run_single(cfg, refs[0], x0)
         assert trace.records[-1].rel1 < trace.records[0].rel1
+
+
+def full_fft_analytic_signal(u):
+    """The analytic signal through a full complex FFT of the demeaned
+    samples: the reference formula the one-sided version must match."""
+    n = u.size
+    w = np.zeros(n)
+    w[0] = 1.0
+    w[1 : n // 2] = 2.0
+    w[n // 2] = 1.0
+    return np.fft.ifft(np.fft.fft(u - u.mean()) * w)
+
+
+class TestRawObjectives:
+    """The signal and envelope objectives, taken from the response spectrum."""
+
+    def setup_method(self):
+        self.cfg = small_cfg(n_refs=1)
+        self.ref = gen_refs(self.cfg)[0]
+        self.x = self.ref.truth.as_vector() * np.array([1.004, 0.997])
+        self.m = MaterialParams(self.x[0], self.x[1], self.ref.truth.rho)
+        self.fwd = self.cfg.forward_config()
+
+    def evaluate(self, objective):
+        return make_objective(replace(self.cfg, objective=objective), self.ref)[0]
+
+    def test_signal_terms_equal_the_time_domain_response(self):
+        r, jac = self.evaluate("signal")(self.x, True)
+        d_e, d_nu = forward_jacobian(self.m, self.fwd)
+        sim = forward_response(self.m, self.fwd).signal.samples
+        np.testing.assert_array_equal(r, self.ref.signal.samples - sim)
+        np.testing.assert_array_equal(jac, np.column_stack([d_e.samples, d_nu.samples]))
+        r_only, none = self.evaluate("signal")(self.x, False)
+        assert none is None
+        np.testing.assert_array_equal(r_only, r)
+
+    def test_envelope_terms_match_the_time_domain_formula(self):
+        # |a| and Re(conj(a) da) / max(|a|, 1e-12 max|a|) from the analytic
+        # signals of the time-domain response and its derivatives
+        r, jac = self.evaluate("envelope")(self.x, True)
+        a = full_fft_analytic_signal(forward_response(self.m, self.fwd).signal.samples)
+        env = np.abs(a)
+        env_safe = np.maximum(env, 1e-12 * env.max())
+        want = np.column_stack(
+            [(a.conj() * full_fft_analytic_signal(d.samples)).real / env_safe for d in forward_jacobian(self.m, self.fwd)]
+        )
+        ref_env = np.abs(full_fft_analytic_signal(self.ref.signal.samples))
+        assert np.max(np.abs(r - (ref_env - env))) <= 1e-12 * np.max(env)
+        assert np.max(np.abs(jac - want)) <= 1e-12 * np.max(np.abs(want))
+        r_only, none = self.evaluate("envelope")(self.x, False)
+        assert none is None
+        np.testing.assert_array_equal(r_only, r)
+
+    @pytest.mark.parametrize("objective", ["signal", "envelope"])
+    def test_jacobian_matches_central_differences(self, objective):
+        evaluate = self.evaluate(objective)
+        _, jac = evaluate(self.x, True)
+        for i in range(2):
+            h = np.zeros(2)
+            h[i] = 1e-6 * self.x[i]
+            # r = ref - f, so the model derivative is -(r(x + h) - r(x - h)) / 2h
+            fd = -(evaluate(self.x + h, False)[0] - evaluate(self.x - h, False)[0]) / (2 * h[i])
+            assert np.max(np.abs(jac[:, i] - fd)) <= 1e-5 * np.max(np.abs(jac[:, i]))
+
+    @pytest.mark.parametrize("objective", ["signal", "envelope"])
+    def test_one_transform_per_evaluation(self, objective, monkeypatch):
+        evaluate = self.evaluate(objective)
+        evaluate(self.x, True)  # fills the excitation cache
+        calls = {"fft": 0, "analytic_signal": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+        monkeypatch.setattr(signals, "analytic_signal", counted(signals.analytic_signal, "analytic_signal"))
+        _, jac = evaluate(self.x, True)
+        assert jac.shape == (self.fwd.n, 2)
+        assert calls == {"fft": 1, "analytic_signal": 0}
 
 
 class TestSurface:

@@ -16,6 +16,7 @@ from waveinv.forward import (
     packet_delays,
     phase_objective_terms,
     residual_jacobian,
+    response_spectrum,
     wave_speeds,
 )
 from waveinv.signals import (
@@ -189,8 +190,20 @@ class TestForwardResponse:
         assert counter.count == 1
         forward_jacobian(PEEK, cfg)  # shares the pass: no increment
         assert counter.count == 1
-        forward_response(PEEK, cfg, counter=counter, need_jacobian=True)
+        response_spectrum(PEEK, cfg, counter=counter, need_jacobian=True)
         assert counter.count == 2
+
+    @pytest.mark.parametrize("amplitudes", [(np.nan, 0.4, 0.2), (1.0, np.inf, 0.2)])
+    def test_non_finite_response_rejected(self, amplitudes):
+        cfg = ForwardConfig(amplitudes=amplitudes)
+        counter = EvalCounter()
+        with np.errstate(invalid="ignore"):
+            for need_jacobian in (False, True):
+                with pytest.raises(ValueError, match="not finite"):
+                    response_spectrum(PEEK, cfg, counter, need_jacobian)
+            with pytest.raises(ValueError):
+                forward_response(PEEK, cfg, counter)
+        assert counter.count == 0
 
 
 class TestForwardJacobian:
@@ -351,6 +364,6 @@ class TestCarrierTables:
         want = [p_spec * (a @ carriers)]
         for dtau in (dtau_de, dtau_dnu):
             want.append(p_spec * ((a * dtau) @ (-1j * omega * carriers)))
-        y, dy = forward._response_spectrum(PEEK, cfg)
+        y, dy = response_spectrum(PEEK, cfg, need_jacobian=True)
         for got, ref in zip((y, dy[0], dy[1]), want):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -34,8 +34,6 @@ def make_state(J, r, x, r0_norm=None):
         x=np.asarray(x, float),
         r=np.asarray(r, float),
         J=np.asarray(J, float),
-        eval_count=1,
-        k=0,
         r0_norm=float(np.linalg.norm(r)) if r0_norm is None else r0_norm,
     )
 
@@ -413,6 +411,27 @@ class TestOptimize:
         assert "synthetic" in trace.message
         assert len(trace.records) == 2
 
+    @pytest.mark.parametrize("bad", ["nan-residual", "inf-residual", "nan-jacobian"])
+    def test_non_finite_evaluation_ends_the_run(self, bad):
+        # the third evaluation returns NaN or inf: the run ends at its record
+        calls = {"n": 0}
+        a = np.array([[1.0, 0.0], [0.0, 0.05], [0.3, 0.1]])
+
+        def evaluate(x, need_jacobian):
+            calls["n"] += 1
+            r, jac = a @ np.array([1.0, 2.0]) - a @ x, a
+            if calls["n"] == 3:
+                if bad == "nan-jacobian":
+                    jac = jac * np.nan
+                else:
+                    r = r * (np.nan if bad == "nan-residual" else np.inf)
+            return r, jac
+
+        trace = optimize(evaluate, np.array([5.0, 5.0]), OptimizeOptions(method="scaled-gd"))
+        assert trace.status == "non-finite"
+        assert trace.eval_count == 3 == calls["n"]
+        assert "evaluation 3" in trace.message
+
     def test_eval_counts_strictly_increasing(self):
         rng = np.random.default_rng(16)
         a = rng.standard_normal((10, 2))
@@ -458,6 +477,25 @@ class TestBfgs:
 
         trace = bfgs_baseline(fg, np.array([1.0, 1.0]), OptimizeOptions(method="bfgs"))
         assert trace.status == "stalled"
+
+    def test_non_finite_start_ends_the_run(self):
+        trace = bfgs_baseline(lambda x: (np.nan, np.ones_like(x)), np.array([1.0, 1.0]), OptimizeOptions(method="bfgs"))
+        assert trace.status == "non-finite"
+        assert trace.eval_count == 1
+
+    def test_non_finite_gradient_in_line_search_ends_the_run(self):
+        calls = {"n": 0}
+
+        def fg(x):
+            calls["n"] += 1
+            g = x.copy()
+            if calls["n"] == 2:
+                g[1] = np.inf
+            return 0.5 * float(x @ x), g
+
+        trace = bfgs_baseline(fg, np.array([1.0, 2.0]), OptimizeOptions(method="bfgs"))
+        assert trace.status == "non-finite"
+        assert trace.eval_count == 2 == calls["n"]
 
     def test_budget_respected(self):
         a = np.diag([1.0, 4.0])

@@ -10,6 +10,7 @@ from waveinv.signals import (
     PipelineError,
     Signal,
     Spectrum,
+    analytic_from_spectrum,
     analytic_signal,
     autocorr_spectrum,
     damping_weights,
@@ -119,6 +120,45 @@ class TestAnalyticSignal:
         a = analytic_signal(Signal(u, dt=1.0))
         demeaned = u - u.mean()
         assert np.max(np.abs(a.real - demeaned)) <= 1e-12 * np.max(np.abs(demeaned))
+
+
+class TestAnalyticFromSpectrum:
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    def test_matches_full_complex_fft(self, n):
+        # reference: demean, full fft, weights [1, 2, ..., 2, 1, 0, ..., 0]
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n) + 0.3
+        w = np.zeros(n)
+        w[0] = 1.0
+        w[1 : n // 2] = 2.0
+        w[n // 2] = 1.0
+        want = np.fft.ifft(np.fft.fft(u - u.mean()) * w)
+        got = analytic_from_spectrum(np.fft.rfft(u), n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        demeaned = u - u.mean()
+        assert np.max(np.abs(got.real - demeaned)) <= 1e-13 * np.max(np.abs(demeaned))
+
+    def test_rows_are_transformed_independently(self):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((3, 64))
+        stacked = analytic_from_spectrum(np.fft.rfft(u, axis=-1), 64)
+        for row, samples in zip(stacked, u):
+            np.testing.assert_array_equal(row, analytic_from_spectrum(np.fft.rfft(samples), 64))
+
+    def test_weights_are_cached_and_read_only(self):
+        from waveinv.signals import _analytic_weights
+
+        w = _analytic_weights(8)
+        assert _analytic_weights(8) is w
+        np.testing.assert_array_equal(w, [0.0, 2.0, 2.0, 2.0, 1.0])
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    def test_analytic_signal_is_the_spectrum_form(self):
+        u = np.random.default_rng(5).standard_normal(128)
+        np.testing.assert_array_equal(
+            analytic_signal(Signal(u, dt=1.0)), analytic_from_spectrum(np.fft.rfft(u), 128)
+        )
 
 
 class TestEnvelope:
