@@ -10,6 +10,7 @@ from .forward import (
     EvalCounter,
     ForwardConfig,
     MaterialParams,
+    Materials,
     ModelOutput,
     TruncationError,
     default_config,

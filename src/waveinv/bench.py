@@ -21,16 +21,18 @@ from .forward import (
     EvalCounter,
     ForwardConfig,
     MaterialParams,
+    Materials,
     forward_response,
     phase_objective_terms,
     response_spectrum,
 )
-from .optim import METHODS, OptimizeOptions, OptTrace, bfgs_baseline, optimize, write_trace_csv
+from .optim import METHODS, MODEL_ERRORS, OptimizeOptions, OptTrace, bfgs_baseline, optimize, write_trace_csv
 from .signals import (
     PhaseObjectiveConfig,
     Signal,
     analytic_from_spectrum,
     envelope,
+    phase_features,
     read_signal_csv,
     transform_pipeline,
     write_signal_csv,
@@ -77,6 +79,21 @@ OBJECTIVES = ("signal", "envelope", "autocorr-phase")
 
 #: Relative error floor used when log-averaging error trajectories.
 _LOG_FLOOR = 1e-16
+
+#: Nodes per batched evaluation in surface scans and manifold exports.  At
+#: n = 4096 one chunk's zero-padded complex FFT block in the phase transform
+#: is 16 x 4096 x 16 B = 1 MiB; larger chunks (a whole 41-node grid row)
+#: fall out of cache and are slower per node.
+_CHUNK = 16
+
+#: Truths per batched evaluation in gen_refs, whose references are usually
+#: inverted next in the same process.  At n = 4096 the largest temporary of
+#: a 3-row chunk (the carrier sums) is 99 KiB, under glibc's default
+#: 128 KiB mmap threshold.  Freeing a larger mapped block raises that
+#: threshold and the heap trim threshold for the rest of the process: with
+#: 16-row chunks, perfbench's invert-phase workload ran its LM and BFGS
+#: evaluations at about 0.7x the host-normalized rate of the serial loop.
+_REF_CHUNK = 3
 
 
 class ConfigError(ValueError):
@@ -220,9 +237,9 @@ class Reference:
 
 def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     """Draw ground truths through the optimized LHS and the marginal inverse
-    CDFs, then simulate one response per truth.
+    CDFs, then simulate one response per truth, in chunks of truths.
 
-    Forward failures (a truth whose packets do not fit the window) are
+    A truth without a model output (its packets do not fit the window) is
     logged and skipped; the batch never aborts.
     """
     prior = cfg.prior()
@@ -235,15 +252,19 @@ def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     draws = apply_marginals(unit, prior, ("E", "nu"), rng=redraw_rng)
     rho = prior.rho_si()
     fwd = cfg.forward_config()
+    truths = [
+        MaterialParams(E=1.0e9 * draws.column("E")[i], nu=draws.column("nu")[i], rho=rho)
+        for i in range(cfg.n_refs)
+    ]
+    x = np.array([truth.as_vector() for truth in truths])
     refs = []
-    for i in range(cfg.n_refs):
-        truth = MaterialParams(E=1.0e9 * draws.column("E")[i], nu=draws.column("nu")[i], rho=rho)
-        try:
-            out = forward_response(truth, fwd)
-        except Exception as exc:  # noqa: BLE001 - per-sample failures logged
-            log.warning("reference %d failed: %s", i, exc)
-            continue
-        refs.append(Reference(ref_id=i, truth=truth, signal=out.signal))
+    for start in range(0, len(truths), _REF_CHUNK):
+        y, _ = response_spectrum(Materials(x[start : start + _REF_CHUNK], rho), fwd)
+        for i, samples in enumerate(np.fft.irfft(y, fwd.n), start=start):
+            if np.isnan(samples).any():
+                log.warning("reference %d failed: truth %s has no model output", i, truths[i])
+                continue
+            refs.append(Reference(ref_id=i, truth=truths[i], signal=Signal(samples, dt=fwd.dt)))
     return refs
 
 
@@ -285,13 +306,9 @@ def read_refs(out_dir: str | Path) -> list[Reference]:
 def mean_reference(cfg: ExperimentConfig) -> Reference:
     """Reference simulated at the prior-mean parameters, float-pinned to the
     center node of the surface grid so the self-residual vanishes exactly."""
-    prior = cfg.prior()
-    (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
-    e_grid = np.linspace(e_mean - cfg.grid_sigmas * e_std, e_mean + cfg.grid_sigmas * e_std, cfg.grid_n)
-    nu_grid = np.linspace(nu_mean - cfg.grid_sigmas * nu_std, nu_mean + cfg.grid_sigmas * nu_std, cfg.grid_n)
-    truth = MaterialParams(
-        E=float(e_grid[cfg.grid_n // 2]), nu=float(nu_grid[cfg.grid_n // 2]), rho=prior.rho_si()
-    )
+    e_values, nu_values, _ = _grid_nodes(cfg, cfg.grid_n)
+    center = cfg.grid_n // 2
+    truth = MaterialParams(E=float(e_values[center]), nu=float(nu_values[center]), rho=cfg.prior().rho_si())
     out = forward_response(truth, cfg.forward_config())
     return Reference(ref_id=0, truth=truth, signal=out.signal)
 
@@ -305,7 +322,10 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
 
     Returns (evaluate, fg, counter, ref_norm): ``evaluate(x, need_jac)`` for
     residual-based methods, ``fg(x)`` for BFGS; either call is exactly one
-    forward evaluation.
+    forward evaluation.  ``evaluate`` also takes N points as the rows of an
+    (N, 2) array and returns (N, M) residual rows and (N, M, 2) Jacobians,
+    one evaluation per row; a point without a model output raises alone and
+    is a NaN row in a batch.
     """
     fwd = cfg.forward_config()
     counter = EvalCounter()
@@ -317,7 +337,7 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
         ref_norm = float(np.linalg.norm(ref_feature.values))
 
         def evaluate(x, need_jacobian=True):
-            m = MaterialParams(E=float(x[0]), nu=float(x[1]), rho=rho)
+            m = Materials(x, rho)
             return phase_objective_terms(m, fwd, obj, ref_feature, counter=counter, need_jacobian=need_jacobian)
 
     elif cfg.objective == "signal":
@@ -325,28 +345,26 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
         ref_norm = float(np.linalg.norm(ref_vec))
 
         def evaluate(x, need_jacobian=True):
-            m = MaterialParams(E=float(x[0]), nu=float(x[1]), rho=rho)
-            y, dy = response_spectrum(m, fwd, counter, need_jacobian)
+            y, dy = response_spectrum(Materials(x, rho), fwd, counter, need_jacobian)
             if not need_jacobian:
                 return ref_vec - np.fft.irfft(y, fwd.n), None
-            s = np.fft.irfft(np.vstack([y, dy]), fwd.n)
-            return ref_vec - s[0], s[1:].T
+            s = np.fft.irfft(np.concatenate([y[..., None, :], dy], axis=-2), fwd.n)
+            return ref_vec - s[..., 0, :], np.swapaxes(s[..., 1:, :], -1, -2)
 
     else:  # envelope
         ref_vec = envelope(ref.signal).samples
         ref_norm = float(np.linalg.norm(ref_vec))
 
         def evaluate(x, need_jacobian=True):
-            m = MaterialParams(E=float(x[0]), nu=float(x[1]), rho=rho)
-            y, dy = response_spectrum(m, fwd, counter, need_jacobian)
+            y, dy = response_spectrum(Materials(x, rho), fwd, counter, need_jacobian)
             if not need_jacobian:
                 return ref_vec - np.abs(analytic_from_spectrum(y, fwd.n)), None
             # d|a| = Re(conj(a) da) / |a|, with |a| floored where it vanishes
-            a = analytic_from_spectrum(np.vstack([y, dy]), fwd.n)
-            env = np.abs(a[0])
-            floor = 1e-12 * max(float(env.max()), 1e-300)
-            jac = (a[0].conj() * a[1:]).real / np.maximum(env, floor)
-            return ref_vec - env, jac.T
+            a = analytic_from_spectrum(np.concatenate([y[..., None, :], dy], axis=-2), fwd.n)
+            env = np.abs(a[..., 0, :])
+            floor = 1e-12 * np.maximum(env.max(axis=-1, keepdims=True), 1e-300)
+            jac = (a[..., :1, :].conj() * a[..., 1:, :]).real / np.maximum(env, floor)[..., None, :]
+            return ref_vec - env, np.swapaxes(jac, -1, -2)
 
     def fg(x):
         r, jac = evaluate(x, True)
@@ -495,7 +513,7 @@ def optimize_batch(cfg: ExperimentConfig, refs: list[Reference]) -> BenchResult:
         x0 = starts[row]
         try:
             trace, counter = run_single(cfg, ref, x0)
-        except Exception as exc:  # noqa: BLE001 - per-run failures recorded
+        except MODEL_ERRORS as exc:
             log.warning("run %d failed outright: %s", ref.ref_id, exc)
             result.runs.append(
                 RunResult(ref.ref_id, ref.truth, OptTrace(status="error", message=str(exc)), x0, False, None)
@@ -571,32 +589,41 @@ def _count_interior_minima(grid: np.ndarray) -> int:
     return count
 
 
+def _grid_nodes(cfg: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E and nu values of an n x n grid spanning +- grid_sigmas marginal
+    standard deviations around the prior means, and its nodes as (E, nu)
+    rows, E-major."""
+    prior = cfg.prior()
+    (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
+    e_values = np.linspace(e_mean - cfg.grid_sigmas * e_std, e_mean + cfg.grid_sigmas * e_std, n)
+    nu_values = np.linspace(nu_mean - cfg.grid_sigmas * nu_std, nu_mean + cfg.grid_sigmas * nu_std, n)
+    nodes = np.stack(np.meshgrid(e_values, nu_values, indexing="ij"), axis=-1).reshape(-1, 2)
+    return e_values, nu_values, nodes
+
+
 def surface_scan(cfg: ExperimentConfig, ref: Reference) -> SurfaceResult:
     """Objective values 0.5 ||r||^2 on a grid_n x grid_n parameter grid
     spanning +- grid_sigmas marginal standard deviations around the prior
-    means, with a strict 8-neighbor count of interior local minima."""
-    prior = cfg.prior()
-    (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
-    e_values = np.linspace(e_mean - cfg.grid_sigmas * e_std, e_mean + cfg.grid_sigmas * e_std, cfg.grid_n)
-    nu_values = np.linspace(nu_mean - cfg.grid_sigmas * nu_std, nu_mean + cfg.grid_sigmas * nu_std, cfg.grid_n)
+    means, with a strict 8-neighbor count of interior local minima.
+
+    Nodes are evaluated in chunks through the objective's ``evaluate``; a
+    node without a model output is NaN and counts as failed."""
+    e_values, nu_values, nodes = _grid_nodes(cfg, cfg.grid_n)
     evaluate, _, _, _ = make_objective(cfg, ref)
-    objective = np.full((cfg.grid_n, cfg.grid_n), np.nan)
-    failed = 0
-    for i, e in enumerate(e_values):
-        for j, nu in enumerate(nu_values):
-            try:
-                r, _ = evaluate(np.array([e, nu]), False)
-            except Exception as exc:  # noqa: BLE001 - node flagged, scan continues
-                log.warning("surface node (%d, %d) failed: %s", i, j, exc)
-                failed += 1
-                continue
-            objective[i, j] = 0.5 * float(r @ r)
+    values = np.empty(len(nodes))
+    for start in range(0, len(nodes), _CHUNK):
+        r, _ = evaluate(nodes[start : start + _CHUNK], False)
+        values[start : start + _CHUNK] = 0.5 * np.linalg.vecdot(r, r)
+    objective = values.reshape(cfg.grid_n, cfg.grid_n)
+    failed = np.argwhere(np.isnan(objective))
+    for i, j in failed:
+        log.warning("surface node (%d, %d) failed: no model output at (E, nu) = %s", i, j, nodes[i * cfg.grid_n + j])
     return SurfaceResult(
         e_values=e_values,
         nu_values=nu_values,
         objective=objective,
         minima_count=_count_interior_minima(objective),
-        failed_nodes=failed,
+        failed_nodes=len(failed),
     )
 
 
@@ -622,12 +649,15 @@ def write_surface(result: SurfaceResult, cfg: ExperimentConfig, path: str | Path
 # ---------------------------------------------------------------------------
 # manifold export
 
-def _transformed_output(cfg: ExperimentConfig, signal: Signal) -> np.ndarray:
+def _transformed_outputs(cfg: ExperimentConfig, samples: np.ndarray) -> np.ndarray:
+    """The objective's transform of time-domain records, one per row."""
     if cfg.objective == "signal":
-        return signal.samples
+        return samples
+    coeffs = np.fft.rfft(samples)
     if cfg.objective == "envelope":
-        return envelope(signal).samples
-    return transform_pipeline(signal, cfg.objective_config()).values
+        return np.abs(analytic_from_spectrum(coeffs, cfg.n))
+    values, _ = phase_features(coeffs, cfg.forward_config().duration, cfg.objective_config())
+    return values
 
 
 def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -638,21 +668,20 @@ def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.n
     (E, nu, i_E, i_nu) coordinate-line labels; rank < manifold_dim flags a
     degenerate covariance (fewer informative directions than requested).
     """
-    prior = cfg.prior()
-    (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
     g = cfg.manifold_grid_n
-    e_values = np.linspace(e_mean - cfg.grid_sigmas * e_std, e_mean + cfg.grid_sigmas * e_std, g)
-    nu_values = np.linspace(nu_mean - cfg.grid_sigmas * nu_std, nu_mean + cfg.grid_sigmas * nu_std, g)
+    _, _, nodes = _grid_nodes(cfg, g)
     fwd = cfg.forward_config()
-    rho = prior.rho_si()
-    outputs = []
-    params = []
-    for i, e in enumerate(e_values):
-        for j, nu in enumerate(nu_values):
-            out = forward_response(MaterialParams(E=e, nu=nu, rho=rho), fwd)
-            outputs.append(_transformed_output(cfg, out.signal))
-            params.append((e, nu, i, j))
-    matrix = np.asarray(outputs)
+    rho = cfg.prior().rho_si()
+    chunks = []
+    for start in range(0, len(nodes), _CHUNK):
+        y, _ = response_spectrum(Materials(nodes[start : start + _CHUNK], rho), fwd)
+        chunks.append(_transformed_outputs(cfg, np.fft.irfft(y, fwd.n)))
+    matrix = np.concatenate(chunks)
+    failed = np.flatnonzero(np.isnan(matrix).any(axis=1))
+    if failed.size:
+        raise ValueError(f"manifold node (E, nu) = {nodes[failed[0]]} has no model output")
+    lines = np.indices((g, g)).reshape(2, -1).T
+    params = np.column_stack([nodes, lines])
     centered = matrix - matrix.mean(axis=0)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     variances = s**2 / max(matrix.shape[0] - 1, 1)
@@ -663,7 +692,7 @@ def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.n
         log.warning("degenerate covariance: %d informative directions < %d requested", rank, cfg.manifold_dim)
     projected = centered @ vt[:dim].T
     explained = variances[:dim] / total if total > 0 else variances[:dim]
-    return np.asarray(params), projected, explained, rank
+    return params, projected, explained, rank
 
 
 def write_manifold(

@@ -15,9 +15,12 @@ Jacobian with respect to (E, nu) analytic, which the optimizer relies on.
 Speeds are frequency independent; the nonlinearity of the inverse problem
 enters through tau_j(E, nu).
 
-Model evaluations are counted per optimization run through an explicit
-:class:`EvalCounter`; a Jacobian shares its forward pass and never double
-counts.
+Every function from the delays to the phase objective takes one material
+or a batch of them (:class:`Materials`) along a leading axis, and the
+single material is the batch of one: the same operations on one row.  Model
+evaluations are counted per optimization run through an explicit
+:class:`EvalCounter`, one per row; a Jacobian shares its forward pass and
+never double counts.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PhaseFeature, PhaseObjectiveConfig, Signal, Spectrum, phase_features
+from .signals import PhaseFeature, PhaseObjectiveConfig, Signal, Spectrum, damping_weights, phase_features
 
 __all__ = [
     "MaterialParams",
+    "Materials",
     "ForwardConfig",
     "ModelOutput",
     "EvalCounter",
@@ -82,6 +86,33 @@ class MaterialParams:
 
     def with_vector(self, x: np.ndarray) -> "MaterialParams":
         return MaterialParams(E=float(x[0]), nu=float(x[1]), rho=self.rho)
+
+
+@dataclass(frozen=True)
+class Materials:
+    """Materials of one density rho as rows (E, nu) of ``x``: shape (2,) is
+    one material, shape (N, 2) a batch of N.
+
+    Rows are not validated here.  The model raises for a single material
+    outside its domain, as for a :class:`MaterialParams`, and turns the
+    rows of a batch that fail the same checks into NaN.
+    """
+
+    x: np.ndarray
+    rho: float
+
+    def __post_init__(self) -> None:
+        x = np.asarray(self.x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[-1] != 2:
+            raise ValueError(f"materials are rows (E, nu) of shape (2,) or (N, 2), got {x.shape}")
+        object.__setattr__(self, "x", x)
+
+
+def _rows(m: MaterialParams | Materials) -> tuple[np.ndarray, float]:
+    """(E, nu) of shape (2,) or (N, 2), and the density."""
+    if isinstance(m, MaterialParams):
+        return np.array([m.E, m.nu]), m.rho
+    return m.x, m.rho
 
 
 @dataclass(frozen=True)
@@ -161,36 +192,39 @@ def excitation(cfg: ForwardConfig) -> Signal:
     return Signal(p, dt=cfg.dt)
 
 
+def _speeds(e, nu, rho):
+    c_l = np.sqrt(e / rho)
+    return c_l, c_l / np.sqrt(2.0 * (1.0 + nu))
+
+
 def wave_speeds(m: MaterialParams) -> tuple[float, float]:
     """Longitudinal bar speed c_L = sqrt(E/rho) and shear speed
     c_T = c_L / sqrt(2 (1 + nu)); c_T < c_L for all valid nu."""
-    c_l = np.sqrt(m.E / m.rho)
-    c_t = c_l / np.sqrt(2.0 * (1.0 + m.nu))
+    c_l, c_t = _speeds(m.E, m.nu, m.rho)
     return float(c_l), float(c_t)
 
 
-def packet_delays(m: MaterialParams, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def packet_delays(
+    m: MaterialParams | Materials, cfg: ForwardConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrival delays tau = [tau_1, tau_2, tau_3] and their derivatives
-    with respect to E and nu.
+    with respect to E and nu, each of shape (3,), or (N, 3) for a batch.
 
     All delays scale as E^(-1/2), so d tau_j / dE = -tau_j / (2 E).  Only
     the shear-borne path segments respond to nu.
     """
-    c_l, c_t = wave_speeds(m)
-    tau = np.array([cfg.L / c_l, 0.5 * cfg.L * (1.0 / c_l + 1.0 / c_t), cfg.L / c_t])
-    dtau_de = -tau / (2.0 * m.E)
+    return _delays(*_rows(m), cfg)
+
+
+def _delays(x: np.ndarray, rho: float, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    e, nu = x[..., 0], x[..., 1]
+    c_l, c_t = _speeds(e, nu, rho)
+    tau = np.stack([cfg.L / c_l, 0.5 * cfg.L * (1.0 / c_l + 1.0 / c_t), cfg.L / c_t], axis=-1)
+    dtau_de = -tau / (2.0 * e)[..., None]
     # d c_T / d nu = -c_T / (2 (1 + nu)); tau contributions through 1/c_T only.
     shear_path = np.array([0.0, 0.5 * cfg.L, cfg.L])
-    dtau_dnu = shear_path / c_t / (2.0 * (1.0 + m.nu))
+    dtau_dnu = shear_path / c_t[..., None] / (2.0 * (1.0 + nu))[..., None]
     return tau, dtau_de, dtau_dnu
-
-
-def _check_window(tau: np.ndarray, cfg: ForwardConfig) -> None:
-    latest = cfg.tbar + float(np.max(tau)) + 4.0 * cfg.sigma
-    if latest > cfg.duration:
-        raise TruncationError(
-            f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window"
-        )
 
 
 @functools.lru_cache(maxsize=16)
@@ -206,49 +240,81 @@ def _excitation_spectrum(cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _carrier_tables(tau: np.ndarray, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse and fine factors of the carriers exp(-i tau_j omega_k).
+    """Coarse and fine factors of the carriers exp(-i tau_j omega_k), for
+    delays tau of shape (..., 3).
 
     With omega_k = k dw and k = B q + r (B = _CARRIER_BLOCK), the carrier is
-    coarse[j, q] * fine[j, r] with coarse = exp(-i tau B dw q) and
+    coarse[..., j, q] * fine[..., j, r] with coarse = exp(-i tau B dw q) and
     fine = exp(-i tau dw r): about 3 (n/2 / B + B) complex exponentials
     instead of 3 (n/2 + 1).
     """
     dw = 2 * np.pi / cfg.duration
     n_blocks = -(-(cfg.n // 2 + 1) // _CARRIER_BLOCK)
-    coarse = np.exp(-1j * np.outer(tau * (_CARRIER_BLOCK * dw), np.arange(n_blocks)))
-    fine = np.exp(-1j * np.outer(tau * dw, np.arange(_CARRIER_BLOCK)))
+    coarse = np.exp(-1j * ((tau * (_CARRIER_BLOCK * dw))[..., None] * np.arange(n_blocks)))
+    fine = np.exp(-1j * ((tau * dw)[..., None] * np.arange(_CARRIER_BLOCK)))
     return coarse, fine
 
 
 def response_spectrum(
-    m: MaterialParams,
+    m: MaterialParams | Materials,
     cfg: ForwardConfig,
     counter: EvalCounter | None = None,
     need_jacobian: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One-sided response spectrum Y and, on request, its derivatives
-    stacked as rows [dY/dE, dY/dnu]; one model evaluation.
+    stacked as rows [dY/dE, dY/dnu]; one model evaluation per material.
 
-    Y = P sum_j a_j c_j and dY/dp = -i omega P sum_j a_j (d tau_j / dp) c_j
-    over the carriers c_j = exp(-i tau_j omega), so one small product of
-    weight rows with the carrier tables gives every sum.  Every objective
-    starts here; a non-finite spectrum raises ``ValueError``.
+    Y has shape (K,) and dY (2, K) for one material, (N, K) and (N, 2, K)
+    for a batch of N.  Y = P sum_j a_j c_j and
+    dY/dp = -i omega P sum_j a_j (d tau_j / dp) c_j over the carriers
+    c_j = exp(-i tau_j omega), so one small product of weight rows with the
+    carrier tables gives every sum.  Every objective starts here.
+
+    A material has no model output when (E, nu) lies outside E > 0,
+    0 < nu < 0.5, when a packet arrives less than 4 sigma before the end of
+    the window, or when its spectrum is not finite.  One material then
+    raises ``ValueError`` (``TruncationError`` for the window); in a batch,
+    the row of each such material is NaN and is not counted.
     """
-    tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
-    _check_window(tau, cfg)
+    x, rho = _rows(m)
+    batch = x.ndim == 2
+    e, nu = x[..., 0], x[..., 1]
+    fault = ~(np.isfinite(e) & (e > 0.0) & (nu > 0.0) & (nu < 0.5))
+    if not batch and fault:
+        raise ValueError(f"(E, nu) = ({float(e)!r}, {float(nu)!r}) lies outside E > 0, 0 < nu < 0.5")
+    if fault.any():
+        x = np.where(fault[:, None], np.nan, x)  # NaN flows silently to the masked rows
+    tau, dtau_de, dtau_dnu = _delays(x, rho, cfg)
+    latest = cfg.tbar + tau.max(axis=-1) + 4.0 * cfg.sigma
+    if not batch and latest > cfg.duration:
+        raise TruncationError(
+            f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window"
+        )
+    fault |= latest > cfg.duration
     p_spec, p_rate = _excitation_spectrum(cfg)
     a = np.asarray(cfg.amplitudes)
-    weights = np.stack([a, a * dtau_de, a * dtau_dnu]) if need_jacobian else a[None, :]
+    if need_jacobian:
+        weights = np.stack([np.broadcast_to(a, tau.shape), a * dtau_de, a * dtau_dnu], axis=-2)
+    else:
+        weights = a[None, :]
     coarse, fine = _carrier_tables(tau, cfg)
-    # sums[i, q, r] = sum_j weights[i, j] coarse[j, q] fine[j, r]
-    sums = (weights[:, :, None] * coarse).transpose(0, 2, 1) @ fine
-    sums = sums.reshape(len(weights), -1)[:, : p_spec.size]
-    y = p_spec * sums[0]
-    dy = p_rate * sums[1:] if need_jacobian else None
-    if not (np.isfinite(y).all() and (dy is None or np.isfinite(dy).all())):
+    # sums[..., i, q, r] = sum_j weights[..., i, j] coarse[..., j, q] fine[..., j, r]
+    sums = np.swapaxes(weights[..., None] * coarse[..., None, :, :], -1, -2) @ fine[..., None, :, :]
+    sums = sums.reshape(*sums.shape[:-2], -1)[..., : p_spec.size]
+    y = p_spec * sums[..., 0, :]
+    dy = p_rate * sums[..., 1:, :] if need_jacobian else None
+    finite = np.isfinite(y).all(axis=-1)
+    if dy is not None:
+        finite &= np.isfinite(dy).all(axis=(-2, -1))
+    if not batch and not finite:
         raise ValueError("simulated response is not finite")
+    fault |= ~finite
+    if fault.any():
+        y[fault] = np.nan
+        if dy is not None:
+            dy[fault] = np.nan
     if counter is not None:
-        counter.add(1)
+        counter.add(int(np.count_nonzero(~fault)))
     return y, dy
 
 
@@ -273,7 +339,7 @@ def forward_jacobian(m: MaterialParams, cfg: ForwardConfig) -> tuple[Signal, Sig
 
 
 def phase_objective_terms(
-    m: MaterialParams,
+    m: MaterialParams | Materials,
     cfg: ForwardConfig,
     objective: PhaseObjectiveConfig,
     ref_feature: PhaseFeature,
@@ -281,12 +347,18 @@ def phase_objective_terms(
     need_jacobian: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual r = ref - sim of phase features and the model Jacobian
-    d(sim feature)/d(E, nu), in one counted forward evaluation."""
+    d(sim feature)/d(E, nu), in one counted forward evaluation per material.
+
+    For a batch of N materials, r has shape (N, M) and the Jacobian
+    (N, M, 2); the rows of materials without a model output or with a
+    degenerate spectrum are NaN.
+    """
     y, dy = response_spectrum(m, cfg, counter, need_jacobian)
-    feature, dfeature = phase_features(y, cfg.duration, objective, dy)
-    if not np.array_equal(feature.gamma, ref_feature.gamma):
+    values, dvalues = phase_features(y, cfg.duration, objective, dy)
+    gamma = damping_weights(values.shape[-1], objective.bandwidth_hz, cfg.duration, objective.damping)
+    if not np.array_equal(gamma, ref_feature.gamma):
         raise ValueError("reference feature was produced with different damping weights")
-    return ref_feature.values - feature.values, dfeature
+    return ref_feature.values - values, dvalues
 
 
 def residual_jacobian(

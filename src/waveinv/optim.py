@@ -59,6 +59,12 @@ RCOND_LIMIT = 1e-14
 
 METHODS = ("modified-lm", "gauss-newton", "scaled-gd", "bfgs")
 
+#: Model-domain failures, which end a run with status ``error``: invalid
+#: parameters, a truncated window and degenerate spectra raise ValueErrors,
+#: singular systems LinAlgErrors.  Anything else is a programming error and
+#: propagates.
+MODEL_ERRORS = (ValueError, np.linalg.LinAlgError)
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Rank-deficient system; carries the estimated reciprocal condition."""
@@ -317,7 +323,7 @@ def optimize(
             return trace
         try:
             r, jac = evaluate(x, True)
-        except Exception as exc:  # noqa: BLE001 - model errors carry the trace
+        except MODEL_ERRORS as exc:
             trace.status = "error"
             trace.message = str(exc)
             return trace
@@ -436,7 +442,7 @@ def bfgs_baseline(
 
     try:
         f, g = fg(x)
-    except Exception as exc:  # noqa: BLE001
+    except MODEL_ERRORS as exc:
         trace.status = "error"
         trace.message = str(exc)
         return trace
@@ -483,7 +489,7 @@ def bfgs_baseline(
                     continue
                 try:
                     f_new, g_new = fg(x_trial)
-                except Exception as exc:  # noqa: BLE001
+                except MODEL_ERRORS as exc:
                     trace.status = "error"
                     trace.message = str(exc)
                     return trace

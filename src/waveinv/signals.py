@@ -152,8 +152,7 @@ class PhaseFeature:
         gamma = np.asarray(self.gamma, dtype=np.float64).copy()
         if values.shape != gamma.shape or values.ndim != 1:
             raise ValueError("values and gamma must be 1-d arrays of equal length")
-        if gamma[0] != 1.0 or np.any(gamma <= 0.0) or np.any(np.diff(gamma) > 0.0):
-            raise ValueError("gamma must start at 1, stay positive, and be non-increasing")
+        _check_gamma(gamma)
         values.flags.writeable = False
         gamma.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -252,19 +251,19 @@ def autocorr_spectrum(u: Spectrum) -> Spectrum:
 
 
 def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-lag autocorrelation E of v and the zero-padded FFT of v it
-    was computed from.
+    """Positive-lag autocorrelation E of v along its last axis and the
+    zero-padded FFT of v it was computed from.
 
-    The padded length is a power of two of at least 2 v.size, so the
-    circular correlation of the padded sequences equals the linear one:
-    E = ifft(|fft(v)|^2)[:v.size], equal to the direct sum to roundoff.
+    The padded length is a power of two of at least 2 m (m = v.shape[-1]),
+    so the circular correlation of the padded sequences equals the linear
+    one: E = ifft(|fft(v)|^2)[:m], equal to the direct sum to roundoff.
     """
-    m = v.size
+    m = v.shape[-1]
     if m == 0:
         raise ValueError("autocorrelation of an empty spectrum is undefined")
-    fv = np.fft.fft(v, 1 << int(np.ceil(np.log2(2 * m))))
+    fv = np.fft.fft(v, 1 << int(np.ceil(np.log2(2 * m))), axis=-1)
     e = _real_ifft_head(fv.real**2 + fv.imag**2, m)
-    e[0] = e[0].real  # exact: E_0 is a sum of |V_i|^2 (conj left a -0.0 there)
+    e[..., 0] = e[..., 0].real  # exact: E_0 is a sum of |V_i|^2 (conj left a -0.0 there)
     return e, fv
 
 
@@ -275,19 +274,21 @@ def _real_ifft_head(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def unwrap(phases: np.ndarray) -> np.ndarray:
-    """Remove 2*pi discontinuities so successive differences lie in (-pi, pi].
+    """Remove 2*pi discontinuities along the last axis so successive
+    differences lie in (-pi, pi].
 
-    The first element is kept; the output equals the input modulo 2*pi
-    elementwise.  A jump of exactly +pi is preserved (half-open boundary).
+    The first element of each row is kept; the output equals the input
+    modulo 2*pi elementwise.  A jump of exactly +pi is preserved (half-open
+    boundary).
     """
     phases = np.asarray(phases, dtype=np.float64)
-    if phases.size <= 1:
+    if phases.shape[-1:] in ((), (0,), (1,)):
         return phases.copy()
-    d = np.diff(phases)
+    d = np.diff(phases, axis=-1)
     principal = d - _TWO_PI * np.ceil((d - np.pi) / _TWO_PI)
     out = np.empty_like(phases)
-    out[0] = phases[0]
-    out[1:] = phases[0] + np.cumsum(principal)
+    out[..., 0] = phases[..., 0]
+    out[..., 1:] = phases[..., :1] + np.cumsum(principal, axis=-1)
     return out
 
 
@@ -295,14 +296,22 @@ def unwrap(phases: np.ndarray) -> np.ndarray:
 def damping_weights(n_coeffs: int, b: float, duration: float, c: float) -> np.ndarray:
     """Gaussian frequency weights gamma_k = exp(-C k^2 / (b T)^2).
 
-    Computed once per argument tuple; the returned array is read-only.
+    Computed and checked once per argument tuple: gamma starts at 1, stays
+    positive (no weight underflows) and does not increase.  The returned
+    array is read-only.
     """
     if b <= 0.0 or duration <= 0.0:
         raise ValueError("bandwidth and duration must be positive")
     k = np.arange(n_coeffs, dtype=np.float64)
     gamma = np.exp(-c * k**2 / (b * duration) ** 2)
+    _check_gamma(gamma)
     gamma.flags.writeable = False
     return gamma
+
+
+def _check_gamma(gamma: np.ndarray) -> None:
+    if gamma[0] != 1.0 or np.any(gamma <= 0.0) or np.any(np.diff(gamma) > 0.0):
+        raise ValueError("gamma must start at 1, stay positive, and be non-increasing")
 
 
 @functools.lru_cache(maxsize=32)
@@ -317,17 +326,19 @@ def _pseudo_phases(m: int) -> tuple[np.ndarray, np.ndarray]:
     return y, phi
 
 
-def _stable_phase(e: np.ndarray, gamma: np.ndarray) -> tuple[PhaseFeature, np.ndarray]:
-    """Damped, normalized, unwrapped phases of an autocorrelation E, and the
-    mask of its exactly-zero coefficients."""
-    if not np.any(e != 0.0):
+def _stable_phase(e: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped, normalized, unwrapped phases of autocorrelations E along the
+    last axis, the mask of their exactly-zero coefficients, and the mask of
+    all-zero rows (no phases at all), which a single row raises for."""
+    zero = e == 0.0
+    empty = zero.all(axis=-1)
+    if e.ndim == 1 and empty:
         raise PipelineError("all-zero spectrum has no well-defined phases")
-    y, phi = _pseudo_phases(e.size)
+    y, phi = _pseudo_phases(e.shape[-1])
     z = e * y  # E_k / Y_k = E_k * Y_k
     raw = np.arctan2(z.imag, z.real)
-    zero = e == 0.0
     raw[zero] = 0.0
-    return PhaseFeature(values=gamma * (unwrap(raw) - phi), gamma=gamma), zero
+    return gamma * (unwrap(raw) - phi), zero, empty
 
 
 def stable_arg(e: Spectrum, b: float, duration: float, c: float = 1.0) -> PhaseFeature:
@@ -342,8 +353,9 @@ def stable_arg(e: Spectrum, b: float, duration: float, c: float = 1.0) -> PhaseF
     """
     if not (1.0 <= c <= 10.0):
         raise ValueError(f"damping constant must lie in [1, 10], got {c}")
-    feature, _ = _stable_phase(e.coeffs, damping_weights(e.n_coeffs, b, duration, c))
-    return feature
+    gamma = damping_weights(e.n_coeffs, b, duration, c)
+    values, _, _ = _stable_phase(e.coeffs, gamma)
+    return PhaseFeature(values=values, gamma=gamma)
 
 
 def phase_features(
@@ -351,17 +363,24 @@ def phase_features(
     duration: float,
     objective: PhaseObjectiveConfig,
     dcoeffs: np.ndarray | None = None,
-) -> tuple[PhaseFeature, np.ndarray | None]:
-    """Phase feature of a one-sided spectrum and, on request, its derivative
-    columns: the single implementation of the phase transform.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Phase feature values of a one-sided spectrum and, on request, their
+    derivative columns: the single implementation of the phase transform.
 
     ``coeffs`` holds the n/2 + 1 one-sided coefficients of a record of
-    length ``duration`` (static term first, as from ``rfft``); the static
-    term is dropped, the rest autocorrelated (:func:`autocorr_spectrum`)
-    and turned into damped phases (:func:`stable_arg`).  ``dcoeffs`` of
-    shape (p, n/2 + 1) holds derivatives of ``coeffs`` with respect to p
-    parameters; the result then carries the (n/2, p) derivative of the
-    feature values, else None.
+    length ``duration`` (static term first, as from ``rfft``), or N such
+    records as rows; the static term is dropped, the rest autocorrelated
+    (:func:`autocorr_spectrum`) and turned into damped phases
+    (:func:`stable_arg`), n/2 values per record.  ``dcoeffs`` of shape
+    (p, n/2 + 1), or (N, p, n/2 + 1), holds derivatives of ``coeffs`` with
+    respect to p parameters; the result then carries the (n/2, p), or
+    (N, n/2, p), derivative of the feature values, else None.  The damping
+    weights are ``damping_weights(n/2, ...)``.
+
+    A degenerate record (all-zero autocorrelation, as of a zero spectrum,
+    or, with derivatives, a zero autocorrelation coefficient at an undamped
+    lag) raises :class:`PipelineError`; in a batch its rows are NaN
+    instead.
 
     With X = fft(dV) conj(fft(V)) on the zero-padded grid, the derivative of
     the autocorrelation is dE = ifft(X + conj(X)) = ifft(2 Re X), so all p
@@ -370,25 +389,31 @@ def phase_features(
     derivatives untouched away from branch crossings; the argument
     differentiates as d arg(z) = Im(conj(z) dz) / |z|^2.
     """
-    v = coeffs[1:]
-    if not np.any(v != 0.0):
-        raise PipelineError("zero spectrum cannot be transformed to phase features")
+    v = coeffs[..., 1:]
+    m = v.shape[-1]
     e, fv = _autocorr(v)
-    gamma = damping_weights(v.size, objective.bandwidth_hz, duration, objective.damping)
-    feature, zero = _stable_phase(e, gamma)
-    if dcoeffs is None:
-        return feature, None
-
-    if np.any(zero & (gamma > _UNDAMPED_TOL)):
-        raise PipelineError(
-            "zero-magnitude autocorrelation coefficient at an undamped index; "
-            "phase derivative is singular there"
-        )
-    x = np.fft.fft(dcoeffs[:, 1:], fv.size, axis=-1) * np.conj(fv)
-    de = _real_ifft_head(2.0 * x.real, v.size)
-    mag2 = np.where(zero, 1.0, e.real**2 + e.imag**2)
-    dtheta = np.where(zero, 0.0, (np.conj(e) * de).imag / mag2)
-    return feature, (gamma * dtheta).T
+    gamma = damping_weights(m, objective.bandwidth_hz, duration, objective.damping)
+    values, zero, fault = _stable_phase(e, gamma)
+    dvalues = None
+    if dcoeffs is not None:
+        singular = np.any(zero & (gamma > _UNDAMPED_TOL), axis=-1)
+        if v.ndim == 1 and singular:
+            raise PipelineError(
+                "zero-magnitude autocorrelation coefficient at an undamped index; "
+                "phase derivative is singular there"
+            )
+        fault |= singular
+        x = np.fft.fft(dcoeffs[..., 1:], fv.shape[-1], axis=-1) * np.conj(fv)[..., None, :]
+        de = _real_ifft_head(2.0 * x.real, m)
+        e, zero = e[..., None, :], zero[..., None, :]  # broadcast over the p columns
+        mag2 = np.where(zero, 1.0, e.real**2 + e.imag**2)
+        dtheta = np.where(zero, 0.0, (np.conj(e) * de).imag / mag2)
+        dvalues = np.swapaxes(gamma * dtheta, -1, -2)
+    if fault.any():
+        values[fault] = np.nan
+        if dvalues is not None:
+            dvalues[fault] = np.nan
+    return values, dvalues
 
 
 def phase_residual(ref_feature: PhaseFeature, sim_feature: PhaseFeature) -> np.ndarray:
@@ -429,8 +454,9 @@ def transform_pipeline(s: Signal, cfg: PhaseObjectiveConfig) -> PhaseFeature:
 
     Deterministic: identical inputs give bitwise-identical outputs.
     """
-    feature, _ = phase_features(dft_forward(s).coeffs, s.duration, cfg)
-    return feature
+    values, _ = phase_features(dft_forward(s).coeffs, s.duration, cfg)
+    gamma = damping_weights(values.size, cfg.bandwidth_hz, s.duration, cfg.damping)
+    return PhaseFeature(values=values, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -445,23 +471,27 @@ def write_signal_csv(s: Signal, path: str | Path, header_comments: list[str] | N
     for comment in header_comments or []:
         lines.append(f"# {comment}")
     lines.append("t_seconds,amplitude")
-    for i, a in enumerate(s.samples):
-        lines.append(f"{float(i * s.dt)!r},{float(a)!r}")
+    times = (np.arange(s.n) * s.dt).tolist()
+    lines.extend(f"{t!r},{a!r}" for t, a in zip(times, s.samples.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_signal_csv(path: str | Path) -> Signal:
+    """Read a :func:`write_signal_csv` file; every data row must hold two
+    numbers, and the time column must be uniformly sampled."""
     rows = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
-        if not line or line.startswith("#") or line.startswith("t_seconds"):
-            continue
-        t_str, a_str = line.split(",")
-        rows.append((float(t_str), float(a_str)))
+        if line and not line.startswith(("#", "t_seconds")):
+            rows.append(line.split(","))
     if len(rows) < 2:
         raise ValueError(f"{path}: too few samples for a signal")
-    t = np.array([r[0] for r in rows])
-    samples = np.array([r[1] for r in rows])
+    # one conversion for all rows; it parses each field exactly as float()
+    # does, and raises ValueError on a malformed field or a ragged row
+    data = np.array(rows, dtype=np.float64)
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: expected two columns per row, found {data.shape[1]}")
+    t, samples = data[:, 0], data[:, 1]
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
         raise ValueError(f"{path}: time column is not uniformly sampled")

@@ -212,6 +212,19 @@ class TestOptimizeBatch:
         monkeypatch.setattr(bench, "run_single", lambda cfg, ref, x0: (trace, counter))
         assert optimize_batch(cfg, refs).runs[0].trace.status == "error"
 
+    @pytest.mark.parametrize("optimizer", ["modified-lm", "bfgs"])
+    def test_programming_error_propagates(self, optimizer, monkeypatch):
+        # a TypeError inside the objective is a bug, not a failed run
+        cfg = small_cfg(n_refs=1, optimizer=optimizer)
+        refs = gen_refs(cfg)
+
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(bench, "phase_objective_terms", broken)
+        with pytest.raises(TypeError, match="synthetic"):
+            optimize_batch(cfg, refs)
+
     def test_histogram_conservation(self):
         cfg = small_cfg(n_refs=5)
         result = optimize_batch(cfg, gen_refs(cfg))
@@ -365,6 +378,100 @@ class TestRawObjectives:
         _, jac = evaluate(self.x, True)
         assert jac.shape == (self.fwd.n, 2)
         assert calls == {"fft": 1, "analytic_signal": 0}
+
+
+class TestBatchedEvaluation:
+    """``evaluate`` on the rows of an (N, 2) array: the same bits as N
+    single calls, failures as NaN rows."""
+
+    @pytest.mark.parametrize("objective", ["autocorr-phase", "signal", "envelope"])
+    def test_rows_equal_single_evaluations(self, objective):
+        cfg = small_cfg(n_refs=1, objective=objective)
+        ref = gen_refs(cfg)[0]
+        rng = np.random.default_rng(8)
+        x = ref.truth.as_vector() * (1.0 + 0.03 * rng.standard_normal((5, 2)))
+        for need_jacobian in (True, False):
+            evaluate, _, counter, _ = make_objective(cfg, ref)
+            r, jac = evaluate(x, need_jacobian)
+            assert counter.count == len(x)
+            for i, row in enumerate(x):
+                r1, jac1 = evaluate(row, need_jacobian)
+                assert r[i].tobytes() == r1.tobytes()
+                if need_jacobian:
+                    assert jac.shape == (len(x),) + jac1.shape
+                    assert jac[i].tobytes() == jac1.tobytes()
+                else:
+                    assert jac is None and jac1 is None
+
+    def test_point_outside_the_domain(self):
+        cfg = small_cfg(n_refs=1)
+        ref = gen_refs(cfg)[0]
+        evaluate, _, counter, _ = make_objective(cfg, ref)
+        bad = np.array([ref.truth.E, 0.55])
+        r, _ = evaluate(np.stack([bad, ref.truth.as_vector()]), False)
+        assert counter.count == 1
+        assert np.isnan(r[0]).all()
+        assert r[1].tobytes() == evaluate(ref.truth.as_vector(), False)[0].tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(bad, False)
+
+    @pytest.mark.parametrize("objective", ["autocorr-phase", "signal"])
+    def test_surface_across_the_truncation_limit(self, objective, caplog):
+        # the window ends inside the grid: soft materials lose their last
+        # packet.  Batched chunks must give the NaN pattern, failure count
+        # and objective values of a serial loop over single evaluations.
+        cfg = small_cfg(objective=objective, grid_n=7, n=1024, dt=2.4e-5 / 1024)
+        ref = mean_reference(cfg)
+        with caplog.at_level("WARNING", logger="waveinv.bench"):
+            result = surface_scan(cfg, ref)
+        evaluate, _, _, _ = make_objective(cfg, ref)
+        want = np.full((7, 7), np.nan)
+        for i, e in enumerate(result.e_values):
+            for j, nu in enumerate(result.nu_values):
+                try:
+                    r, _ = evaluate(np.array([e, nu]), False)
+                except ValueError:
+                    continue
+                want[i, j] = 0.5 * float(r @ r)
+        failed = int(np.isnan(want).sum())
+        assert 0 < failed < 49
+        assert result.failed_nodes == failed
+        assert result.objective.tobytes() == want.tobytes()
+        assert sum("surface node" in rec.getMessage() for rec in caplog.records) == failed
+
+    def test_gen_refs_skips_truncated_truths(self):
+        cfg = small_cfg(n_refs=8, n=1024, dt=2.4e-5 / 1024)
+        refs = gen_refs(cfg)
+        kept = []
+        for ref_id, truth in enumerate(gen_refs(replace(cfg, n=4096, dt=1.0 / 48.0e6))):
+            try:
+                forward_response(truth.truth, cfg.forward_config())
+            except ValueError:
+                continue
+            kept.append(ref_id)
+        assert 0 < len(kept) < 8
+        assert [ref.ref_id for ref in refs] == kept
+
+    def test_phase_surface_fft_calls_scale_with_chunks(self, monkeypatch):
+        # 1681 nodes in chunks of bench._CHUNK: two FFT calls per chunk
+        # (autocorrelation and its real-input inverse), not per node
+        cfg = small_cfg(grid_n=41)
+        ref = mean_reference(cfg)
+        calls = {"fft": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls["fft"] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        result = surface_scan(cfg, ref)
+        chunks = -(-41 * 41 // bench._CHUNK)
+        assert result.failed_nodes == 0
+        assert calls["fft"] == 2 * chunks + 3  # + rfft and the two of the reference feature
 
 
 class TestSurface:

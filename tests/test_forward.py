@@ -8,6 +8,7 @@ from waveinv.forward import (
     EvalCounter,
     ForwardConfig,
     MaterialParams,
+    Materials,
     TruncationError,
     default_config,
     excitation,
@@ -367,3 +368,71 @@ class TestCarrierTables:
         y, dy = response_spectrum(PEEK, cfg, need_jacobian=True)
         for got, ref in zip((y, dy[0], dy[1]), want):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestBatch:
+    """A batch of materials is rows of single evaluations, bit for bit."""
+
+    def rows(self, count=7, seed=3):
+        rng = np.random.default_rng(seed)
+        return PEEK.as_vector() * (1.0 + 0.05 * rng.standard_normal((count, 2)))
+
+    def test_delays_and_spectra_are_the_single_rows(self):
+        cfg = default_config()
+        x = self.rows()
+        batch = Materials(x, PEEK.rho)
+        for got, want in zip(packet_delays(batch, cfg), zip(*(packet_delays(MaterialParams(*row, PEEK.rho), cfg) for row in x))):
+            assert got.tobytes() == np.array(want).tobytes()
+        for need_jacobian in (False, True):
+            counter = EvalCounter()
+            y, dy = response_spectrum(batch, cfg, counter, need_jacobian)
+            assert counter.count == len(x)
+            for i, row in enumerate(x):
+                y1, dy1 = response_spectrum(Materials(row, PEEK.rho), cfg, need_jacobian=need_jacobian)
+                assert y[i].tobytes() == y1.tobytes()
+                assert dy is None and dy1 is None or dy[i].tobytes() == dy1.tobytes()
+
+    def test_rows_without_model_output_are_nan_and_uncounted(self):
+        # (E, nu) outside the domain, and a window that cuts the slow packets
+        # of soft materials: a single material raises, a batch masks its row
+        cfg = ForwardConfig(n=1024, dt=2.36e-5 / 1024)
+        x = np.array([[PEEK.E, 0.6], [-PEEK.E, PEEK.nu], [1.2 * PEEK.E, PEEK.nu], [0.8 * PEEK.E, PEEK.nu]])
+        counter = EvalCounter()
+        y, dy = response_spectrum(Materials(x, PEEK.rho), cfg, counter, need_jacobian=True)
+        assert counter.count == 1
+        assert np.isnan(y[[0, 1, 3]]).all() and np.isnan(dy[[0, 1, 3]]).all()
+        y1, dy1 = response_spectrum(Materials(x[2], PEEK.rho), cfg, need_jacobian=True)
+        assert y[2].tobytes() == y1.tobytes() and dy[2].tobytes() == dy1.tobytes()
+        for row, error in ((x[0], ValueError), (x[1], ValueError), (x[3], TruncationError)):
+            with pytest.raises(error):
+                response_spectrum(Materials(row, PEEK.rho), cfg, counter)
+        assert counter.count == 1
+
+    def test_phase_terms_are_the_single_rows(self):
+        cfg = default_config()
+        obj = objective_for(cfg)
+        ref = transform_pipeline(forward_response(PEEK, cfg).signal, obj)
+        x = self.rows()
+        r, jac = phase_objective_terms(Materials(x, PEEK.rho), cfg, obj, ref)
+        assert r.shape == (len(x), cfg.n // 2) and jac.shape == (len(x), cfg.n // 2, 2)
+        for i, row in enumerate(x):
+            r1, jac1 = phase_objective_terms(MaterialParams(*row, PEEK.rho), cfg, obj, ref)
+            assert r[i].tobytes() == r1.tobytes()
+            assert jac[i].tobytes() == jac1.tobytes()
+
+    def test_degenerate_rows_are_nan(self):
+        # a zero spectrum row, and a row whose only nonzero coefficient makes
+        # every lag > 0 zero: singular phase derivative at undamped lags
+        obj = PhaseObjectiveConfig(bandwidth_hz=1e6)
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
+        y[0] = 0.0
+        y[1] = 0.0
+        y[1, 3] = 1.0 + 0.5j
+        dy = np.ones((3, 2, 9), dtype=complex)
+        values, dvalues = phase_features(y, 1.0, obj, dy)
+        assert np.isnan(values[:2]).all() and np.isnan(dvalues[:2]).all()
+        v2, dv2 = phase_features(y[2], 1.0, obj, dy[2])
+        assert values[2].tobytes() == v2.tobytes() and dvalues[2].tobytes() == dv2.tobytes()
+        plain, _ = phase_features(y, 1.0, obj)
+        assert np.isnan(plain[0]).all() and np.isfinite(plain[1:]).all()

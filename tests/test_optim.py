@@ -403,13 +403,37 @@ class TestOptimize:
         def evaluate(x, need_jacobian):
             calls["n"] += 1
             if calls["n"] > 2:
-                raise RuntimeError("synthetic forward failure")
+                raise ValueError("synthetic forward failure")
             return np.array([1.0, 2.0]) - x, np.eye(2) * 0.5
 
         trace = optimize(evaluate, np.array([5.0, 5.0]), OptimizeOptions(method="gauss-newton"))
         assert trace.status == "error"
         assert "synthetic" in trace.message
         assert len(trace.records) == 2
+
+    @pytest.mark.parametrize("method", ["modified-lm", "bfgs"])
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_programming_error_propagates(self, method, failing_call):
+        # only model-domain errors (ValueError, LinAlgError) end a run with
+        # status "error"; a TypeError in an objective is a bug and escapes,
+        # whether it comes from the first evaluation or a later one
+        calls = {"n": 0}
+
+        def evaluate(x, need_jacobian):
+            calls["n"] += 1
+            if calls["n"] == failing_call:
+                raise TypeError("synthetic programming error")
+            return np.array([1.0, 2.0]) - x, np.eye(2)
+
+        def fg(x):
+            r, jac = evaluate(x, True)
+            return 0.5 * float(r @ r), -(jac.T @ r)
+
+        with pytest.raises(TypeError, match="synthetic"):
+            if method == "bfgs":
+                bfgs_baseline(fg, np.array([5.0, 5.0]), OptimizeOptions(method="bfgs"))
+            else:
+                optimize(evaluate, np.array([5.0, 5.0]), OptimizeOptions(method=method))
 
     @pytest.mark.parametrize("bad", ["nan-residual", "inf-residual", "nan-jacobian"])
     def test_non_finite_evaluation_ends_the_run(self, bad):

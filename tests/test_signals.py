@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from waveinv.signals import (
     PhaseObjectiveConfig,
@@ -263,6 +264,20 @@ class TestUnwrap:
         d = np.diff(unwrap(rng.uniform(-30, 30, size=200)))
         assert np.all(d > -np.pi - 1e-12) and np.all(d <= np.pi + 1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(0, 40)),
+            elements=st.floats(-50.0, 50.0, allow_nan=False),
+        )
+    )
+    def test_rows_unwrap_independently(self, phases):
+        got = unwrap(phases)
+        assert got.shape == phases.shape
+        for row, want in zip(got, phases):
+            assert np.array_equal(row, unwrap(want))
+
 
 class TestStableArg:
     def test_alternating_spectrum_gives_pure_normalization(self):
@@ -276,6 +291,11 @@ class TestStableArg:
         g = damping_weights(64, b=0.5, duration=8.0, c=2.0)
         assert g[0] == 1.0
         assert np.all(np.diff(g) < 0.0)
+
+    def test_underflowing_weights_rejected(self):
+        # exp(-C k^2 / (bT)^2) reaches 0 before the last lag
+        with pytest.raises(ValueError, match="stay positive"):
+            damping_weights(4096, b=1.0, duration=1.0, c=10.0)
 
     def test_pseudo_coefficient_pattern(self):
         # Y_k for k = 0..3 must be [1, -1, 1, -1]; probe it through phases of
@@ -336,10 +356,10 @@ class TestPhaseFeatures:
     def test_matches_direct_sum_reference(self):
         coeffs, dcoeffs = self.crafted()
         obj = PhaseObjectiveConfig(bandwidth_hz=16.0, damping=1.0)  # bT = 16 over 32 lags
-        feature, jac = phase_features(coeffs, 1.0, obj, dcoeffs)
-        values, dvalues = direct_phase_terms(coeffs, dcoeffs, feature.gamma)
+        got, jac = phase_features(coeffs, 1.0, obj, dcoeffs)
+        values, dvalues = direct_phase_terms(coeffs, dcoeffs, damping_weights(32, 16.0, 1.0, 1.0))
         assert jac.shape == (32, 2)
-        assert np.max(np.abs(feature.values - values)) <= 1e-12
+        assert np.max(np.abs(got - values)) <= 1e-12
         assert np.max(np.abs(jac - dvalues)) <= 1e-12 * np.max(np.abs(dvalues))
 
     def test_features_without_jacobian_are_identical(self):
@@ -348,14 +368,14 @@ class TestPhaseFeatures:
         plain, none = phase_features(coeffs, 1.0, obj)
         with_jac, _ = phase_features(coeffs, 1.0, obj, dcoeffs)
         assert none is None
-        assert np.array_equal(plain.values, with_jac.values)
+        assert np.array_equal(plain, with_jac)
 
     def test_autocorr_wrapper_agrees_with_kernel(self):
         coeffs, _ = self.crafted()
         b, duration = 16.0, 1.0
         wrapped = stable_arg(autocorr_spectrum(Spectrum(coeffs[1:], df=1.0)), b=b, duration=duration)
-        feature, _ = phase_features(coeffs, duration, PhaseObjectiveConfig(bandwidth_hz=b))
-        assert np.array_equal(wrapped.values, feature.values)
+        values, _ = phase_features(coeffs, duration, PhaseObjectiveConfig(bandwidth_hz=b))
+        assert np.array_equal(wrapped.values, values)
 
 
 class TestPhaseProperties:
@@ -505,6 +525,35 @@ class TestSerialization:
         back = read_signal_csv(path)
         np.testing.assert_array_equal(back.samples, s.samples)
         assert back.dt == s.dt
+
+    def test_csv_rows_are_float_reprs(self, tmp_path):
+        # the reference format: one "repr(t),repr(a)" row per sample,
+        # parsed back exactly by float()
+        rng = np.random.default_rng(13)
+        s = Signal(rng.standard_normal(256) * 10.0 ** rng.integers(-200, 200, 256), dt=1.0 / 48.0e6)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(s, path, header_comments=["a=1"])
+        want = ["# a=1", "t_seconds,amplitude"]
+        want += [f"{float(i * s.dt)!r},{float(a)!r}" for i, a in enumerate(s.samples)]
+        assert path.read_text() == "\n".join(want) + "\n"
+        back = read_signal_csv(path)
+        assert back.samples.tobytes() == np.array([float(line.split(",")[1]) for line in want[2:]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.0,1.0\n", "too few samples"),
+            ("0.0,1.0\n1.0,2.0\n2.5,3.0\n3.0,4.0\n", "not uniformly sampled"),
+            ("0.0,1.0\n1.0,x\n2.0,3.0\n3.0,4.0\n", None),
+            ("0.0,1.0\n1.0,2.0,5.0\n2.0,3.0\n3.0,4.0\n", None),
+            ("0.0,1.0,7.0\n1.0,2.0,5.0\n", "two columns"),
+        ],
+    )
+    def test_csv_rejects_malformed_input(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed=1\nt_seconds,amplitude\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_signal_csv(path)
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
