@@ -55,6 +55,11 @@ __all__ = [
 #: q and a fine factor in r.
 _CARRIER_BLOCK = 64
 
+#: The model domain of a row (E, nu), bounds excluded: 0 < E < inf and
+#: 0 < nu < 0.5, as MaterialParams enforces.
+_DOMAIN_LOW = np.array([0.0, 0.0])
+_DOMAIN_HIGH = np.array([np.inf, 0.5])
+
 
 class TruncationError(ValueError):
     """A wave packet would arrive after the end of the simulated window."""
@@ -217,13 +222,18 @@ def packet_delays(
 
 
 def _delays(x: np.ndarray, rho: float, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    e, nu = x[..., 0], x[..., 1]
+    e, nu = x[..., :1], x[..., 1:]  # trailing axis kept: broadcasts over the 3 packets
     c_l, c_t = _speeds(e, nu, rho)
-    tau = np.stack([cfg.L / c_l, 0.5 * cfg.L * (1.0 / c_l + 1.0 / c_t), cfg.L / c_t], axis=-1)
-    dtau_de = -tau / (2.0 * e)[..., None]
+    # one division each for the pure paths L / c and the mixed path's 1 / c,
+    # over the speeds of the 3 packets [c_L, (mixed), c_T]
+    speeds = np.concatenate([c_l, c_l, c_t], axis=-1)
+    tau = cfg.L / speeds
+    slowness = 1.0 / speeds
+    tau[..., 1] = 0.5 * cfg.L * (slowness[..., 0] + slowness[..., 2])
+    dtau_de = -tau / (2.0 * e)
     # d c_T / d nu = -c_T / (2 (1 + nu)); tau contributions through 1/c_T only.
     shear_path = np.array([0.0, 0.5 * cfg.L, cfg.L])
-    dtau_dnu = shear_path / c_t[..., None] / (2.0 * (1.0 + nu))[..., None]
+    dtau_dnu = shear_path / c_t / (2.0 * (1.0 + nu))
     return tau, dtau_de, dtau_dnu
 
 
@@ -278,43 +288,46 @@ def response_spectrum(
     """
     x, rho = _rows(m)
     batch = x.ndim == 2
-    e, nu = x[..., 0], x[..., 1]
-    fault = ~(np.isfinite(e) & (e > 0.0) & (nu > 0.0) & (nu < 0.5))
-    if not batch and fault:
-        raise ValueError(f"(E, nu) = ({float(e)!r}, {float(nu)!r}) lies outside E > 0, 0 < nu < 0.5")
-    if fault.any():
-        x = np.where(fault[:, None], np.nan, x)  # NaN flows silently to the masked rows
+    # the validity predicate, one row per material: a single material raises
+    # where it fails, a batch masks the rows that fail
+    ok = ((x > _DOMAIN_LOW) & (x < _DOMAIN_HIGH)).all(axis=-1)
+    if not batch:
+        if not ok:
+            raise ValueError(f"(E, nu) = ({x[0]!r}, {x[1]!r}) lies outside E > 0, 0 < nu < 0.5")
+    elif not ok.all():
+        x = np.where(ok[:, None], x, np.nan)  # NaN flows silently to the masked rows
     tau, dtau_de, dtau_dnu = _delays(x, rho, cfg)
     latest = cfg.tbar + tau.max(axis=-1) + 4.0 * cfg.sigma
     if not batch and latest > cfg.duration:
-        raise TruncationError(
-            f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window"
-        )
-    fault |= latest > cfg.duration
+        raise TruncationError(f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window")
+    ok &= latest <= cfg.duration
     p_spec, p_rate = _excitation_spectrum(cfg)
     a = np.asarray(cfg.amplitudes)
     if need_jacobian:
-        weights = np.stack([np.broadcast_to(a, tau.shape), a * dtau_de, a * dtau_dnu], axis=-2)
+        weights = np.empty(tau.shape[:-1] + (3, 3))
+        weights[..., 0, :] = a
+        weights[..., 1, :] = a * dtau_de
+        weights[..., 2, :] = a * dtau_dnu
     else:
         weights = a[None, :]
     coarse, fine = _carrier_tables(tau, cfg)
     # sums[..., i, q, r] = sum_j weights[..., i, j] coarse[..., j, q] fine[..., j, r]
-    sums = np.swapaxes(weights[..., None] * coarse[..., None, :, :], -1, -2) @ fine[..., None, :, :]
-    sums = sums.reshape(*sums.shape[:-2], -1)[..., : p_spec.size]
+    sums = (weights[..., None] * coarse[..., None, :, :]).swapaxes(-1, -2) @ fine[..., None, :, :]
+    sums = sums.reshape(sums.shape[:-2] + (-1,))[..., : p_spec.size]
     y = p_spec * sums[..., 0, :]
     dy = p_rate * sums[..., 1:, :] if need_jacobian else None
-    finite = np.isfinite(y).all(axis=-1)
+    ok &= np.isfinite(y).all(axis=-1)
     if dy is not None:
-        finite &= np.isfinite(dy).all(axis=(-2, -1))
-    if not batch and not finite:
-        raise ValueError("simulated response is not finite")
-    fault |= ~finite
-    if fault.any():
-        y[fault] = np.nan
+        ok &= np.isfinite(dy).all(axis=(-2, -1))
+    if not batch:
+        if not ok:
+            raise ValueError("simulated response is not finite")
+    elif not ok.all():
+        y[~ok] = np.nan
         if dy is not None:
-            dy[fault] = np.nan
+            dy[~ok] = np.nan
     if counter is not None:
-        counter.add(int(np.count_nonzero(~fault)))
+        counter.add(int(np.count_nonzero(ok)) if batch else 1)
     return y, dy
 
 
