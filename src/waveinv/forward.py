@@ -224,8 +224,8 @@ def packet_delays(
 def _delays(x: np.ndarray, rho: float, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e, nu = x[..., :1], x[..., 1:]  # trailing axis kept: broadcasts over the 3 packets
     c_l, c_t = _speeds(e, nu, rho)
-    # one division each for the pure paths L / c and the mixed path's 1 / c,
-    # over the speeds of the 3 packets [c_L, (mixed), c_T]
+    # tau_1 = L / c_L and tau_3 = L / c_T in one division; the middle column
+    # becomes tau_2 = (L / 2) (1 / c_L + 1 / c_T)
     speeds = np.concatenate([c_l, c_l, c_t], axis=-1)
     tau = cfg.L / speeds
     slowness = 1.0 / speeds
