@@ -3,7 +3,8 @@
 Subcommands: gen-refs, optimize, surface, manifold, report.  Global flags
 --config (flat key = value text), --seed, --out.  Exit codes: 0 on success,
 2 on configuration errors, 3 on batch-level failures (no reference or run
-survived).
+survived, a malformed input file, a model-domain or disk error).  Any other
+exception is a programming error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # noqa: BLE001 - batch-level failure
+    except (ValueError, np.linalg.LinAlgError, OSError) as exc:
+        # malformed files, model-domain failures and disk errors; anything
+        # else is a programming error and keeps its traceback
         print(f"batch failure: {exc}", file=sys.stderr)
         return EXIT_BATCH
     return EXIT_OK

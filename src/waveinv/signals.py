@@ -463,32 +463,43 @@ def transform_pipeline(s: Signal, cfg: PhaseObjectiveConfig) -> PhaseFeature:
 # serialization
 
 def write_signal_csv(s: Signal, path: str | Path, header_comments: list[str] | None = None) -> None:
-    """Two-column CSV (t_seconds, amplitude) with a header row.
+    """Two-column CSV (t_seconds, amplitude) with a header row, one
+    ``repr(t),repr(a)`` row per sample.
 
     Optional comment lines (prefixed with '#') may carry provenance.
     """
-    lines = []
-    for comment in header_comments or []:
-        lines.append(f"# {comment}")
+    lines = [f"# {comment}" for comment in header_comments or []]
     lines.append("t_seconds,amplitude")
-    times = (np.arange(s.n) * s.dt).tolist()
-    lines.extend(f"{t!r},{a!r}" for t, a in zip(times, s.samples.tolist()))
+    lines.extend(map(str.__add__, _time_column(s.n, s.dt), map(repr, s.samples.tolist())))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _time_column(n: int, dt: float) -> tuple[str, ...]:
+    """The ``repr(k*dt) + ","`` row prefixes of an (n, dt) grid; the
+    references of a batch share one grid.  ``typed`` keeps an integer dt,
+    whose times print as integers, apart from the equal float."""
+    return tuple(f"{t!r}," for t in (np.arange(n) * dt).tolist())
 
 
 def read_signal_csv(path: str | Path) -> Signal:
     """Read a :func:`write_signal_csv` file; every data row must hold two
-    numbers, and the time column must be uniformly sampled."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith(("#", "t_seconds")):
-            rows.append(line.split(","))
+    numbers, and the time column must be uniformly sampled.
+
+    Blank lines and lines starting with ``#`` or ``t_seconds`` (after
+    surrounding whitespace) are skipped; anything else is a data row.
+    """
+    rows = [
+        line
+        for line in Path(path).read_text().splitlines()
+        if (stripped := line.strip()) and not stripped.startswith(("#", "t_seconds"))
+    ]
     if len(rows) < 2:
         raise ValueError(f"{path}: too few samples for a signal")
-    # one conversion for all rows; it parses each field exactly as float()
-    # does, and raises ValueError on a malformed field or a ragged row
-    data = np.array(rows, dtype=np.float64)
+    # one C-level parse of all rows, bitwise equal to float() on each field;
+    # ValueError on a malformed field or a ragged row, and comments=None
+    # keeps a trailing "# ..." on a data row malformed
+    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns per row, found {data.shape[1]}")
     t, samples = data[:, 0], data[:, 1]

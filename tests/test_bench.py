@@ -646,6 +646,40 @@ class TestCli:
         cfg_file.write_text("n = 256\nn_refs = 2\n")  # window too short for any packet
         assert self.run_cli("--config", str(cfg_file), "--out", str(tmp_path / "o"), "gen-refs") == 3
 
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (ValueError("malformed row"), 3),
+            (np.linalg.LinAlgError("singular"), 3),
+            (OSError("disk full"), 3),
+            (TypeError("synthetic programming error"), None),
+            (KeyError("synthetic programming error"), None),
+        ],
+        ids=["ValueError", "LinAlgError", "OSError", "TypeError", "KeyError"],
+    )
+    def test_only_batch_failures_exit_3(self, tmp_path, monkeypatch, exc, code):
+        def gen_refs(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "gen_refs", gen_refs)
+        if code is None:
+            with pytest.raises(type(exc), match="synthetic programming error"):
+                self.run_cli("--out", str(tmp_path), "gen-refs")
+        else:
+            assert self.run_cli("--out", str(tmp_path), "gen-refs") == code
+
+    def test_eval_count_mismatch_propagates(self, tmp_path, monkeypatch):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("n_refs = 1\nlhs_restarts = 5\n")
+        out = tmp_path / "out"
+        assert self.run_cli("--config", str(cfg_file), "--out", str(out), "gen-refs") == 0
+        trace = OptTrace(records=[OptRecord(k=0, eval_count=1, x=np.array([4e9, 0.4]), objective=0.0)])
+        counter = EvalCounter()
+        counter.add(2)
+        monkeypatch.setattr(bench, "run_single", lambda cfg, ref, x0: (trace, counter))
+        with pytest.raises(RuntimeError, match="trace counted 1 evaluations, model counted 2"):
+            self.run_cli("--config", str(cfg_file), "--out", str(out), "optimize")
+
     def test_seed_flag_changes_outputs(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("n_refs = 1\nlhs_restarts = 5\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveinv import forward
 from waveinv.forward import (
@@ -262,6 +264,32 @@ class TestResidualJacobian:
             fd.append(-df)  # residual = ref - sim
         fd = np.column_stack(fd)
         assert np.max(np.abs(jac - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+    # small grids with the packets moved early enough to fit the short record
+    EDGE_GRIDS = {256: dict(L=0.002, tbar=1e-6), 512: dict(L=0.005, tbar=1e-6), 4096: {}}
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from(sorted(EDGE_GRIDS)),
+        largest_damping=st.booleans(),
+        scale=st.tuples(st.floats(0.95, 1.05), st.floats(0.95, 1.05)),
+    )
+    def test_matches_central_differences_at_edge_configurations(self, n, largest_damping, scale):
+        # the largest usable damping puts gamma at the last lag near exp(-745)
+        cfg = ForwardConfig(n=n, **self.EDGE_GRIDS[n])
+        damping = 745.0 * (cfg.b * cfg.duration) ** 2 / (n // 2 - 1) ** 2 if largest_damping else 1.0
+        obj = PhaseObjectiveConfig(bandwidth_hz=cfg.b, damping=damping)
+        x = np.array([PEEK.E * scale[0], PEEK.nu * scale[1]])
+        truth = MaterialParams(x[0] * 1.01, x[1] * 0.995, PEEK.rho)
+        ref = transform_pipeline(forward_response(truth, cfg).signal, obj)
+        _, dsim = phase_objective_terms(MaterialParams(x[0], x[1], PEEK.rho), cfg, obj, ref)
+        for i in range(2):
+            h = np.zeros(2)
+            h[i] = 1e-6 * x[i]
+            rp, _ = phase_objective_terms(MaterialParams(*(x + h), PEEK.rho), cfg, obj, ref, need_jacobian=False)
+            rm, _ = phase_objective_terms(MaterialParams(*(x - h), PEEK.rho), cfg, obj, ref, need_jacobian=False)
+            fd = -(rp - rm) / (2 * h[i])  # residual = ref - sim
+            assert np.max(np.abs(dsim[:, i] - fd)) <= 1e-5 * np.max(np.abs(fd))
 
     def test_amplitude_scaling_leaves_jacobian_unchanged(self):
         cfg2 = ForwardConfig(amplitudes=tuple(2.0 * a for a in self.cfg.amplitudes))

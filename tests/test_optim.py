@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from waveinv.optim import (
     OptimizeOptions,
@@ -188,6 +190,23 @@ class TestModifiedLm:
         gn = x * gn_step(rescale_jacobian(J, x), r)
         np.testing.assert_allclose(report.dx, gn, atol=1e-12)
         assert report.eta_bar == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eta=st.floats(min_value=1e-9, max_value=1e-2))
+    def test_step_tends_to_gauss_newton_linearly_in_eta(self, seed, eta):
+        # dxt_GN - dxt_LM = mu (G + mu I)^-1 G^-1 Jt' r with mu = eta / lambda,
+        # so ||dx_LM - dx_GN|| <= max|x| mu / sigma_min(G) ||dxt_GN||
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 2.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+        jt = rng.standard_normal((10, 2))
+        assume(np.linalg.cond(jt) < 30.0)
+        r = rng.standard_normal(10)
+        report = modified_lm_step(make_state(jt / x, r, x, r0_norm=np.linalg.norm(r) / eta))
+        assert report.eta_bar == pytest.approx(eta, rel=1e-12)
+        dxt_gn = gn_step(jt, r)
+        sigma_min = np.linalg.eigvalsh(jt.T @ jt)[0]
+        bound = np.max(np.abs(x)) * (eta / report.lambda_) / sigma_min * np.linalg.norm(dxt_gn)
+        assert np.linalg.norm(report.dx - x * dxt_gn) <= bound + 1e-12 * np.linalg.norm(x * dxt_gn)
 
     def test_unit_metric_unit_eta_halves_gradient_step(self):
         rng = np.random.default_rng(5)

@@ -1,11 +1,14 @@
 """Tests for the signal types, envelope machinery, and phase-residual transform."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from waveinv import signals
 from waveinv.signals import (
     PhaseObjectiveConfig,
     PipelineError,
@@ -539,6 +542,21 @@ class TestSerialization:
         back = read_signal_csv(path)
         assert back.samples.tobytes() == np.array([float(line.split(",")[1]) for line in want[2:]]).tobytes()
 
+    def test_csv_time_column_is_shared_per_grid(self, tmp_path):
+        # interleaved grids each get their own time column, byte for byte;
+        # an integer dt writes integer times and must not share the float's
+        rng = np.random.default_rng(14)
+        grids = [(64, 2.5e-8), (256, 1.0 / 48.0e6), (64, 2.5e-8), (4, 1), (4, 1.0)]
+        for i, (n, dt) in enumerate(grids):
+            s = Signal(rng.standard_normal(n), dt=dt)
+            path = tmp_path / f"sig{i}.csv"
+            write_signal_csv(s, path)
+            times = (np.arange(n) * dt).tolist()
+            want = ["t_seconds,amplitude"] + [f"{t!r},{a!r}" for t, a in zip(times, s.samples.tolist())]
+            assert path.read_text() == "\n".join(want) + "\n"
+            column = signals._time_column(n, dt)
+            assert isinstance(column, tuple) and column is signals._time_column(n, dt)
+
     @pytest.mark.parametrize(
         "body, message",
         [
@@ -554,6 +572,59 @@ class TestSerialization:
         path.write_text("# seed=1\nt_seconds,amplitude\n" + body)
         with pytest.raises(ValueError, match=message):
             read_signal_csv(path)
+
+    # (name, file text, outcome): outcome None means the data rows parse
+    # field by field as float() does; otherwise the ValueError message, where
+    # {path} stands for the file's path
+    _ROWS = "0.0,1.5\n2.5e-08,-0.25\n5e-08,3.0\n7.5e-08,0.125\n"
+    _HEAD = "# seed=1\nt_seconds,amplitude\n"
+    PARITY = [
+        ("blank lines around the file", "\n\n" + _HEAD + _ROWS + "\n\n", None),
+        ("blank lines between rows", _HEAD + _ROWS.replace("\n", "\n\n"), None),
+        ("crlf line endings", (_HEAD + _ROWS).replace("\n", "\r\n"), None),
+        ("spaces around fields", _HEAD + " 0.0 , 1.5\n\t2.5e-08,\t-0.25 \n  5e-08 ,3.0\n7.5e-08 , 0.125\n", None),
+        ("second comment line after the header", _HEAD + "# note\n  # indented note\n" + _ROWS, None),
+        ("repeated header line", _HEAD + _ROWS + "t_seconds,amplitude\n", None),
+        ("trailing comment on a row", _HEAD + "0.0,1.0\n1.0,2.0 # x\n", "could not convert string .*'2.0 # x'"),
+        ("nan sample", _HEAD + _ROWS.replace("-0.25", "nan"), "^signal samples must be finite$"),
+        ("inf sample", _HEAD + _ROWS.replace("3.0", "inf"), "^signal samples must be finite$"),
+        ("empty body", _HEAD, "^{path}: too few samples for a signal$"),
+        ("blank body", _HEAD + "\n   \n", "^{path}: too few samples for a signal$"),
+        ("one column", _HEAD + "0.0\n1.0\n", "^{path}: expected two columns per row, found 1$"),
+    ]
+
+    @pytest.mark.parametrize("text, message", [row[1:] for row in PARITY], ids=[row[0] for row in PARITY])
+    def test_csv_reader_grammar(self, tmp_path, text, message):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(text.encode())
+        if message is not None:
+            with pytest.raises(ValueError, match=message.replace("{path}", re.escape(str(path)))):
+                read_signal_csv(path)
+            return
+        rows = [line.strip().split(",") for line in text.splitlines()]
+        rows = [[float(v) for v in row] for row in rows if row[0] and not row[0].startswith(("#", "t_seconds"))]
+        back = read_signal_csv(path)
+        assert back.samples.tobytes() == np.array([a for _, a in rows]).tobytes()
+        assert back.dt == rows[1][0] - rows[0][0]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        samples=st.sampled_from([2, 4, 16, 64]).flatmap(
+            lambda n: arrays(
+                np.float64,
+                n,
+                elements=st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, -2.2250738585072014e-308]),
+            )
+        ),
+        dt=st.floats(min_value=1e-12, max_value=1e3),
+    )
+    def test_csv_round_trip_is_bitwise(self, tmp_path, samples, dt):
+        path = tmp_path / "sig.csv"
+        write_signal_csv(Signal(samples, dt=dt), path)
+        back = read_signal_csv(path)
+        assert back.samples.tobytes() == samples.tobytes()
+        assert back.dt == dt
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
