@@ -19,7 +19,6 @@ from .forward import (
     forward_response,
     residual_jacobian,
     response_spectrum,
-    wave_speeds,
 )
 from .optim import (
     OptimizeOptions,
@@ -47,11 +46,7 @@ from .signals import (
     analytic_signal,
     autocorr_spectrum,
     dft_forward,
-    dft_inverse,
     envelope,
-    phase_residual,
-    residual_envelope,
-    residual_signal,
     stable_arg,
     transform_pipeline,
     unwrap,
@@ -60,7 +55,6 @@ from .stats import (
     BUILTIN_PRIORS,
     GammaDist,
     MaterialPrior,
-    SampleSet,
     apply_marginals,
     fit_from_ranges,
     gamma_fit,

@@ -22,7 +22,6 @@ from .forward import (
     ForwardConfig,
     MaterialParams,
     Materials,
-    forward_response,
     phase_objective_terms,
     response_spectrum,
 )
@@ -46,7 +45,6 @@ from .stats import (
     gamma_inv_cdf,
     lhs_sample,
     load_priors,
-    relative_1,
 )
 
 __all__ = [
@@ -135,6 +133,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {METHODS}")
         if self.n_refs < 1:
             raise ConfigError("need at least one reference")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.lhs_restarts < 1:
+            raise ConfigError(f"lhs_restarts must be at least 1, got {self.lhs_restarts}")
+        if self.grid_n < 3:
+            raise ConfigError(f"grid_n must be at least 3 (one interior node), got {self.grid_n}")
         if not (self.cutoff > 0.0):
             raise ConfigError("success cutoff must be positive")
         if self.eval_budget < 1:
@@ -252,10 +256,7 @@ def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     draws = apply_marginals(unit, prior, ("E", "nu"), rng=redraw_rng)
     rho = prior.rho_si()
     fwd = cfg.forward_config()
-    truths = [
-        MaterialParams(E=1.0e9 * draws.column("E")[i], nu=draws.column("nu")[i], rho=rho)
-        for i in range(cfg.n_refs)
-    ]
+    truths = [MaterialParams(E=1.0e9 * e_gpa, nu=nu, rho=rho) for e_gpa, nu in draws]
     x = np.array([truth.as_vector() for truth in truths])
     refs = []
     for start in range(0, len(truths), _REF_CHUNK):
@@ -309,8 +310,9 @@ def mean_reference(cfg: ExperimentConfig) -> Reference:
     e_values, nu_values, _ = _grid_nodes(cfg, cfg.grid_n)
     center = cfg.grid_n // 2
     truth = MaterialParams(E=float(e_values[center]), nu=float(nu_values[center]), rho=cfg.prior().rho_si())
-    out = forward_response(truth, cfg.forward_config())
-    return Reference(ref_id=0, truth=truth, signal=out.signal)
+    fwd = cfg.forward_config()
+    y, _ = response_spectrum(truth, fwd)
+    return Reference(ref_id=0, truth=truth, signal=Signal(np.fft.irfft(y, fwd.n), dt=fwd.dt))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "TruncationError",
     "default_config",
     "excitation",
-    "wave_speeds",
     "packet_delays",
     "response_spectrum",
     "forward_response",
@@ -88,9 +87,6 @@ class MaterialParams:
     def as_vector(self) -> np.ndarray:
         """Optimization unknowns [E, nu]."""
         return np.array([self.E, self.nu])
-
-    def with_vector(self, x: np.ndarray) -> "MaterialParams":
-        return MaterialParams(E=float(x[0]), nu=float(x[1]), rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -200,13 +196,6 @@ def excitation(cfg: ForwardConfig) -> Signal:
 def _speeds(e, nu, rho):
     c_l = np.sqrt(e / rho)
     return c_l, c_l / np.sqrt(2.0 * (1.0 + nu))
-
-
-def wave_speeds(m: MaterialParams) -> tuple[float, float]:
-    """Longitudinal bar speed c_L = sqrt(E/rho) and shear speed
-    c_T = c_L / sqrt(2 (1 + nu)); c_T < c_L for all valid nu."""
-    c_l, c_t = _speeds(m.E, m.nu, m.rho)
-    return float(c_l), float(c_t)
 
 
 def packet_delays(

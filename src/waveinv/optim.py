@@ -33,6 +33,8 @@ from typing import Callable
 
 import numpy as np
 
+from .stats import relative_1
+
 __all__ = [
     "SingularMatrixError",
     "OptState",
@@ -261,12 +263,6 @@ class OptimizeOptions:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
 
-def _rel1(x: np.ndarray, truth: np.ndarray | None) -> float:
-    if truth is None:
-        return np.nan
-    return float(np.sum(np.abs(1.0 - x / truth)))
-
-
 def _rel2(r_norm: float, ref_norm: float | None) -> float:
     if ref_norm is None or ref_norm <= 0.0:
         return np.nan
@@ -337,7 +333,7 @@ def optimize(
             eval_count=trace.eval_count + 1,
             x=x.copy(),
             objective=0.5 * r_norm**2,
-            rel1=_rel1(x, opts.ground_truth),
+            rel1=np.nan if opts.ground_truth is None else relative_1(opts.ground_truth, x),
             rel2=_rel2(r_norm, opts.ref_norm),
         )
         trace.records.append(record)
@@ -435,7 +431,7 @@ def bfgs_baseline(
                 eval_count=trace.eval_count + 1,
                 x=xe.copy(),
                 objective=f,
-                rel1=_rel1(xe, opts.ground_truth),
+                rel1=np.nan if opts.ground_truth is None else relative_1(opts.ground_truth, xe),
                 rel2=_rel2(np.sqrt(max(2.0 * f, 0.0)), opts.ref_norm),
             )
         )

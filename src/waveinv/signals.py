@@ -23,7 +23,6 @@ concurrently.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +35,6 @@ __all__ = [
     "PhaseObjectiveConfig",
     "PipelineError",
     "dft_forward",
-    "dft_inverse",
     "analytic_signal",
     "analytic_from_spectrum",
     "envelope",
@@ -45,15 +43,9 @@ __all__ = [
     "damping_weights",
     "stable_arg",
     "phase_features",
-    "phase_residual",
-    "residual_signal",
-    "residual_envelope",
     "transform_pipeline",
     "read_signal_csv",
     "write_signal_csv",
-    "read_signal_binary",
-    "write_signal_binary",
-    "write_feature_csv",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -61,11 +53,6 @@ _TWO_PI = 2.0 * np.pi
 #: Damping weight below which a zero-magnitude autocorrelation coefficient is
 #: considered harmless for differentiation (its phase never matters).
 _UNDAMPED_TOL = 1e-12
-
-#: Magic bytes of the raw binary signal format (8 bytes, followed by the
-#: sample count as a little-endian 64-bit unsigned integer).
-BINARY_MAGIC = b"WFSIG1\x00\x00"
-
 
 class PipelineError(ValueError):
     """Raised when an objective-transform stage receives degenerate input."""
@@ -134,10 +121,6 @@ class Spectrum:
     def n_coeffs(self) -> int:
         return self.coeffs.size
 
-    def omegas(self) -> np.ndarray:
-        """Angular frequencies 2*pi*k*df of the stored coefficients."""
-        return _TWO_PI * self.df * np.arange(self.n_coeffs)
-
 
 @dataclass(frozen=True)
 class PhaseFeature:
@@ -185,17 +168,6 @@ class PhaseObjectiveConfig:
 def dft_forward(s: Signal) -> Spectrum:
     """One-sided DFT of a real signal: n/2 + 1 raw (unnormalized) coefficients."""
     return Spectrum(np.fft.rfft(s.samples), df=1.0 / s.duration)
-
-
-def dft_inverse(spec: Spectrum) -> Signal:
-    """Inverse companion of :func:`dft_forward`; round-trips to ~1e-15."""
-    n = 2 * (spec.n_coeffs - 1)
-    if n < 2 or not _is_power_of_two(n):
-        raise ValueError(
-            f"spectrum length {spec.n_coeffs} does not correspond to a power-of-two signal"
-        )
-    samples = np.fft.irfft(spec.coeffs, n=n)
-    return Signal(samples, dt=1.0 / (n * spec.df))
 
 
 def analytic_signal(s: Signal) -> np.ndarray:
@@ -416,38 +388,6 @@ def phase_features(
     return values, dvalues
 
 
-def phase_residual(ref_feature: PhaseFeature, sim_feature: PhaseFeature) -> np.ndarray:
-    """Elementwise difference of two phase features sharing one damping.
-
-    The common -gamma_k * pi * k normalization terms cancel exactly, so the
-    residual depends only on the unwrapped relative phase.
-    """
-    if len(ref_feature) != len(sim_feature):
-        raise ValueError("phase features must have equal length")
-    if not np.array_equal(ref_feature.gamma, sim_feature.gamma):
-        raise ValueError("phase features were produced with different damping weights")
-    return ref_feature.values - sim_feature.values
-
-
-def residual_signal(ref: Signal, sim: Signal) -> np.ndarray:
-    """Plain least-squares residual ref - sim on the shared time grid."""
-    _check_grid(ref, sim)
-    return ref.samples - sim.samples
-
-
-def residual_envelope(ref: Signal, sim: Signal) -> np.ndarray:
-    """Envelope residual envelope(ref) - envelope(sim)."""
-    _check_grid(ref, sim)
-    return envelope(ref).samples - envelope(sim).samples
-
-
-def _check_grid(ref: Signal, sim: Signal) -> None:
-    if ref.n != sim.n or ref.dt != sim.dt:
-        raise ValueError(
-            f"signals live on different grids: n={ref.n}/{sim.n}, dt={ref.dt}/{sim.dt}"
-        )
-
-
 def transform_pipeline(s: Signal, cfg: PhaseObjectiveConfig) -> PhaseFeature:
     """Full objective transform: one-sided DFT, static-coefficient removal,
     positive-frequency autocorrelation, stable argument.
@@ -507,54 +447,3 @@ def read_signal_csv(path: str | Path) -> Signal:
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
         raise ValueError(f"{path}: time column is not uniformly sampled")
     return Signal(samples, dt=dt)
-
-
-def write_signal_binary(s: Signal, path: str | Path) -> None:
-    """Raw little-endian float64 samples behind a 16-byte header
-    (magic ``WFSIG1\\0\\0`` + sample count as u64); dt goes to a ``.meta``
-    sidecar next to the file.
-    """
-    path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<Q", s.n))
-        fh.write(s.samples.astype("<f8").tobytes())
-    path.with_suffix(path.suffix + ".meta").write_text(f"dt = {s.dt!r}\n")
-
-
-def read_signal_binary(path: str | Path) -> Signal:
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 16 or blob[:8] != BINARY_MAGIC:
-        raise ValueError(f"{path}: not a signal binary (bad magic)")
-    (n,) = struct.unpack("<Q", blob[8:16])
-    samples = np.frombuffer(blob[16:], dtype="<f8")
-    if samples.size != n:
-        raise ValueError(f"{path}: header promises {n} samples, found {samples.size}")
-    dt = None
-    for line in path.with_suffix(path.suffix + ".meta").read_text().splitlines():
-        key, _, value = line.partition("=")
-        if key.strip() == "dt":
-            dt = float(value.strip())
-    if dt is None:
-        raise ValueError(f"{path}: sidecar is missing dt")
-    return Signal(samples.astype(np.float64), dt=dt)
-
-
-def write_feature_csv(
-    feature: PhaseFeature,
-    duration: float,
-    path: str | Path,
-    header_comments: list[str] | None = None,
-) -> None:
-    """Feature-vector CSV with columns k, omega_rad_per_s, value, gamma."""
-    lines = []
-    for comment in header_comments or []:
-        lines.append(f"# {comment}")
-    lines.append("k,omega_rad_per_s,value,gamma")
-    for k in range(len(feature)):
-        omega = _TWO_PI * k / duration
-        lines.append(
-            f"{k},{float(omega)!r},{float(feature.values[k])!r},{float(feature.gamma[k])!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

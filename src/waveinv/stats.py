@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from scipy import special
 __all__ = [
     "GammaDist",
     "MaterialPrior",
-    "SampleSet",
     "BUILTIN_PRIORS",
     "MATERIALS",
     "PARAMETERS",
@@ -38,17 +37,11 @@ __all__ = [
     "apply_marginals",
     "relative_1",
     "relative_2",
-    "prior_checksum",
-    "write_sample_set",
     "load_priors",
     "write_priors",
 ]
 
 log = logging.getLogger(__name__)
-
-#: Unit samples above this quantile in the Poisson's-ratio column are
-#: redrawn: they would map to nu >= 0.5 for the shipped priors.
-NU_REDRAW_QUANTILE = 0.99974
 
 
 @dataclass(frozen=True)
@@ -69,14 +62,6 @@ class GammaDist:
     @property
     def std(self) -> float:
         return math.sqrt(self.alpha) * self.theta
-
-    @property
-    def variance(self) -> float:
-        return self.alpha * self.theta**2
-
-    def scaled(self, factor: float) -> "GammaDist":
-        """Distribution of factor * X (unit conversions)."""
-        return GammaDist(self.alpha, self.theta * factor)
 
 
 MATERIALS = ("PEEK", "PA6", "PP")
@@ -138,18 +123,6 @@ def _builtin_priors() -> dict[str, MaterialPrior]:
 
 
 BUILTIN_PRIORS = _builtin_priors()
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Physical parameter draws plus the provenance needed to reproduce them."""
-
-    values: np.ndarray  # (n_samples, len(which))
-    which: tuple[str, ...]
-    provenance: dict = field(default_factory=dict)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.which.index(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +262,9 @@ def apply_marginals(
     prior: MaterialPrior,
     which: tuple[str, ...] = ("E", "nu"),
     rng: np.random.Generator | None = None,
-) -> SampleSet:
-    """Map unit-cube samples through the inverse marginal CDFs.
+) -> np.ndarray:
+    """Map unit-cube samples through the inverse marginal CDFs: one column
+    of physical draws per name in ``which``.
 
     Poisson's-ratio draws at or above 0.5 (unit sample beyond the 0.99974
     quantile for the shipped priors) are redrawn uniformly and logged; all
@@ -317,11 +291,7 @@ def apply_marginals(
         values[:, j] = column
     if redraws:
         log.info("redrew %d Poisson's-ratio samples >= 0.5 for prior %s", redraws, prior.name)
-    return SampleSet(
-        values=values,
-        which=tuple(which),
-        provenance={"prior": prior.name, "nu_redraws": redraws},
-    )
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +314,6 @@ def relative_2(y_hat, y) -> float:
     if norm == 0.0:
         raise ValueError("reference vector must be nonzero")
     return float(np.linalg.norm(y_hat - y) / norm)
-
-
-def prior_checksum(prior: MaterialPrior) -> str:
-    """Digest of the marginal shape/scale pairs, for provenance headers."""
-    canonical = ";".join(
-        f"{par}:{prior.marginals[par].alpha!r}:{prior.marginals[par].theta!r}"
-        for par in PARAMETERS
-        if par in prior.marginals
-    )
-    import hashlib
-
-    return hashlib.sha256(f"{prior.name}|{canonical}".encode()).hexdigest()[:16]
-
-
-def write_sample_set(ss: SampleSet, path: str | Path, extra_provenance: dict | None = None) -> None:
-    """CSV of physical draws with a provenance header comment."""
-    provenance = dict(ss.provenance)
-    provenance.update(extra_provenance or {})
-    lines = [f"# {key}={value}" for key, value in provenance.items()]
-    lines.append(",".join(ss.which))
-    for row in ss.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -618,6 +618,9 @@ class TestCli:
             ("damping = 5", "largest usable damping for this grid is 745*(bT)^2/(n/2-1)^2 = 4.923"),
             ("n = 1000", "power of two"),
             ("max_iters = 0", "max_iters"),
+            ("grid_n = 0", "grid_n must be at least 3"),
+            ("seed = -1", "seed must be non-negative"),
+            ("lhs_restarts = 0", "lhs_restarts must be at least 1"),
         ],
     )
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, line, message):
