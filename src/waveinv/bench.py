@@ -125,8 +125,19 @@ class ExperimentConfig:
     priors_file: str = ""
 
     def __post_init__(self) -> None:
-        if self.material not in MATERIALS and not self.priors_file:
+        if self.priors_file:
+            try:
+                priors = load_priors(self.priors_file)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"priors_file: {exc}") from exc
+            if self.material not in priors:
+                raise ConfigError(f"material {self.material!r} not found in {self.priors_file}")
+            prior = priors[self.material]
+        elif self.material in MATERIALS:
+            prior = BUILTIN_PRIORS[self.material]
+        else:
             raise ConfigError(f"unknown material {self.material!r}; expected one of {MATERIALS}")
+        object.__setattr__(self, "_prior", prior)  # not a field: the checksum covers priors_file
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}; expected one of {OBJECTIVES}")
         if self.optimizer not in METHODS:
@@ -139,6 +150,13 @@ class ExperimentConfig:
             raise ConfigError(f"lhs_restarts must be at least 1, got {self.lhs_restarts}")
         if self.grid_n < 3:
             raise ConfigError(f"grid_n must be at least 3 (one interior node), got {self.grid_n}")
+        for name in ("start_sigma", "grid_sigmas"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if self.manifold_grid_n < 2:
+            raise ConfigError(f"manifold_grid_n must be at least 2, got {self.manifold_grid_n}")
+        if self.manifold_dim < 1:
+            raise ConfigError(f"manifold_dim must be at least 1, got {self.manifold_dim}")
         if not (self.cutoff > 0.0):
             raise ConfigError("success cutoff must be positive")
         if self.eval_budget < 1:
@@ -167,12 +185,9 @@ class ExperimentConfig:
         return PhaseObjectiveConfig(bandwidth_hz=self.forward_config().b, damping=self.damping)
 
     def prior(self) -> MaterialPrior:
-        if self.priors_file:
-            priors = load_priors(self.priors_file)
-            if self.material not in priors:
-                raise ConfigError(f"material {self.material!r} not found in {self.priors_file}")
-            return priors[self.material]
-        return BUILTIN_PRIORS[self.material]
+        """The material's built-in prior, or its prior in ``priors_file`` as
+        read at construction."""
+        return self._prior
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -575,20 +590,16 @@ class SurfaceResult:
 
 
 def _count_interior_minima(grid: np.ndarray) -> int:
-    count = 0
+    """Interior nodes strictly below all 8 neighbors; a comparison with NaN
+    is False, so a NaN node or a NaN neighbor never counts."""
     n_e, n_nu = grid.shape
-    for i in range(1, n_e - 1):
-        for j in range(1, n_nu - 1):
-            v = grid[i, j]
-            if np.isnan(v):
-                continue
-            neighbors = grid[i - 1 : i + 2, j - 1 : j + 2].ravel()
-            if np.any(np.isnan(neighbors)):
-                continue
-            others = np.delete(neighbors, 4)
-            if np.all(v < others):
-                count += 1
-    return count
+    center = grid[1:-1, 1:-1]
+    minimum = np.ones(center.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                minimum &= center < grid[1 + di : n_e - 1 + di, 1 + dj : n_nu - 1 + dj]
+    return int(np.count_nonzero(minimum))
 
 
 def _grid_nodes(cfg: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -137,8 +137,8 @@ class ForwardConfig:
     def __post_init__(self) -> None:
         if self.b is None:
             object.__setattr__(self, "b", 0.65 * self.fbar)
-        if not (self.L > 0 and self.fbar > 0 and self.tbar >= 0 and self.b > 0 and self.dt > 0):
-            raise ValueError("forward config requires positive L, fbar, b, dt and tbar >= 0")
+        if not (all(0 < v < np.inf for v in (self.L, self.fbar, self.b, self.dt)) and 0 <= self.tbar < np.inf):
+            raise ValueError("forward config requires finite L, fbar, b, dt > 0 and a finite tbar >= 0")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"sample count must be a power of two >= 2, got {self.n}")
         if len(self.amplitudes) != 3:

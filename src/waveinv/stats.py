@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "GammaDist",
@@ -52,8 +51,8 @@ class GammaDist:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.theta > 0.0):
-            raise ValueError(f"shape and scale must be positive, got {self.alpha}, {self.theta}")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.theta < math.inf):
+            raise ValueError(f"shape and scale must be positive and finite, got {self.alpha}, {self.theta}")
 
     @property
     def mean(self) -> float:
@@ -131,6 +130,8 @@ BUILTIN_PRIORS = _builtin_priors()
 def gamma_pdf(d: GammaDist, x) -> np.ndarray | float:
     """Density x^(alpha-1) exp(-x/theta) / (Gamma(alpha) theta^alpha); zero
     for x < 0."""
+    from scipy import special  # not at module level: importing scipy takes ~0.3 s
+
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x)
@@ -149,6 +150,8 @@ def gamma_pdf(d: GammaDist, x) -> np.ndarray | float:
 
 
 def gamma_cdf(d: GammaDist, x) -> np.ndarray | float:
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     out = special.gammainc(d.alpha, np.maximum(x, 0.0) / d.theta)
     return out if out.ndim else float(out)
@@ -156,6 +159,8 @@ def gamma_cdf(d: GammaDist, x) -> np.ndarray | float:
 
 def gamma_inv_cdf(d: GammaDist, p) -> np.ndarray | float:
     """Quantile function; monotone in p, accurate to ~1e-12 in probability."""
+    from scipy import special
+
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
@@ -170,6 +175,8 @@ def gamma_fit(samples, tol: float = 1e-10, max_iter: int = 100) -> GammaDist:
     Convergence is measured relative to alpha (the absolute criterion is
     meaningless for the ~1e3 shapes of the stiffer priors).
     """
+    from scipy import special
+
     x = np.asarray(samples, dtype=float)
     if x.size < 10:
         raise ValueError(f"need at least 10 samples to fit, got {x.size}")
@@ -330,11 +337,16 @@ def write_priors(priors: dict[str, MaterialPrior], path: str | Path) -> None:
 
 
 def load_priors(path: str | Path) -> dict[str, MaterialPrior]:
+    """Read a ``write_priors`` file; a malformed row raises ``ValueError``
+    naming its line."""
     table: dict[str, dict[str, GammaDist]] = {}
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("material"):
             continue
-        mat, par, alpha, theta = (f.strip() for f in line.split(","))
-        table.setdefault(mat, {})[par] = GammaDist(float(alpha), float(theta))
+        try:
+            mat, par, alpha, theta = (f.strip() for f in line.split(","))
+            table.setdefault(mat, {})[par] = GammaDist(float(alpha), float(theta))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return {mat: MaterialPrior(name=mat, marginals=marginals) for mat, marginals in table.items()}

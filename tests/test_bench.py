@@ -4,6 +4,9 @@ batches, surfaces, manifold export, reports, and the CLI."""
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from waveinv import bench, cli, signals
 from waveinv.bench import (
@@ -32,7 +35,7 @@ from waveinv.bench import _count_interior_minima
 from waveinv.cli import main as cli_main
 from waveinv.forward import EvalCounter, MaterialParams, forward_jacobian, forward_response
 from waveinv.optim import OptRecord, OptTrace
-from waveinv.stats import BUILTIN_PRIORS
+from waveinv.stats import BUILTIN_PRIORS, write_priors
 
 
 def small_cfg(**overrides):
@@ -489,6 +492,26 @@ class TestSurface:
         grid[0, 4] = -5.0  # boundary nodes never count themselves
         assert _count_interior_minima(grid) == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 8), st.integers(1, 8)),
+            elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan]),
+        )
+    )
+    def test_minima_counter_matches_the_node_loop(self, grid):
+        # the node-by-node definition: an interior node counts when it and
+        # its 8 neighbors are not NaN and it is strictly below each neighbor
+        count = 0
+        for i in range(1, grid.shape[0] - 1):
+            for j in range(1, grid.shape[1] - 1):
+                block = grid[i - 1 : i + 2, j - 1 : j + 2].ravel()
+                others = np.delete(block, 4)
+                if not np.isnan(block).any() and np.all(block[4] < others):
+                    count += 1
+        assert _count_interior_minima(grid) == count
+
     def test_nan_nodes_excluded(self):
         grid = np.ones((5, 5))
         grid[2, 2] = 0.0
@@ -621,6 +644,14 @@ class TestCli:
             ("grid_n = 0", "grid_n must be at least 3"),
             ("seed = -1", "seed must be non-negative"),
             ("lhs_restarts = 0", "lhs_restarts must be at least 1"),
+            ("fbar = inf", "finite L, fbar, b, dt > 0"),
+            ("L = inf", "finite L, fbar, b, dt > 0"),
+            ("dt = inf", "finite L, fbar, b, dt > 0"),
+            ("tbar = inf", "finite tbar >= 0"),
+            ("grid_sigmas = nan", "grid_sigmas must be finite and positive"),
+            ("start_sigma = -1", "start_sigma must be finite and positive"),
+            ("manifold_grid_n = 1", "manifold_grid_n must be at least 2"),
+            ("manifold_dim = 0", "manifold_dim must be at least 1"),
         ],
     )
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, line, message):
@@ -630,6 +661,36 @@ class TestCli:
         assert self.run_cli("--config", str(cfg_file), "--out", str(out), "gen-refs") == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (None, "No such file"),
+            (["PEEK,E,1.0"], "priors.csv:14: not enough values to unpack (expected 4, got 3)"),
+            (["PEEK,E,-1.0,0.5"], "priors.csv:14: shape and scale must be positive and finite, got -1.0, 0.5"),
+            (["PEEK,E,100.0,0"], "priors.csv:14: shape and scale must be positive and finite, got 100.0, 0.0"),
+        ],
+        ids=["missing", "malformed-row", "negative-shape", "zero-scale"],
+    )
+    def test_bad_priors_file_exits_2_before_any_work(self, tmp_path, capsys, rows, message):
+        priors = tmp_path / "priors.csv"
+        if rows is not None:
+            write_priors(BUILTIN_PRIORS, priors)
+            priors.write_text(priors.read_text() + "\n".join(rows) + "\n")
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"grid_n = 5\npriors_file = {priors}\n")
+        out = tmp_path / "o"
+        assert self.run_cli("--config", str(cfg_file), "--out", str(out), "surface") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: priors_file: ") and message in err
+        assert not out.exists()
+
+    def test_priors_file_gives_the_builtin_prior(self, tmp_path):
+        priors = tmp_path / "priors.csv"
+        write_priors(BUILTIN_PRIORS, priors)
+        for material in ("PEEK", "PA6", "PP"):
+            cfg = small_cfg(material=material, priors_file=str(priors))
+            assert cfg.prior() == BUILTIN_PRIORS[material]
 
     def test_optimize_prints_the_median_of_an_even_count(self, tmp_path, capsys, monkeypatch):
         cfg = small_cfg()
