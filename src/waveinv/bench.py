@@ -27,6 +27,7 @@ from .forward import (
 )
 from .optim import METHODS, MODEL_ERRORS, OptimizeOptions, OptTrace, bfgs_baseline, optimize, write_trace_csv
 from .signals import (
+    GRID_RTOL,
     PhaseObjectiveConfig,
     Signal,
     analytic_from_spectrum,
@@ -46,6 +47,7 @@ from .stats import (
     lhs_sample,
     load_priors,
 )
+from .table import cell, read_table, write_table
 
 __all__ = [
     "ConfigError",
@@ -157,8 +159,8 @@ class ExperimentConfig:
             raise ConfigError(f"manifold_grid_n must be at least 2, got {self.manifold_grid_n}")
         if self.manifold_dim < 1:
             raise ConfigError(f"manifold_dim must be at least 1, got {self.manifold_dim}")
-        if not (self.cutoff > 0.0):
-            raise ConfigError("success cutoff must be positive")
+        if not (0.0 < self.cutoff < np.inf):
+            raise ConfigError(f"success cutoff must be finite and positive, got {self.cutoff}")
         if self.eval_budget < 1:
             raise ConfigError("evaluation budget must be at least 1")
         if self.max_iters < 1:
@@ -169,7 +171,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # gamma_k = exp(-C k^2 / (bT)^2) must stay positive up to the last lag
-        # k = n/2 - 1, and exp underflows to 0 below about exp(-745)
+        # k = n/2 - 1, and exp underflows to 0 below about exp(-745); fbar
+        # below the Nyquist frequency keeps bT < 0.325 n, so (bT)^2 is finite
         bt2, last_lag2 = (fwd.b * fwd.duration) ** 2, (fwd.n // 2 - 1) ** 2
         if self.objective == "autocorr-phase" and self.damping * last_lag2 > 745.0 * bt2:
             c_max = 745.0 * bt2 / last_lag2
@@ -284,39 +287,29 @@ def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     return refs
 
 
+_REFS_HEADER = "ref_id,E_pa,nu,rho_kg_m3,file"
+_RUNS_HEADER = "ref_id,status,success,evals_to_success,E_final,nu_final,E_true,nu_true"
+
+
 def write_refs(refs: list[Reference], cfg: ExperimentConfig, out_dir: str | Path) -> None:
-    ref_dir = Path(out_dir) / "refs"
-    ref_dir.mkdir(parents=True, exist_ok=True)
-    index = ["ref_id,E_pa,nu,rho_kg_m3,file"]
+    ref_dir, rows = Path(out_dir) / "refs", []
     for ref in refs:
         name = f"ref_{ref.ref_id:03d}.csv"
         write_signal_csv(ref.signal, ref_dir / name, header_comments=_header(cfg, ref_id=ref.ref_id))
-        index.append(
-            f"{ref.ref_id},{ref.truth.E!r},{ref.truth.nu!r},{ref.truth.rho!r},{name}"
-        )
-    header = "\n".join(f"# {line}" for line in _header(cfg, material=cfg.material))
-    (ref_dir / "index.csv").write_text(header + "\n" + "\n".join(index) + "\n")
+        rows.append([str(ref.ref_id), repr(ref.truth.E), repr(ref.truth.nu), repr(ref.truth.rho), name])
+    write_table(ref_dir / "index.csv", _header(cfg, material=cfg.material), _REFS_HEADER, rows)
 
 
 def read_refs(out_dir: str | Path) -> list[Reference]:
     ref_dir = Path(out_dir) / "refs"
-    index = ref_dir / "index.csv"
-    if not index.exists():
+    if not (ref_dir / "index.csv").exists():
         raise ConfigError(f"no references found under {ref_dir}; run gen-refs first")
-    refs = []
-    for line in index.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("ref_id"):
-            continue
-        ref_id, e_pa, nu, rho, name = line.split(",")
-        refs.append(
-            Reference(
-                ref_id=int(ref_id),
-                truth=MaterialParams(E=float(e_pa), nu=float(nu), rho=float(rho)),
-                signal=read_signal_csv(ref_dir / name),
-            )
-        )
-    return refs
+
+    def parse(ref_id, e_pa, nu, rho, name):
+        truth = MaterialParams(E=float(e_pa), nu=float(nu), rho=float(rho))
+        return Reference(ref_id=int(ref_id), truth=truth, signal=read_signal_csv(ref_dir / name))
+
+    return read_table(ref_dir / "index.csv", _REFS_HEADER, parse)
 
 
 def mean_reference(cfg: ExperimentConfig) -> Reference:
@@ -524,6 +517,12 @@ def optimize_batch(cfg: ExperimentConfig, refs: list[Reference]) -> BenchResult:
     """
     if not refs:
         raise ConfigError("no references to optimize against")
+    for ref in refs:
+        if ref.signal.n != cfg.n or abs(ref.signal.dt - cfg.dt) > GRID_RTOL * cfg.dt:
+            raise ConfigError(
+                f"reference {ref.ref_id} is sampled at (n, dt) = ({ref.signal.n}, {ref.signal.dt:.10g}), "
+                f"but the configuration asks for ({cfg.n}, {cfg.dt:.10g})"
+            )
     starts = draw_starts(cfg, len(refs))
     result = BenchResult(cfg=cfg)
     for row, ref in enumerate(refs):
@@ -552,29 +551,17 @@ def optimize_batch(cfg: ExperimentConfig, refs: list[Reference]) -> BenchResult:
 
 def write_batch(result: BenchResult, out_dir: str | Path) -> None:
     cfg = result.cfg
-    run_dir = Path(out_dir) / "runs" / cfg.optimizer
-    run_dir.mkdir(parents=True, exist_ok=True)
-    index = ["ref_id,status,success,evals_to_success,E_final,nu_final,E_true,nu_true"]
+    run_dir, rows = Path(out_dir) / "runs" / cfg.optimizer, []
     for run in result.runs:
-        name = f"trace_{run.ref_id:03d}.csv"
-        write_trace_csv(run.trace, run_dir / name, header_comments=_header(cfg, ref_id=run.ref_id))
-        final = run.trace.final_x if run.trace.records else np.array([np.nan, np.nan])
-        index.append(
-            ",".join(
-                [
-                    str(run.ref_id),
-                    run.trace.status,
-                    str(int(run.success)),
-                    "" if run.evals_to_success is None else str(run.evals_to_success),
-                    repr(float(final[0])),
-                    repr(float(final[1])),
-                    repr(run.truth.E),
-                    repr(run.truth.nu),
-                ]
-            )
+        trace_path = run_dir / f"trace_{run.ref_id:03d}.csv"
+        write_trace_csv(run.trace, trace_path, header_comments=_header(cfg, ref_id=run.ref_id))
+        final = run.trace.final_x if run.trace.records else (np.nan, np.nan)
+        rows.append(
+            [str(run.ref_id), run.trace.status, str(int(run.success)), cell(run.evals_to_success)]
+            + [repr(float(v)) for v in (final[0], final[1], run.truth.E, run.truth.nu)]
         )
-    header = "\n".join(f"# {line}" for line in _header(cfg, material=cfg.material, objective=cfg.objective))
-    (run_dir / "runs_index.csv").write_text(header + "\n" + "\n".join(index) + "\n")
+    comments = _header(cfg, material=cfg.material, objective=cfg.objective)
+    write_table(run_dir / "runs_index.csv", comments, _RUNS_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -641,22 +628,15 @@ def surface_scan(cfg: ExperimentConfig, ref: Reference) -> SurfaceResult:
 
 
 def write_surface(result: SurfaceResult, cfg: ExperimentConfig, path: str | Path) -> None:
-    lines = [
-        f"# {line}"
-        for line in _header(
-            cfg,
-            objective=cfg.objective,
-            interior_local_minima=result.minima_count,
-            failed_nodes=result.failed_nodes,
-        )
-    ]
-    lines.append("E,nu,J")
-    for i, e in enumerate(result.e_values):
-        for j, nu in enumerate(result.nu_values):
-            v = result.objective[i, j]
-            lines.append(f"{float(e)!r},{float(nu)!r},{'' if np.isnan(v) else repr(float(v))}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    comments = _header(
+        cfg, objective=cfg.objective, interior_local_minima=result.minima_count, failed_nodes=result.failed_nodes
+    )
+    rows = (
+        [repr(float(e)), repr(float(nu)), cell(result.objective[i, j])]
+        for i, e in enumerate(result.e_values)
+        for j, nu in enumerate(result.nu_values)
+    )
+    write_table(path, comments, "E,nu,J", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -715,42 +695,29 @@ def write_manifold(
     cfg: ExperimentConfig,
     path: str | Path,
 ) -> None:
-    dim = projected.shape[1]
-    lines = [
-        f"# {line}"
-        for line in _header(
-            cfg,
-            objective=cfg.objective,
-            explained_variance=";".join(repr(float(v)) for v in explained),
-        )
-    ]
-    lines.append("E,nu,line_E,line_nu," + ",".join(f"pc{i+1}" for i in range(dim)))
-    for row, proj in zip(params, projected):
-        head = f"{float(row[0])!r},{float(row[1])!r},{int(row[2])},{int(row[3])}"
-        lines.append(head + "," + ",".join(repr(float(v)) for v in proj))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    explained_variance = ";".join(repr(float(v)) for v in explained)
+    header = ",".join(["E,nu,line_E,line_nu"] + [f"pc{i + 1}" for i in range(projected.shape[1])])
+    rows = (
+        [repr(float(row[0])), repr(float(row[1])), str(int(row[2])), str(int(row[3]))] + [repr(float(v)) for v in proj]
+        for row, proj in zip(params, projected)
+    )
+    write_table(path, _header(cfg, objective=cfg.objective, explained_variance=explained_variance), header, rows)
 
 
 # ---------------------------------------------------------------------------
 # report
 
-def _read_runs_index(path: Path) -> list[dict]:
-    rows = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("ref_id"):
-            continue
-        ref_id, status, success, evals, e_f, nu_f, e_t, nu_t = line.split(",")
-        rows.append(
-            {
-                "ref_id": int(ref_id),
-                "status": status,
-                "success": success == "1",
-                "evals_to_success": int(evals) if evals else None,
-            }
-        )
-    return rows
+def _read_runs_index(path: Path) -> list[int | None]:
+    """Each run's evaluations to success, None for a failed run."""
+
+    def parse(ref_id, status, success, evals, *finals):
+        if success not in ("0", "1") or (success == "1") != bool(evals):
+            raise ValueError(f"success {success!r} must be 0 or 1 and agree with evals_to_success {evals!r}")
+        if evals and int(evals) < 1:
+            raise ValueError(f"evals_to_success must be at least 1, got {evals}")
+        return int(evals) if evals else None
+
+    return read_table(path, _RUNS_HEADER, parse)
 
 
 def report(out_dir: str | Path, cfg: ExperimentConfig) -> dict:
@@ -763,50 +730,35 @@ def report(out_dir: str | Path, cfg: ExperimentConfig) -> dict:
     runs_root = out_dir / "runs"
     if not runs_root.is_dir():
         raise ConfigError(f"no runs found under {runs_root}; run optimize first")
-    series: dict[str, list[dict]] = {}
+    series: dict[str, list[int | None]] = {}
     for sub in sorted(runs_root.iterdir()):
         index = sub / "runs_index.csv"
         if index.exists():
             series[sub.name] = _read_runs_index(index)
     if not series:
         raise ConfigError(f"no run indices found under {runs_root}")
-
-    report_dir = out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
+    report_dir, comments, names = out_dir / "report", _header(cfg, material=cfg.material), sorted(series)
+    wins = {name: [e for e in series[name] if e is not None] for name in names}
 
     # aligned-bin histogram across optimizers
-    all_success = [row["evals_to_success"] for rows in series.values() for row in rows if row["success"]]
-    max_evals = max(all_success) if all_success else 0
-    names = sorted(series)
-    lines = [f"# {line}" for line in _header(cfg, material=cfg.material)]
-    lines.append("evals," + ",".join(f"count_{name}" for name in names))
-    for e in range(1, max_evals + 1):
-        counts = [sum(1 for row in series[name] if row["success"] and row["evals_to_success"] == e) for name in names]
-        lines.append(f"{e}," + ",".join(str(c) for c in counts))
-    (report_dir / "histogram.csv").write_text("\n".join(lines) + "\n")
+    max_evals = max((max(w) for w in wins.values() if w), default=0)
+    histogram = ([str(e)] + [str(wins[name].count(e)) for name in names] for e in range(1, max_evals + 1))
+    write_table(report_dir / "histogram.csv", comments, ",".join(["evals"] + [f"count_{n}" for n in names]), histogram)
 
     # success table and summary
-    table = [f"# {line}" for line in _header(cfg, material=cfg.material)]
-    table.append("material,optimizer,n_runs,n_success,success_rate,median_evals,mean_evals")
+    table = []
     summary: dict[str, object] = {"material": cfg.material, "objective": cfg.objective}
     for name in names:
-        rows = series[name]
-        wins = [row["evals_to_success"] for row in rows if row["success"]]
-        rate = len(wins) / len(rows) if rows else 0.0
-        median = float(np.median(wins)) if wins else float("nan")
-        mean = float(np.mean(wins)) if wins else float("nan")
-        table.append(
-            f"{cfg.material},{name},{len(rows)},{len(wins)},{rate!r},"
-            f"{'' if not wins else repr(median)},{'' if not wins else repr(mean)}"
-        )
-        summary[f"{name}.n_runs"] = len(rows)
+        n_runs, w = len(series[name]), wins[name]
+        rate = len(w) / n_runs if n_runs else 0.0
+        median = float(np.median(w)) if w else None
+        mean = float(np.mean(w)) if w else None
+        table.append([cfg.material, name, str(n_runs), str(len(w)), repr(rate), cell(median), cell(mean)])
+        summary[f"{name}.n_runs"] = n_runs
         summary[f"{name}.success_rate"] = rate
-        summary[f"{name}.median_evals_to_success"] = median if wins else None
-        summary[f"{name}.mean_evals_to_success"] = mean if wins else None
-    (report_dir / "success_table.csv").write_text("\n".join(table) + "\n")
-
-    text = [f"# {line}" for line in _header(cfg, material=cfg.material)]
-    for key, value in summary.items():
-        text.append(f"{key}: {value}")
-    (report_dir / "summary.txt").write_text("\n".join(text) + "\n")
+        summary[f"{name}.median_evals_to_success"] = median
+        summary[f"{name}.mean_evals_to_success"] = mean
+    header = "material,optimizer,n_runs,n_success,success_rate,median_evals,mean_evals"
+    write_table(report_dir / "success_table.csv", comments, header, table)
+    write_table(report_dir / "summary.txt", comments, None, ([f"{key}: {value}"] for key, value in summary.items()))
     return summary

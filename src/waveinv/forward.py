@@ -139,6 +139,9 @@ class ForwardConfig:
             object.__setattr__(self, "b", 0.65 * self.fbar)
         if not (all(0 < v < np.inf for v in (self.L, self.fbar, self.b, self.dt)) and 0 <= self.tbar < np.inf):
             raise ValueError("forward config requires finite L, fbar, b, dt > 0 and a finite tbar >= 0")
+        if not self.fbar < 0.5 / self.dt:
+            nyquist = 0.5 / self.dt
+            raise ValueError(f"carrier fbar = {self.fbar:g} Hz must lie below the Nyquist frequency {nyquist:g} Hz")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"sample count must be a power of two >= 2, got {self.n}")
         if len(self.amplitudes) != 3:

@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .stats import relative_1
+from .table import cell, write_table
 
 __all__ = [
     "SingularMatrixError",
@@ -554,29 +555,11 @@ def write_trace_csv(trace: OptTrace, path: str | Path, header_comments: list[str
     """CSV with columns iter, eval_count, objective, E, nu, lambda, eta_bar,
     rel1, rel2, status (one row per model evaluation; the terminal status
     repeats on every row)."""
-
-    def fmt(v: float) -> str:
-        return "" if np.isnan(v) else repr(float(v))
-
-    lines = []
-    for comment in header_comments or []:
-        lines.append(f"# {comment}")
-    lines.append("iter,eval_count,objective,E,nu,lambda,eta_bar,rel1,rel2,status")
-    for rec in trace.records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.k),
-                    str(rec.eval_count),
-                    repr(float(rec.objective)),
-                    repr(float(rec.x[0])),
-                    repr(float(rec.x[1])),
-                    fmt(rec.lambda_),
-                    fmt(rec.eta_bar),
-                    fmt(rec.rel1),
-                    fmt(rec.rel2),
-                    trace.status,
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        [str(rec.k), str(rec.eval_count)]
+        + [repr(float(v)) for v in (rec.objective, rec.x[0], rec.x[1])]
+        + [cell(v) for v in (rec.lambda_, rec.eta_bar, rec.rel1, rec.rel2)]
+        + [trace.status]
+        for rec in trace.records
+    )
+    write_table(path, header_comments or (), "iter,eval_count,objective,E,nu,lambda,eta_bar,rel1,rel2,status", rows)

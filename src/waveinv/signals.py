@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .table import data_lines, write_table
+
 __all__ = [
     "Signal",
     "Spectrum",
@@ -402,48 +404,44 @@ def transform_pipeline(s: Signal, cfg: PhaseObjectiveConfig) -> PhaseFeature:
 # ---------------------------------------------------------------------------
 # serialization
 
-def write_signal_csv(s: Signal, path: str | Path, header_comments: list[str] | None = None) -> None:
-    """Two-column CSV (t_seconds, amplitude) with a header row, one
-    ``repr(t),repr(a)`` row per sample.
+_SIGNAL_HEADER = "t_seconds,amplitude"
 
-    Optional comment lines (prefixed with '#') may carry provenance.
-    """
-    lines = [f"# {comment}" for comment in header_comments or []]
-    lines.append("t_seconds,amplitude")
-    lines.extend(map(str.__add__, _time_column(s.n, s.dt), map(repr, s.samples.tolist())))
-    Path(path).write_text("\n".join(lines) + "\n")
+#: Relative tolerance within which two sampling intervals are the same grid.
+GRID_RTOL = 1e-9
+
+
+def write_signal_csv(s: Signal, path: str | Path, header_comments: list[str] | None = None) -> None:
+    """Two-column table (t_seconds, amplitude), one ``repr(t),repr(a)`` row
+    per sample, under optional ``# `` comment lines that carry provenance."""
+    rows = zip(_time_column(s.n, s.dt), map(repr, s.samples.tolist()))
+    write_table(path, header_comments or (), _SIGNAL_HEADER, rows)
 
 
 @functools.lru_cache(maxsize=4, typed=True)
 def _time_column(n: int, dt: float) -> tuple[str, ...]:
-    """The ``repr(k*dt) + ","`` row prefixes of an (n, dt) grid; the
-    references of a batch share one grid.  ``typed`` keeps an integer dt,
-    whose times print as integers, apart from the equal float."""
-    return tuple(f"{t!r}," for t in (np.arange(n) * dt).tolist())
+    """The ``repr(k*dt)`` time fields of an (n, dt) grid; the references of
+    a batch share one grid.  ``typed`` keeps an integer dt, whose times
+    print as integers, apart from the equal float."""
+    return tuple(map(repr, (np.arange(n) * dt).tolist()))
 
 
 def read_signal_csv(path: str | Path) -> Signal:
     """Read a :func:`write_signal_csv` file; every data row must hold two
-    numbers, and the time column must be uniformly sampled.
-
-    Blank lines and lines starting with ``#`` or ``t_seconds`` (after
-    surrounding whitespace) are skipped; anything else is a data row.
-    """
-    rows = [
-        line
-        for line in Path(path).read_text().splitlines()
-        if (stripped := line.strip()) and not stripped.startswith(("#", "t_seconds"))
-    ]
+    numbers, and the time column must be uniformly sampled."""
+    rows = list(filter(None, data_lines(path, _SIGNAL_HEADER)))
     if len(rows) < 2:
         raise ValueError(f"{path}: too few samples for a signal")
     # one C-level parse of all rows, bitwise equal to float() on each field;
     # ValueError on a malformed field or a ragged row, and comments=None
     # keeps a trailing "# ..." on a data row malformed
-    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns per row, found {data.shape[1]}")
     t, samples = data[:, 0], data[:, 1]
     dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
+    if not np.allclose(np.diff(t), dt, rtol=GRID_RTOL, atol=0.0):
         raise ValueError(f"{path}: time column is not uniformly sampled")
     return Signal(samples, dt=dt)

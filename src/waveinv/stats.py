@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .table import read_table, write_table
+
 __all__ = [
     "GammaDist",
     "MaterialPrior",
@@ -326,27 +328,19 @@ def relative_2(y_hat, y) -> float:
 # ---------------------------------------------------------------------------
 # priors file
 
+_PRIORS_HEADER = "material,parameter,alpha,theta"
+
+
 def write_priors(priors: dict[str, MaterialPrior], path: str | Path) -> None:
     """Editable CSV: material, parameter, alpha, theta."""
-    lines = ["material,parameter,alpha,theta"]
-    for mat, prior in priors.items():
-        for par in PARAMETERS:
-            d = prior.marginals[par]
-            lines.append(f"{mat},{par},{d.alpha!r},{d.theta!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    dists = ((mat, par, prior.marginals[par]) for mat, prior in priors.items() for par in PARAMETERS)
+    write_table(path, (), _PRIORS_HEADER, ([mat, par, repr(d.alpha), repr(d.theta)] for mat, par, d in dists))
 
 
 def load_priors(path: str | Path) -> dict[str, MaterialPrior]:
     """Read a ``write_priors`` file; a malformed row raises ``ValueError``
     naming its line."""
     table: dict[str, dict[str, GammaDist]] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("material"):
-            continue
-        try:
-            mat, par, alpha, theta = (f.strip() for f in line.split(","))
-            table.setdefault(mat, {})[par] = GammaDist(float(alpha), float(theta))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    for mat, par, dist in read_table(path, _PRIORS_HEADER, lambda m, p, a, t: (m, p, GammaDist(float(a), float(t)))):
+        table.setdefault(mat, {})[par] = dist
     return {mat: MaterialPrior(name=mat, marginals=marginals) for mat, marginals in table.items()}

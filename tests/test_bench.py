@@ -1,6 +1,8 @@
 """Tests for the benchmark harness: config parsing, reference generation,
 batches, surfaces, manifold export, reports, and the CLI."""
 
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -652,6 +654,8 @@ class TestCli:
             ("start_sigma = -1", "start_sigma must be finite and positive"),
             ("manifold_grid_n = 1", "manifold_grid_n must be at least 2"),
             ("manifold_dim = 0", "manifold_dim must be at least 1"),
+            ("cutoff = inf", "success cutoff must be finite and positive"),
+            ("fbar = 1e300", "must lie below the Nyquist frequency 2.4e+07 Hz"),
         ],
     )
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, line, message):
@@ -666,7 +670,7 @@ class TestCli:
         "rows, message",
         [
             (None, "No such file"),
-            (["PEEK,E,1.0"], "priors.csv:14: not enough values to unpack (expected 4, got 3)"),
+            (["PEEK,E,1.0"], "priors.csv:14: expected 4 fields, found 3"),
             (["PEEK,E,-1.0,0.5"], "priors.csv:14: shape and scale must be positive and finite, got -1.0, 0.5"),
             (["PEEK,E,100.0,0"], "priors.csv:14: shape and scale must be positive and finite, got 100.0, 0.0"),
         ],
@@ -684,6 +688,70 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: priors_file: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["dt = 2.2e-8\nobjective = signal", "dt = 2.2e-8\nobjective = envelope", "dt = 2.2e-8", "n = 8192"],
+        ids=["dt-signal", "dt-envelope", "dt-autocorr-phase", "n"],
+    )
+    def test_optimize_on_another_grid_exits_2_naming_the_reference(self, tmp_path, capsys, line):
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("n_refs = 3\nlhs_restarts = 5\n")
+        assert self.run_cli("--config", str(cfg_file), "--out", str(out), "gen-refs") == 0
+        cfg_file.write_text(f"n_refs = 3\nlhs_restarts = 5\n{line}\n")
+        assert self.run_cli("--config", str(cfg_file), "--out", str(out), "optimize") == 2
+        assert "reference 0 is sampled at (n, dt) = (4096, 2.083333333e-08)" in capsys.readouterr().err
+        assert not (out / "runs").exists()
+
+    # (damaged file, {field index of its last row: new text, None to drop
+    # the field} or None to delete the file, command, stderr pattern)
+    DAMAGED = [
+        ("refs/index.csv", {4: None}, "optimize", r"refs/index\.csv:6: expected 5 fields, found 4"),
+        ("refs/index.csv", {2: "1.5"}, "optimize", r"refs/index\.csv:6: nu must lie in \(0, 0\.5\), got 1\.5"),
+        ("refs/ref_001.csv", None, "optimize", r"refs/index\.csv:6: \[Errno 2\] No such file .*refs/ref_001\.csv"),
+        ("runs/modified-lm/runs_index.csv", {7: None}, "report", r"runs_index\.csv:7: expected 8 fields, found 7"),
+        (
+            "runs/modified-lm/runs_index.csv",
+            {2: "1", 3: ""},
+            "report",
+            r"runs_index\.csv:7: success '1' must be 0 or 1 and agree with evals_to_success ''",
+        ),
+        (
+            "runs/modified-lm/runs_index.csv",
+            {2: "1", 3: "0"},
+            "report",
+            r"runs_index\.csv:7: evals_to_success must be at least 1, got 0",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, damage, command, pattern",
+        DAMAGED,
+        ids=["ragged-refs-row", "nu-1.5", "missing-ref", "ragged-runs-row", "success-without-evals", "zero-evals"],
+    )
+    def test_damaged_input_exits_3_naming_file_and_line(self, tmp_path, capsys, name, damage, command, pattern):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("n_refs = 2\nlhs_restarts = 5\neval_budget = 10\n")
+        out = tmp_path / "out"
+        steps = ["gen-refs", "optimize", "report"]
+        for step in steps[: steps.index(command)]:
+            assert self.run_cli("--config", str(cfg_file), "--out", str(out), step) == 0
+        path = out / name
+        if damage is None:
+            path.unlink()
+        else:
+            lines = path.read_text().splitlines()
+            fields = lines[-1].split(",")
+            for index, text in damage.items():
+                if text is None:
+                    del fields[index]
+                else:
+                    fields[index] = text
+            path.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
+        capsys.readouterr()
+        assert self.run_cli("--config", str(cfg_file), "--out", str(out), command) == 3
+        assert re.search(pattern, capsys.readouterr().err)
 
     def test_priors_file_gives_the_builtin_prior(self, tmp_path):
         priors = tmp_path / "priors.csv"

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from waveinv import signals
+from waveinv import bench, signals
 from waveinv.forward import MaterialParams, default_config, phase_objective_terms, response_spectrum
 from waveinv.signals import (
     PhaseObjectiveConfig,
@@ -496,6 +496,68 @@ class TestTransformPipeline:
         assert np.array_equal(a.gamma, b.gamma)
 
 
+def _read_signal(path):
+    s = read_signal_csv(path)
+    return s.samples.tobytes(), s.dt
+
+
+def _read_refs_index(path):
+    return [(r.ref_id, r.truth, r.signal.samples.tobytes()) for r in bench.read_refs(path.parent.parent)]
+
+
+# Three readers of the one table layout: (file under the output directory,
+# comment and header lines, data rows, read), where read gives a value that
+# compares equal for equal contents
+_SIGNAL = (
+    "sig.csv",
+    "# seed=1\nt_seconds,amplitude\n",
+    "0.0,1.5\n2.5e-08,-0.25\n5e-08,3.0\n7.5e-08,0.125\n",
+    _read_signal,
+)
+_REFS = (
+    "refs/index.csv",
+    "# seed=1\nref_id,E_pa,nu,rho_kg_m3,file\n",
+    "0,4000000000.0,0.4,1300.0,ref.csv\n1,3500000000.0,0.35,1300.0,ref.csv\n",
+    _read_refs_index,
+)
+_RUNS = (
+    "runs_index.csv",
+    "# seed=1\nref_id,status,success,evals_to_success,E_final,nu_final,E_true,nu_true\n",
+    "0,converged,1,8,4e9,0.4,4e9,0.4\n1,max-iters,0,,nan,nan,3.5e9,0.35\n2,converged,1,12,3e9,0.3,3e9,0.3\n",
+    bench._read_runs_index,
+)
+# (name, text from (head, rows)): text that every reader reads as its clean
+# head + rows
+TOLERATED = [
+    ("blank lines around the file", lambda h, r: "\n\n" + h + r + "\n\n"),
+    ("blank lines between rows", lambda h, r: h + r.replace("\n", "\n\n")),
+    ("crlf line endings", lambda h, r: (h + r).replace("\n", "\r\n")),
+    ("spaces around fields", lambda h, r: h + " " + r.replace(",", " ,\t").replace("\n", " \n\t")),
+    ("second comment line after the header", lambda h, r: h + "# note\n  # indented note\n" + r),
+    ("repeated header line", lambda h, r: h + r + h.splitlines()[-1] + "\n"),
+]
+# (name, signal text, the reader's ValueError message), where {path} stands
+# for the file's path
+_HEAD, _ROWS = _SIGNAL[1:3]
+REJECTED = [
+    ("trailing comment on a row", _HEAD + "0.0,1.0\n1.0,2.0 # x\n", "could not convert string .*'2.0 # x'"),
+    ("nan sample", _HEAD + _ROWS.replace("-0.25", "nan"), "^signal samples must be finite$"),
+    ("inf sample", _HEAD + _ROWS.replace("3.0", "inf"), "^signal samples must be finite$"),
+    ("empty body", _HEAD, "^{path}: too few samples for a signal$"),
+    ("blank body", _HEAD + "\n   \n", "^{path}: too few samples for a signal$"),
+    ("one column", _HEAD + "0.0\n1.0\n", "^{path}: expected two columns per row, found 1$"),
+]
+GRAMMAR = (
+    [pytest.param(_SIGNAL, build(_HEAD, _ROWS), None, id=name) for name, build in TOLERATED]
+    + [pytest.param(_SIGNAL, text, message, id=name) for name, text, message in REJECTED]
+    + [
+        pytest.param(table, build(*table[1:3]), None, id=f"{table[0]}: {name}")
+        for table in (_REFS, _RUNS)
+        for name, build in TOLERATED
+    ]
+)
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -550,39 +612,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             read_signal_csv(path)
 
-    # (name, file text, outcome): outcome None means the data rows parse
-    # field by field as float() does; otherwise the ValueError message, where
-    # {path} stands for the file's path
-    _ROWS = "0.0,1.5\n2.5e-08,-0.25\n5e-08,3.0\n7.5e-08,0.125\n"
-    _HEAD = "# seed=1\nt_seconds,amplitude\n"
-    PARITY = [
-        ("blank lines around the file", "\n\n" + _HEAD + _ROWS + "\n\n", None),
-        ("blank lines between rows", _HEAD + _ROWS.replace("\n", "\n\n"), None),
-        ("crlf line endings", (_HEAD + _ROWS).replace("\n", "\r\n"), None),
-        ("spaces around fields", _HEAD + " 0.0 , 1.5\n\t2.5e-08,\t-0.25 \n  5e-08 ,3.0\n7.5e-08 , 0.125\n", None),
-        ("second comment line after the header", _HEAD + "# note\n  # indented note\n" + _ROWS, None),
-        ("repeated header line", _HEAD + _ROWS + "t_seconds,amplitude\n", None),
-        ("trailing comment on a row", _HEAD + "0.0,1.0\n1.0,2.0 # x\n", "could not convert string .*'2.0 # x'"),
-        ("nan sample", _HEAD + _ROWS.replace("-0.25", "nan"), "^signal samples must be finite$"),
-        ("inf sample", _HEAD + _ROWS.replace("3.0", "inf"), "^signal samples must be finite$"),
-        ("empty body", _HEAD, "^{path}: too few samples for a signal$"),
-        ("blank body", _HEAD + "\n   \n", "^{path}: too few samples for a signal$"),
-        ("one column", _HEAD + "0.0\n1.0\n", "^{path}: expected two columns per row, found 1$"),
-    ]
+    @pytest.mark.parametrize("table, text, message", GRAMMAR)
+    def test_csv_reader_grammar(self, tmp_path, table, text, message):
+        name, head, rows, read = table
 
-    @pytest.mark.parametrize("text, message", [row[1:] for row in PARITY], ids=[row[0] for row in PARITY])
-    def test_csv_reader_grammar(self, tmp_path, text, message):
-        path = tmp_path / "sig.csv"
-        path.write_bytes(text.encode())
+        def put(directory, content):
+            path = tmp_path / directory / name
+            path.parent.mkdir(parents=True)
+            path.write_bytes(content.encode())
+            write_signal_csv(Signal(np.arange(4.0), dt=1.0), path.parent / "ref.csv")  # what a refs index names
+            return path
+
+        path = put("given", text)
         if message is not None:
             with pytest.raises(ValueError, match=message.replace("{path}", re.escape(str(path)))):
-                read_signal_csv(path)
+                read(path)
             return
-        rows = [line.strip().split(",") for line in text.splitlines()]
-        rows = [[float(v) for v in row] for row in rows if row[0] and not row[0].startswith(("#", "t_seconds"))]
-        back = read_signal_csv(path)
-        assert back.samples.tobytes() == np.array([a for _, a in rows]).tobytes()
-        assert back.dt == rows[1][0] - rows[0][0]
+        assert read(path) == read(put("clean", head + rows))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
