@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +155,8 @@ class ExperimentConfig:
         for name in ("start_sigma", "grid_sigmas"):
             if not (0.0 < getattr(self, name) < np.inf):
                 raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not all(np.isfinite(hi - lo) for lo, hi in _grid_ends(self)):
+            raise ConfigError(f"grid_sigmas = {self.grid_sigmas} puts the grid end points beyond float range")
         if self.manifold_grid_n < 2:
             raise ConfigError(f"manifold_grid_n must be at least 2, got {self.manifold_grid_n}")
         if self.manifold_dim < 1:
@@ -416,35 +418,17 @@ def run_single(cfg: ExperimentConfig, ref: Reference, x0: np.ndarray) -> tuple[O
     """One optimization run against one reference; the trace carries one
     record per forward evaluation."""
     evaluate, fg, counter, ref_norm = make_objective(cfg, ref)
-    truth = ref.truth.as_vector()
-    bounds = ((_modulus_floor(cfg, ref.truth.rho), np.inf), (0.0, 0.5))
     opts = OptimizeOptions(
         method=cfg.optimizer,
         max_iters=cfg.max_iters,
         max_evals=cfg.eval_budget,
-        bounds=bounds,
-        ground_truth=truth,
+        bounds=((_modulus_floor(cfg, ref.truth.rho), np.inf), (0.0, 0.5)),
+        ground_truth=ref.truth.as_vector(),
         ref_norm=ref_norm,
     )
     if cfg.optimizer == "bfgs":
-        # run in start-rescaled coordinates; rel1 is scale-invariant
-        scale = np.asarray(x0, dtype=float)
-        scaled_opts = replace(
-            opts,
-            bounds=tuple((lo / s, hi / s) for (lo, hi), s in zip(bounds, scale)),
-            ground_truth=truth / scale,
-        )
-
-        def fg_scaled(u):
-            value, grad = fg(scale * u)
-            return value, scale * grad
-
-        trace = bfgs_baseline(fg_scaled, np.ones(2), scaled_opts)
-        for rec in trace.records:
-            rec.x = rec.x * scale
-        return trace, counter
-    trace = optimize(evaluate, np.asarray(x0, dtype=float), opts)
-    return trace, counter
+        return bfgs_baseline(fg, x0, opts), counter
+    return optimize(evaluate, x0, opts), counter
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +454,6 @@ class BenchResult:
         if not self.runs:
             return 0.0
         return sum(r.success for r in self.runs) / len(self.runs)
-
-    def histogram(self) -> dict[int, int]:
-        """Evaluations-to-success counts; values sum to the number of
-        successful runs."""
-        counts: dict[int, int] = {}
-        for run in self.runs:
-            if run.success:
-                counts[run.evals_to_success] = counts.get(run.evals_to_success, 0) + 1
-        return dict(sorted(counts.items()))
 
     def evals_to_success(self) -> list[int]:
         return [r.evals_to_success for r in self.runs if r.success]
@@ -589,14 +564,19 @@ def _count_interior_minima(grid: np.ndarray) -> int:
     return int(np.count_nonzero(minimum))
 
 
+def _grid_ends(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """(lo, hi) of E and of nu on the scan grids: the prior means +-
+    grid_sigmas marginal standard deviations."""
+    prior = cfg.prior()
+    means, stds = prior.mean_params_si(), prior.std_params_si()
+    return [(m - cfg.grid_sigmas * s, m + cfg.grid_sigmas * s) for m, s in zip(means, stds)]
+
+
 def _grid_nodes(cfg: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E and nu values of an n x n grid spanning +- grid_sigmas marginal
     standard deviations around the prior means, and its nodes as (E, nu)
     rows, E-major."""
-    prior = cfg.prior()
-    (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
-    e_values = np.linspace(e_mean - cfg.grid_sigmas * e_std, e_mean + cfg.grid_sigmas * e_std, n)
-    nu_values = np.linspace(nu_mean - cfg.grid_sigmas * nu_std, nu_mean + cfg.grid_sigmas * nu_std, n)
+    e_values, nu_values = (np.linspace(lo, hi, n) for lo, hi in _grid_ends(cfg))
     nodes = np.stack(np.meshgrid(e_values, nu_values, indexing="ij"), axis=-1).reshape(-1, 2)
     return e_values, nu_values, nodes
 

@@ -121,9 +121,10 @@ class ForwardConfig:
     """Geometry, excitation, and sampling of the transmission response.
 
     The bandwidth defaults to b = 0.65 * fbar; the Gaussian excitation width
-    is sigma = 1 / (pi b).  The window must be long enough for all packets
-    to arrive with at least a 4 sigma margin, which is checked per material
-    when the response is evaluated.
+    is sigma = 1 / (pi b).  The excitation must end, tbar + 4 sigma, within
+    the record of n*dt seconds.  The window must also be long enough for all
+    packets to arrive with at least a 4 sigma margin, which is checked per
+    material when the response is evaluated.
     """
 
     L: float = 0.02
@@ -146,6 +147,11 @@ class ForwardConfig:
             raise ValueError(f"sample count must be a power of two >= 2, got {self.n}")
         if len(self.amplitudes) != 3:
             raise ValueError("exactly three packet amplitudes are required")
+        end = self.tbar + 4.0 * self.sigma
+        if not end <= self.duration:
+            raise ValueError(
+                f"the excitation must end within the record: tbar + 4 sigma = {end:g} s exceeds n*dt = {self.duration:g} s"
+            )
 
     @property
     def sigma(self) -> float:

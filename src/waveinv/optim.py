@@ -20,8 +20,16 @@ eta_bar is deliberately not clamped above one: uphill excursions raise the
 damping instead of triggering a line search.
 
 A BFGS baseline with a strong-Wolfe backtracking line search is provided for
-comparisons; every line-search trial counts as one model evaluation, so
-evaluation counts between methods are directly comparable.
+comparisons.  It owns its parameter scaling as the step rules do: it runs in
+start-rescaled coordinates u = x / x0 (a zero start component is left
+unscaled) and returns its records in physical units.  Both drivers spend
+every model evaluation, line-search trials included, through one recorder
+that checks the budget and appends one record, so evaluation counts
+between methods are directly comparable.
+
+The stopping tolerances are fixed module constants, not options:
+``_OBJECTIVE_TOL``, ``_STEP_TOL``, ``_STALL_TOL`` and ``_STALL_ITERS`` sit
+beside BFGS's line-search constants.
 """
 
 from __future__ import annotations
@@ -197,6 +205,20 @@ def corrected_gd_step(state: OptState) -> StepReport:
 # ---------------------------------------------------------------------------
 # iteration drivers
 
+#: Stopping tests: a relative residual ||r_k|| / ||r_0|| below
+#: _OBJECTIVE_TOL or a rescaled step below _STEP_TOL converges, and
+#: _STALL_ITERS iterations in a row whose relative decrease stays below
+#: _STALL_TOL stall.  BFGS accepts a line-search trial on the strong Wolfe
+#: conditions with _WOLFE_C1 and _WOLFE_C2, within _MAX_LS_TRIALS trials.
+_STEP_TOL = 1e-10
+_OBJECTIVE_TOL = 1e-12
+_STALL_TOL = 1e-14
+_STALL_ITERS = 5
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
+_MAX_LS_TRIALS = 20
+
+
 @dataclass
 class OptRecord:
     """One model evaluation: where it happened and what it cost."""
@@ -251,10 +273,6 @@ class OptimizeOptions:
     method: str = "modified-lm"
     max_iters: int = 100
     max_evals: int | None = None
-    step_tol: float = 1e-10
-    objective_tol: float = 1e-12
-    stall_tol: float = 1e-14
-    stall_iters: int = 5
     bounds: tuple[tuple[float, float], ...] | None = None
     ground_truth: np.ndarray | None = None
     ref_norm: float | None = None
@@ -264,28 +282,66 @@ class OptimizeOptions:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
 
-def _rel2(r_norm: float, ref_norm: float | None) -> float:
-    if ref_norm is None or ref_norm <= 0.0:
-        return np.nan
-    return float(r_norm / ref_norm)
-
-
-def _non_finite(trace: OptTrace, what: str) -> OptTrace:
-    """End a run at its last record, whose evaluation returned NaN or inf:
-    no stopping test can hold on such values."""
-    trace.status = "non-finite"
-    trace.message = f"{what} is not finite at evaluation {trace.eval_count}"
+def _end(trace: OptTrace, status: str, message: str) -> OptTrace:
+    trace.status = status
+    trace.message = message
     return trace
+
+
+def _inside(x: np.ndarray, bounds) -> bool:
+    """True when x lies strictly inside the bounds, or there are none."""
+    return bounds is None or all(lo < t < hi for t, (lo, hi) in zip(x, bounds))
+
+
+def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: OptimizeOptions, scale=1.0):
+    """Spend one model evaluation ``call(u)`` at the physical point
+    ``u * scale`` and append its record to the trace.
+
+    ``call`` returns a residual vector and its Jacobian, or the objective
+    0.5 ||r||^2 and its gradient.  Returns that pair, as a float array (a
+    float for the objective) and a float array, or None once the run has
+    ended at its last record: the budget was spent (``max-iters``), the
+    model raised one of MODEL_ERRORS (``error``), or the pair holds NaN or
+    inf (``non-finite``: no stopping test can hold on such values).
+    """
+    if opts.max_evals is not None and trace.eval_count >= opts.max_evals:
+        _end(trace, "max-iters", "evaluation budget exhausted")
+        return None
+    try:
+        value, deriv = call(u)
+    except MODEL_ERRORS as exc:
+        _end(trace, "error", str(exc))
+        return None
+    deriv = np.asarray(deriv, dtype=float)
+    if np.ndim(value):
+        value = np.asarray(value, dtype=float)
+        r_norm = float(np.linalg.norm(value))
+        objective = 0.5 * r_norm**2
+    else:
+        value = objective = float(value)
+        r_norm = np.sqrt(max(2.0 * objective, 0.0))
+    ref_norm = opts.ref_norm
+    trace.records.append(
+        OptRecord(
+            k=k,
+            eval_count=trace.eval_count + 1,
+            x=u * scale,
+            objective=objective,
+            rel1=np.nan if opts.ground_truth is None else relative_1(opts.ground_truth / scale, u),
+            rel2=float(r_norm / ref_norm) if ref_norm is not None and ref_norm > 0.0 else np.nan,
+        )
+    )
+    if not (np.isfinite(objective) and np.isfinite(deriv).all()):
+        _end(trace, "non-finite", f"evaluation {trace.eval_count} returned NaN or inf")
+        return None
+    return value, deriv
 
 
 def _apply_bounds(x: np.ndarray, dx: np.ndarray, bounds) -> np.ndarray | None:
     """Halve dx (at most 10 times) until x + dx is strictly inside the
     bounds; None when even the smallest step leaves the box."""
-    if bounds is None:
-        return dx
     for _ in range(11):
-        trial = x + dx
-        if all(lo < t < hi for t, (lo, hi) in zip(trial, bounds)):
+        if _inside(x + dx, bounds):
             return dx
         dx = 0.5 * dx
     return None
@@ -313,45 +369,24 @@ def optimize(
     stall_count = 0
     prev_norm = None
 
+    def residual_and_jacobian(x):
+        return evaluate(x, True)
+
     for k in range(opts.max_iters):
-        if opts.max_evals is not None and trace.eval_count >= opts.max_evals:
-            trace.status = "max-iters"
-            trace.message = "evaluation budget exhausted"
+        evaluated = _evaluate(trace, residual_and_jacobian, x, k, opts)
+        if evaluated is None:
             return trace
-        try:
-            r, jac = evaluate(x, True)
-        except MODEL_ERRORS as exc:
-            trace.status = "error"
-            trace.message = str(exc)
-            return trace
-        r = np.asarray(r, dtype=float)
-        jac = np.asarray(jac, dtype=float)
+        r, jac = evaluated
         r_norm = float(np.linalg.norm(r))
         if k == 0:
             r0_norm = r_norm
-        record = OptRecord(
-            k=k,
-            eval_count=trace.eval_count + 1,
-            x=x.copy(),
-            objective=0.5 * r_norm**2,
-            rel1=np.nan if opts.ground_truth is None else relative_1(opts.ground_truth, x),
-            rel2=_rel2(r_norm, opts.ref_norm),
-        )
-        trace.records.append(record)
-
-        if not (np.isfinite(record.objective) and np.isfinite(jac).all()):
-            return _non_finite(trace, "residual or Jacobian")
-        if r0_norm == 0.0 or (r0_norm > 0.0 and r_norm / r0_norm < opts.objective_tol):
-            trace.status = "converged"
-            trace.message = "relative residual below tolerance"
-            return trace
+        if r0_norm == 0.0 or r_norm / r0_norm < _OBJECTIVE_TOL:
+            return _end(trace, "converged", "relative residual below tolerance")
         if prev_norm is not None:
             drop = (prev_norm - r_norm) / max(prev_norm, 1e-300)
-            stall_count = stall_count + 1 if drop < opts.stall_tol else 0
-            if stall_count >= opts.stall_iters:
-                trace.status = "stalled"
-                trace.message = f"no relative decrease above {opts.stall_tol} for {opts.stall_iters} iterations"
-                return trace
+            stall_count = stall_count + 1 if drop < _STALL_TOL else 0
+            if stall_count >= _STALL_ITERS:
+                return _end(trace, "stalled", f"no relative decrease above {_STALL_TOL} for {_STALL_ITERS} iterations")
         prev_norm = r_norm
 
         state = OptState(x=x, r=r, J=jac, r0_norm=r0_norm)
@@ -364,41 +399,23 @@ def optimize(
                 jt = rescale_jacobian(state.J, state.x)
                 dxt = gn_step(jt, r)
                 report = StepReport(dx=state.x * dxt, lambda_=np.nan, eta_bar=eta_bar(state))
-        except (SingularMatrixError, ValueError) as exc:
-            trace.status = "error"
-            trace.message = str(exc)
-            return trace
-        record.lambda_ = report.lambda_
-        record.eta_bar = report.eta_bar
+        except MODEL_ERRORS as exc:
+            return _end(trace, "error", str(exc))
+        trace.records[-1].lambda_ = report.lambda_
+        trace.records[-1].eta_bar = report.eta_bar
 
-        dxt_norm = float(np.linalg.norm(report.dx / x))
-        if dxt_norm < opts.step_tol:
-            trace.status = "converged"
-            trace.message = "rescaled step below tolerance"
-            return trace
+        if float(np.linalg.norm(report.dx / x)) < _STEP_TOL:
+            return _end(trace, "converged", "rescaled step below tolerance")
         dx = _apply_bounds(x, report.dx, opts.bounds)
         if dx is None:
-            trace.status = "stalled"
-            trace.message = "step could not be pulled back inside the bounds"
-            return trace
+            return _end(trace, "stalled", "step could not be pulled back inside the bounds")
         x = x + dx
 
-    trace.status = "max-iters"
-    trace.message = "iteration limit reached"
-    return trace
+    return _end(trace, "max-iters", "iteration limit reached")
 
 
 # ---------------------------------------------------------------------------
 # BFGS baseline
-
-def _finite_fg(f: float, g: np.ndarray) -> bool:
-    return bool(np.isfinite(f) and np.isfinite(g).all())
-
-
-_WOLFE_C1 = 1e-4
-_WOLFE_C2 = 0.9
-_MAX_LS_TRIALS = 20
-
 
 def bfgs_baseline(
     fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
@@ -413,6 +430,11 @@ def bfgs_baseline(
     steps that satisfy the sufficient-decrease condition but still have a
     strongly negative slope are doubled instead.
 
+    The iteration runs in start-rescaled coordinates u = x / x0, so its
+    course does not depend on the units of x; a zero start component is
+    left unscaled.  The bounds are rescaled with it, rel1 is measured in u
+    (it is scale-invariant), and the records hold x in physical units.
+
     ``fg(x)`` returns the objective 0.5 ||r||^2 and its gradient in one
     model evaluation (the gradient shares the forward pass).  Every
     line-search trial is one evaluation and lands in the trace, so the
@@ -420,41 +442,29 @@ def bfgs_baseline(
     NaN or inf objective or gradient ends the run at its record with status
     ``non-finite``.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x0 = np.asarray(x0, dtype=float)
+    scale = np.where(x0 != 0.0, x0, 1.0)
+    bounds = None if opts.bounds is None else [sorted((lo / s, hi / s)) for (lo, hi), s in zip(opts.bounds, scale)]
+
+    def fg_u(u):
+        value, grad = fg(scale * u)
+        return value, scale * grad
+
+    u = x0 / scale
     trace = OptTrace()
-    n = x.size
+    n = u.size
     h = np.eye(n)
-
-    def record_eval(k: int, xe: np.ndarray, f: float) -> None:
-        trace.records.append(
-            OptRecord(
-                k=k,
-                eval_count=trace.eval_count + 1,
-                x=xe.copy(),
-                objective=f,
-                rel1=np.nan if opts.ground_truth is None else relative_1(opts.ground_truth, xe),
-                rel2=_rel2(np.sqrt(max(2.0 * f, 0.0)), opts.ref_norm),
-            )
-        )
-
-    try:
-        f, g = fg(x)
-    except MODEL_ERRORS as exc:
-        trace.status = "error"
-        trace.message = str(exc)
+    evaluated = _evaluate(trace, fg_u, u, 0, opts, scale)
+    if evaluated is None:
         return trace
-    record_eval(0, x, f)
-    if not _finite_fg(f, g):
-        return _non_finite(trace, "objective or gradient")
+    f, g = evaluated
     f0 = f
     g_scale = max(float(np.linalg.norm(g)), 1e-300)
     first_update = True
 
     for k in range(1, opts.max_iters + 1):
         if float(np.linalg.norm(g)) <= 1e-12 * g_scale or f <= 1e-24 * max(f0, 1e-300):
-            trace.status = "converged"
-            trace.message = "gradient vanished"
-            return trace
+            return _end(trace, "converged", "gradient vanished")
 
         accepted = False
         f_new = f
@@ -474,25 +484,14 @@ def bfgs_baseline(
             alpha = 1.0
             best = None  # best Armijo-satisfying trial seen: (f, alpha, g)
             for _ in range(_MAX_LS_TRIALS):
-                if opts.max_evals is not None and trace.eval_count >= opts.max_evals:
-                    trace.status = "max-iters"
-                    trace.message = "evaluation budget exhausted"
-                    return trace
-                x_trial = x + alpha * p
-                if opts.bounds is not None and not all(
-                    lo < t < hi for t, (lo, hi) in zip(x_trial, opts.bounds)
-                ):
+                u_trial = u + alpha * p
+                if not _inside(u_trial, bounds):
                     alpha *= 0.5
                     continue
-                try:
-                    f_new, g_new = fg(x_trial)
-                except MODEL_ERRORS as exc:
-                    trace.status = "error"
-                    trace.message = str(exc)
+                evaluated = _evaluate(trace, fg_u, u_trial, k, opts, scale)
+                if evaluated is None:
                     return trace
-                record_eval(k, x_trial, f_new)
-                if not _finite_fg(f_new, g_new):
-                    return _non_finite(trace, "objective or gradient")
+                f_new, g_new = evaluated
                 slope_trial = float(g_new @ p)
                 armijo = f_new <= f + _WOLFE_C1 * alpha * slope
                 curvature = abs(slope_trial) <= _WOLFE_C2 * abs(slope)
@@ -521,9 +520,7 @@ def bfgs_baseline(
             if accepted:
                 break
         if not accepted:
-            trace.status = "stalled"
-            trace.message = f"line search failed after {_MAX_LS_TRIALS} trials"
-            return trace
+            return _end(trace, "stalled", f"line search failed after {_MAX_LS_TRIALS} trials")
 
         s = alpha * p
         y = g_new - g
@@ -536,16 +533,12 @@ def bfgs_baseline(
             i_n = np.eye(n)
             v = i_n - rho * np.outer(s, y)
             h = v @ h @ v.T + rho * np.outer(s, s)
-        x = x + s
-        if float(np.linalg.norm(s / np.where(x != 0.0, x, 1.0))) < opts.step_tol:
-            trace.status = "converged"
-            trace.message = "rescaled step below tolerance"
-            return trace
+        u = u + s
+        if float(np.linalg.norm(s / np.where(u != 0.0, u, 1.0))) < _STEP_TOL:
+            return _end(trace, "converged", "rescaled step below tolerance")
         f, g = f_new, g_new
 
-    trace.status = "max-iters"
-    trace.message = "iteration limit reached"
-    return trace
+    return _end(trace, "max-iters", "iteration limit reached")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .table import data_lines, write_table
+from .table import data_lines, read_table, write_table
 
 __all__ = [
     "Signal",
@@ -437,6 +437,9 @@ def read_signal_csv(path: str | Path) -> Signal:
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
+        # loadtxt counts data rows from 0; the table reader names the file
+        # line of the first row that is ragged or not a number
+        read_table(path, _SIGNAL_HEADER, lambda t, v: (float(t), float(v)))
         raise ValueError(f"{path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns per row, found {data.shape[1]}")

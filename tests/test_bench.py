@@ -2,15 +2,17 @@
 batches, surfaces, manifold export, reports, and the CLI."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
-from hypothesis import given, settings
+from dataclasses import fields, replace
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from waveinv import bench, cli, signals
+from waveinv import bench, cli, optim, signals
 from waveinv.bench import (
     BenchResult,
     ConfigError,
@@ -230,10 +232,14 @@ class TestOptimizeBatch:
         with pytest.raises(TypeError, match="synthetic"):
             optimize_batch(cfg, refs)
 
-    def test_histogram_conservation(self):
+    def test_histogram_conservation(self, tmp_path):
         cfg = small_cfg(n_refs=5)
         result = optimize_batch(cfg, gen_refs(cfg))
-        assert sum(result.histogram().values()) == sum(r.success for r in result.runs)
+        write_batch(result, tmp_path)
+        report(tmp_path, cfg)
+        lines = (tmp_path / "report" / "histogram.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith(("#", "evals"))]
+        assert sum(int(count) for _, count in rows) == sum(r.success for r in result.runs)
         assert sum(r.success for r in result.runs) + sum(not r.success for r in result.runs) == len(result.runs)
 
     def test_success_monotone_in_cutoff(self):
@@ -656,6 +662,8 @@ class TestCli:
             ("manifold_dim = 0", "manifold_dim must be at least 1"),
             ("cutoff = inf", "success cutoff must be finite and positive"),
             ("fbar = 1e300", "must lie below the Nyquist frequency 2.4e+07 Hz"),
+            ("tbar = 1e300", "tbar + 4 sigma = 1e+300 s exceeds n*dt = 8.53333e-05 s"),
+            ("grid_sigmas = 1e300", "grid_sigmas = 1e+300 puts the grid end points beyond float range"),
         ],
     )
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, line, message):
@@ -723,12 +731,23 @@ class TestCli:
             "report",
             r"runs_index\.csv:7: evals_to_success must be at least 1, got 0",
         ),
+        ("refs/ref_001.csv", {1: "x"}, "optimize", r"refs/ref_001\.csv:4100: could not convert string to float: 'x'"),
+        ("refs/ref_001.csv", {1: "2.0,3.0"}, "optimize", r"refs/ref_001\.csv:4100: expected 2 fields, found 3"),
     ]
 
     @pytest.mark.parametrize(
         "name, damage, command, pattern",
         DAMAGED,
-        ids=["ragged-refs-row", "nu-1.5", "missing-ref", "ragged-runs-row", "success-without-evals", "zero-evals"],
+        ids=[
+            "ragged-refs-row",
+            "nu-1.5",
+            "missing-ref",
+            "ragged-runs-row",
+            "success-without-evals",
+            "zero-evals",
+            "signal-not-a-number",
+            "ragged-signal-row",
+        ],
     )
     def test_damaged_input_exits_3_naming_file_and_line(self, tmp_path, capsys, name, damage, command, pattern):
         cfg_file = tmp_path / "exp.cfg"
@@ -752,6 +771,30 @@ class TestCli:
         capsys.readouterr()
         assert self.run_cli("--config", str(cfg_file), "--out", str(out), command) == 3
         assert re.search(pattern, capsys.readouterr().err)
+
+    EDGE_VALUES = ("0", "-1", "nan", "inf", "1e300", "0x10", "")
+
+    @settings(max_examples=50, deadline=None)
+    @example(values={"tbar": "1e300"})
+    @example(values={"grid_sigmas": "1e300"})
+    @given(
+        values=st.dictionaries(
+            st.sampled_from(sorted(f.name for f in fields(ExperimentConfig))),
+            st.sampled_from(EDGE_VALUES),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_edge_values_exit_0_2_or_3(self, values):
+        # every subcommand on a small grid with 1-4 keys set to edge values:
+        # an exception or warning that escapes cli.main is a defect
+        lines = ["n_refs = 2", "lhs_restarts = 2", "eval_budget = 10", "grid_n = 5", "manifold_grid_n = 3"]
+        lines += [f"{key} = {value}" for key, value in values.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_file = Path(tmp) / "exp.cfg"
+            cfg_file.write_text("\n".join(lines) + "\n")
+            for command in ("gen-refs", "optimize", "report", "surface", "manifold"):
+                assert self.run_cli("--config", str(cfg_file), "--out", str(Path(tmp) / "out"), command) in (0, 2, 3)
 
     def test_priors_file_gives_the_builtin_prior(self, tmp_path):
         priors = tmp_path / "priors.csv"
@@ -823,9 +866,10 @@ class TestCli:
         b = (out_b / "refs" / "ref_000.csv").read_text()
         assert a != b
 
-    def test_pipeline_byte_identical_across_runs(self, tmp_path):
+    @pytest.mark.parametrize("optimizer", optim.METHODS)
+    def test_pipeline_byte_identical_across_runs(self, tmp_path, optimizer):
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text("n_refs = 2\nseed = 5\nlhs_restarts = 5\neval_budget = 30\n")
+        cfg_file.write_text(f"n_refs = 2\nseed = 5\nlhs_restarts = 5\neval_budget = 30\noptimizer = {optimizer}\n")
         outputs = []
         for name in ("r1", "r2"):
             out = tmp_path / name

@@ -540,6 +540,28 @@ class TestBfgs:
         assert trace.status == "non-finite"
         assert trace.eval_count == 2 == calls["n"]
 
+    def test_independent_of_units(self):
+        # the same quadratic posed in (4e9, 0.4) units and in unit
+        # coordinates: the start rescaling makes both runs one run
+        a = np.array([[3.0, 0.4], [0.4, 1.0]])
+        u_star = np.array([1.3, 0.7])
+        d = np.array([4e9, 0.4])
+
+        def unit(u):
+            e = u - u_star
+            return 0.5 * float(e @ a @ e), a @ e
+
+        def physical(x):
+            f, g = unit(x / d)
+            return f, g / d
+
+        unit_trace = bfgs_baseline(unit, np.ones(2), OptimizeOptions(method="bfgs"))
+        trace = bfgs_baseline(physical, d, OptimizeOptions(method="bfgs"))
+        assert trace.status == unit_trace.status == "converged"
+        assert trace.eval_count == unit_trace.eval_count
+        for rec, unit_rec in zip(trace.records, unit_trace.records):
+            np.testing.assert_allclose(rec.x / d, unit_rec.x, rtol=1e-12)
+
     def test_budget_respected(self):
         a = np.diag([1.0, 4.0])
         trace = bfgs_baseline(
