@@ -47,7 +47,6 @@ from .signals import (
     autocorr_spectrum,
     dft_forward,
     envelope,
-    stable_arg,
     transform_pipeline,
     unwrap,
 )
@@ -56,13 +55,9 @@ from .stats import (
     GammaDist,
     MaterialPrior,
     apply_marginals,
-    fit_from_ranges,
-    gamma_fit,
     gamma_inv_cdf,
-    gamma_pdf,
     lhs_sample,
     relative_1,
-    relative_2,
 )
 
 __version__ = "0.1.0"

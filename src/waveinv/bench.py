@@ -96,6 +96,12 @@ _CHUNK = 16
 _REF_CHUNK = 3
 
 
+#: Upper bound on n_refs.  lhs_sample scores each candidate design through
+#: the n x n x 2 float64 array of pairwise differences of its n draws;
+#: 4096 draws make that array 256 MiB.
+_MAX_REFS = 4096
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
@@ -146,6 +152,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {METHODS}")
         if self.n_refs < 1:
             raise ConfigError("need at least one reference")
+        if self.n_refs > _MAX_REFS:
+            raise ConfigError(
+                f"n_refs must be at most {_MAX_REFS}, got {self.n_refs}: the Latin hypercube compares all "
+                f"pairs of draws in an n_refs x n_refs x 2 array of 8-byte floats, 256 MiB at the bound"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.lhs_restarts < 1:

@@ -43,7 +43,6 @@ __all__ = [
     "autocorr_spectrum",
     "unwrap",
     "damping_weights",
-    "stable_arg",
     "phase_features",
     "transform_pipeline",
     "read_signal_csv",
@@ -315,23 +314,6 @@ def _stable_phase(e: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndar
     return gamma * (unwrap(raw) - phi), zero, empty
 
 
-def stable_arg(e: Spectrum, b: float, duration: float, c: float = 1.0) -> PhaseFeature:
-    """Damped, normalized, unwrapped phase angles of an autocorrelation spectrum.
-
-    Each coefficient is first normalized by the pseudo-coefficient
-    Y_k = (-1)^k of a fictitious linear-phase signal, the resulting raw
-    angles are unwrapped as a sequence, the pseudo-phases phi_k = pi*k are
-    subtracted, and the result is damped by gamma_k.  Coefficients with
-    exactly zero magnitude contribute phase 0 before unwrapping; the
-    damping suppresses those indices in any case.
-    """
-    if not (1.0 <= c <= 10.0):
-        raise ValueError(f"damping constant must lie in [1, 10], got {c}")
-    gamma = damping_weights(e.n_coeffs, b, duration, c)
-    values, _, _ = _stable_phase(e.coeffs, gamma)
-    return PhaseFeature(values=values, gamma=gamma)
-
-
 def phase_features(
     coeffs: np.ndarray,
     duration: float,
@@ -344,8 +326,12 @@ def phase_features(
     ``coeffs`` holds the n/2 + 1 one-sided coefficients of a record of
     length ``duration`` (static term first, as from ``rfft``), or N such
     records as rows; the static term is dropped, the rest autocorrelated
-    (:func:`autocorr_spectrum`) and turned into damped phases
-    (:func:`stable_arg`), n/2 values per record.  ``dcoeffs`` of shape
+    (:func:`autocorr_spectrum`) and turned into damped phases, n/2 values
+    per record: each lag is normalized by the pseudo-coefficient
+    Y_k = (-1)^k, the raw angles are unwrapped, the pseudo-phases pi*k are
+    subtracted and the result is damped by gamma_k; a coefficient of
+    exactly zero magnitude contributes phase 0 before unwrapping.
+    ``dcoeffs`` of shape
     (p, n/2 + 1), or (N, p, n/2 + 1), holds derivatives of ``coeffs`` with
     respect to p parameters; the result then carries the (n/2, p), or
     (N, n/2, p), derivative of the feature values, else None.  The damping

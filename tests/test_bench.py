@@ -652,6 +652,8 @@ class TestCli:
             ("grid_n = 0", "grid_n must be at least 3"),
             ("seed = -1", "seed must be non-negative"),
             ("lhs_restarts = 0", "lhs_restarts must be at least 1"),
+            ("n_refs = 4097", "n_refs must be at most 4096, got 4097"),
+            ("n_refs = 100000000000", "n_refs must be at most 4096, got 100000000000"),
             ("fbar = inf", "finite L, fbar, b, dt > 0"),
             ("L = inf", "finite L, fbar, b, dt > 0"),
             ("dt = inf", "finite L, fbar, b, dt > 0"),

@@ -1,4 +1,4 @@
-"""Start-up cost: scipy is loaded only where a gamma prior is drawn.
+"""Start-up cost: no command needs scipy.
 
 Each check runs in a fresh interpreter, because other test modules import
 scipy into the pytest process.
@@ -17,14 +17,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TINY = "n_refs = 2\nlhs_restarts = 5\neval_budget = 20\ngrid_n = 5\nmanifold_grid_n = 3\nseed = 2\n"
 
 # prints, as JSON, the scipy modules loaded after `import waveinv` and after
-# each listed command runs through cli.main
+# each listed command runs through cli.main; with "--block-scipy" first,
+# scipy cannot be imported at all
 PROBE = """
 import json, sys
+if sys.argv[1] == "--block-scipy":
+    sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+    del sys.argv[1]
 import waveinv
 from waveinv.cli import main
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if (m == "scipy" or m.startswith("scipy.")) and sys.modules[m] is not None)
 
 loaded = {"import": scipy_modules()}
 for command in sys.argv[3:]:
@@ -35,15 +39,15 @@ print(json.dumps(loaded))
 """
 
 
-def probe(cfg_file: Path, out: Path, *commands: str) -> dict[str, list[str]]:
+def probe(*args: str) -> dict[str, list[str]]:
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, str(cfg_file), str(out), *commands],
+        [sys.executable, "-c", PROBE, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=120,
-        check=True,
     )
+    assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -53,13 +57,16 @@ def test_import_surface_manifold_and_report_load_no_scipy(tmp_path):
     out = tmp_path / "out"
     for command in ("gen-refs", "optimize"):  # stored runs for the report
         assert cli_main(["--config", str(cfg_file), "--out", str(out), command]) == 0
-    loaded = probe(cfg_file, out, "surface", "manifold", "report")
+    loaded = probe(str(cfg_file), str(out), "surface", "manifold", "report")
     assert loaded == {"import": [], "surface": [], "manifold": [], "report": []}
 
 
-def test_gen_refs_loads_scipy_special(tmp_path):
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # the gamma priors of gen-refs (truths) and optimize (start points) are
+    # drawn by waveinv.stats itself
     cfg_file = tmp_path / "tiny.cfg"
     cfg_file.write_text(TINY)
-    loaded = probe(cfg_file, tmp_path / "out", "gen-refs")
-    assert loaded["import"] == []
-    assert "scipy.special" in loaded["gen-refs"]
+    commands = ("gen-refs", "optimize", "report", "surface", "manifold")
+    loaded = probe("--block-scipy", str(cfg_file), str(tmp_path / "out"), *commands)
+    assert loaded == dict.fromkeys(("import", *commands), [])
+    assert (tmp_path / "out" / "report" / "success_table.csv").is_file()

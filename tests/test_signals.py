@@ -23,7 +23,6 @@ from waveinv.signals import (
     envelope,
     phase_features,
     read_signal_csv,
-    stable_arg,
     transform_pipeline,
     unwrap,
     write_signal_csv,
@@ -280,12 +279,21 @@ class TestUnwrap:
 
 
 class TestStableArg:
+    """The stable-argument stage of phase_features: pseudo-coefficient
+    normalization, unwrap, pseudo-phase subtraction and damping."""
+
+    wide = PhaseObjectiveConfig(bandwidth_hz=1e6)  # gamma ~ 1 over a few lags at T = 1
+
     def test_alternating_spectrum_gives_pure_normalization(self):
+        # V_i = (-1)^i autocorrelates to E_k = (-1)^k (m - k), a positive
+        # multiple of the pseudo-coefficient Y_k, so every raw angle is 0
         m = 32
         k = np.arange(m)
-        y = np.where(k % 2 == 0, 1.0, -1.0)
-        feat = stable_arg(Spectrum(y.astype(complex), df=1.0), b=2.0, duration=3.0, c=1.0)
-        np.testing.assert_allclose(feat.values, -feat.gamma * np.pi * k, atol=1e-12)
+        coeffs = np.concatenate([[0.0], np.where(k % 2 == 0, 1.0, -1.0)]).astype(complex)
+        obj = PhaseObjectiveConfig(bandwidth_hz=2.0 / 3.0)  # bT = 2 with T = 3
+        values, _ = phase_features(coeffs, 3.0, obj)
+        gamma = damping_weights(m, obj.bandwidth_hz, 3.0, obj.damping)
+        np.testing.assert_allclose(values, -gamma * np.pi * k, atol=1e-12)
 
     def test_gamma_head_and_monotonicity(self):
         g = damping_weights(64, b=0.5, duration=8.0, c=2.0)
@@ -298,31 +306,29 @@ class TestStableArg:
             damping_weights(4096, b=1.0, duration=1.0, c=10.0)
 
     def test_pseudo_coefficient_pattern(self):
-        # Y_k for k = 0..3 must be [1, -1, 1, -1]; probe it through phases of
-        # a constant spectrum: arg(1 * Y_k) alternates 0, pi.
-        feat = stable_arg(Spectrum(np.ones(4, dtype=complex), df=1.0), b=1e6, duration=1.0, c=1.0)
-        # gamma ~ 1 at these k; values = unwrap([0, pi, 0, pi]) - pi*k
+        # Y_k for k = 0..3 must be [1, -1, 1, -1]; probe it through a
+        # constant V, whose autocorrelation E = [4, 3, 2, 1] is real and
+        # positive: arg(E_k * Y_k) alternates 0, pi
+        values, _ = phase_features(np.array([0.0, 1.0, 1.0, 1.0, 1.0], dtype=complex), 1.0, self.wide)
+        gamma = damping_weights(4, self.wide.bandwidth_hz, 1.0, self.wide.damping)
         raw = np.array([0.0, np.pi, 0.0, np.pi])
         want = unwrap(raw) - np.pi * np.arange(4)
-        np.testing.assert_allclose(feat.values, feat.gamma * want, atol=1e-9)
+        np.testing.assert_allclose(values, gamma * want, atol=1e-9)
 
     def test_zero_coefficient_maps_to_zero_phase(self):
-        coeffs = np.array([1.0 + 0j, 0.0 + 0j, 1.0 + 0j])
-        feat = stable_arg(Spectrum(coeffs, df=1.0), b=1e6, duration=1.0, c=1.0)
+        # a single nonzero coefficient autocorrelates to E = [1, 0, 0]
+        values, _ = phase_features(np.array([0.0, 1.0, 0.0, 0.0], dtype=complex), 1.0, self.wide)
+        gamma = damping_weights(3, self.wide.bandwidth_hz, 1.0, self.wide.damping)
         # raw phases [0, 0, 0] -> values = -gamma * pi * k
-        np.testing.assert_allclose(feat.values, -feat.gamma * np.pi * np.arange(3), atol=1e-9)
-
-    def test_damping_constant_range_enforced(self):
-        spec = Spectrum(np.ones(4, dtype=complex), df=1.0)
-        with pytest.raises(ValueError):
-            stable_arg(spec, b=1.0, duration=1.0, c=0.5)
+        np.testing.assert_allclose(values, -gamma * np.pi * np.arange(3), atol=1e-9)
 
     def test_all_zero_spectrum_rejected(self):
         with pytest.raises(PipelineError):
-            stable_arg(Spectrum(np.zeros(4, dtype=complex), df=1.0), b=1.0, duration=1.0)
+            phase_features(np.zeros(5, dtype=complex), 1.0, PhaseObjectiveConfig(bandwidth_hz=1.0))
 
     def test_config_rejects_out_of_range_damping(self):
-        for c in (0.2, 50.0):
+        # the one range check of C, so no phase transform runs outside [1, 10]
+        for c in (0.2, 0.5, 50.0):
             with pytest.raises(ValueError):
                 PhaseObjectiveConfig(bandwidth_hz=1.0, damping=c)
         assert PhaseObjectiveConfig(bandwidth_hz=1.0, damping=10).damping == 10.0
@@ -371,11 +377,16 @@ class TestPhaseFeatures:
         assert np.array_equal(plain, with_jac)
 
     def test_autocorr_wrapper_agrees_with_kernel(self):
+        # the phases of the wrapper's autocorrelation, taken stage by stage,
+        # are the kernel's feature values
         coeffs, _ = self.crafted()
         b, duration = 16.0, 1.0
-        wrapped = stable_arg(autocorr_spectrum(Spectrum(coeffs[1:], df=1.0)), b=b, duration=duration)
+        e = autocorr_spectrum(Spectrum(coeffs[1:], df=1.0)).coeffs
+        k = np.arange(e.size)
+        gamma = damping_weights(e.size, b, duration, 1.0)
+        staged = gamma * (unwrap(np.angle(e * (-1.0) ** k)) - np.pi * k)
         values, _ = phase_features(coeffs, duration, PhaseObjectiveConfig(bandwidth_hz=b))
-        assert np.array_equal(wrapped.values, values)
+        assert np.array_equal(staged, values)
 
 
 class TestPhaseProperties:

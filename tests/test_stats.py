@@ -1,11 +1,15 @@
-"""Tests for priors, gamma fitting, Latin hypercube sampling, and error norms."""
+"""Tests for priors, the gamma distribution function and quantile, Latin
+hypercube sampling, and the relative parameter error."""
 
 import logging
+import math
 import re
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from waveinv.stats import (
     BUILTIN_PRIORS,
@@ -14,42 +18,19 @@ from waveinv.stats import (
     PRIOR_STATED_MOMENTS,
     GammaDist,
     apply_marginals,
-    fit_from_ranges,
     gamma_cdf,
-    gamma_fit,
     gamma_inv_cdf,
-    gamma_pdf,
     lhs_sample,
     load_priors,
     relative_1,
-    relative_2,
     write_priors,
 )
 
 
-class TestGammaPdf:
-    def test_exponential_at_origin(self):
-        assert gamma_pdf(GammaDist(1.0, 2.0), 0.0) == pytest.approx(0.5)
-
-    def test_negative_support_is_zero(self):
-        assert gamma_pdf(GammaDist(3.0, 1.0), -1.0) == 0.0
-
+class TestGammaDist:
     def test_peek_density_mean(self):
         d = BUILTIN_PRIORS["PEEK"].marginals["rho"]
         assert d.mean == pytest.approx(1.4003, rel=1e-4)
-
-    def test_mode_is_stationary(self):
-        d = GammaDist(5.0, 2.0)
-        mode = (d.alpha - 1.0) * d.theta
-        h = 1e-5
-        deriv = (gamma_pdf(d, mode + h) - gamma_pdf(d, mode - h)) / (2 * h)
-        assert abs(deriv) <= 1e-8
-
-    def test_integrates_to_one(self):
-        for d in (GammaDist(1.3, 0.7), GammaDist(9.0, 0.5), GammaDist(131.45, 0.010653)):
-            hi = d.mean + 20 * d.std
-            val, _ = quad(lambda t: gamma_pdf(d, t), 0.0, hi, limit=200)
-            assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_invalid_dist_rejected(self):
         with pytest.raises(ValueError):
@@ -89,79 +70,70 @@ class TestGammaInvCdf:
                 gamma_inv_cdf(d, p)
 
 
-class TestGammaFit:
-    def test_recovers_peek_modulus_prior(self):
-        rng = np.random.default_rng(42)
-        x = rng.gamma(106.3, 0.037214, size=100000)
-        fit = gamma_fit(x)
-        assert fit.mean == pytest.approx(3.9559, rel=0.01)
-
-    def test_exponential_shape(self):
-        rng = np.random.default_rng(43)
-        fit = gamma_fit(rng.exponential(2.0, size=100000))
-        assert fit.alpha == pytest.approx(1.0, rel=0.05)
-
-    def test_matches_method_of_moments(self):
-        # method-of-moments as an independent cross-check oracle
-        rng = np.random.default_rng(44)
-        x = rng.gamma(7.0, 1.3, size=200000)
-        fit = gamma_fit(x)
-        mom_alpha = np.mean(x) ** 2 / np.var(x)
-        assert fit.alpha == pytest.approx(mom_alpha, rel=0.02)
-
-    def test_constant_samples_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_fit(np.full(100, 3.0))
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_fit(np.array([1.0] * 20 + [-0.5]))
-
-    def test_too_few_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_fit(np.arange(1.0, 6.0))
-
-    def test_large_shape_converges(self):
-        rng = np.random.default_rng(45)
-        x = rng.gamma(5415.4, 7.46e-5, size=50000)  # the stiffest shipped prior
-        fit = gamma_fit(x)
-        assert fit.mean == pytest.approx(0.40399, rel=0.01)
+#: Shapes spread evenly in log over the accuracy domain 0.5 <= alpha <= 1e4.
+SHAPES = st.floats(min_value=math.log(0.5), max_value=math.log(1e4)).map(math.exp)
+SCALES = st.floats(min_value=1e-3, max_value=1e3)
+PROBABILITIES = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
 
-class TestFitFromRanges:
-    def test_degenerate_range_rejected(self):
-        with pytest.raises(ValueError):
-            fit_from_ranges([], [(2.0, 2.0)], mc_rounds=1, rng=np.random.default_rng(0))
+class TestGammaAgainstScipy:
+    """scipy.special as the oracle: gammainc for the distribution function,
+    theta * gammaincinv for the quantile."""
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            fit_from_ranges([], [], mc_rounds=1)
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=SHAPES, theta=SCALES, p=PROBABILITIES, stretch=st.floats(0.5, 2.0))
+    def test_cdf_matches_gammainc(self, alpha, theta, p, stretch):
+        d = GammaDist(alpha, theta)
+        xs = theta * special.gammaincinv(alpha, p) * np.array([1.0, stretch])
+        got = gamma_cdf(d, xs)
+        # 2e-14: gammainc itself is off by up to 1.1e-14 near alpha = 0.5
+        # (test_cdf_where_gammainc_drifts)
+        assert np.max(np.abs(got - special.gammainc(alpha, xs / theta))) <= 2e-14
+        assert gamma_cdf(d, float(xs[1])) == got[1]  # scalar input, a float; entries do not interact
 
-    def test_single_round_equals_single_fit(self):
-        ranges = [(1.0, 2.0), (1.5, 3.0)]
-        points = [1.7, 2.2]
-        est = fit_from_ranges(points, ranges, mc_rounds=1, rng=np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        pooled = np.concatenate(
-            [np.asarray(points)] + [rng.uniform(lo, hi, size=100) for lo, hi in ranges]
-        )
-        direct = gamma_fit(pooled)
-        assert est.alpha == pytest.approx(direct.alpha, rel=1e-12)
-        assert est.theta == pytest.approx(direct.theta, rel=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=SHAPES, theta=SCALES, ps=st.lists(PROBABILITIES, min_size=1, max_size=8))
+    def test_quantile_matches_gammaincinv(self, alpha, theta, ps):
+        d = GammaDist(alpha, theta)
+        got = gamma_inv_cdf(d, np.array(ps))
+        np.testing.assert_allclose(got, theta * special.gammaincinv(alpha, ps), rtol=1e-11, atol=0.0)
+        one = gamma_inv_cdf(d, ps[0])  # scalar input, a float
+        assert isinstance(one, float)
+        assert one == got[0]
 
-    def test_quantile_slice_consistency(self):
-        # ranges built as equal-probability slices of a known gamma: the MC
-        # average must agree with a one-shot mega-draw from the same scheme
-        true = GammaDist(9.0, 0.5)
-        edges = gamma_inv_cdf(true, np.linspace(0.001, 0.999, 41))
-        ranges = list(zip(edges[:-1], edges[1:]))
-        est = fit_from_ranges([], ranges, mc_rounds=100, rng=np.random.default_rng(3))
-        rng = np.random.default_rng(99)
-        mega = np.concatenate([rng.uniform(lo, hi, size=20000) for lo, hi in ranges])
-        oracle = gamma_fit(mega)
-        assert est.alpha == pytest.approx(oracle.alpha, rel=5e-3)
-        assert est.theta == pytest.approx(oracle.theta, rel=5e-3)
-        assert est.mean == pytest.approx(true.mean, rel=0.01)
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=SHAPES, ps=st.lists(PROBABILITIES, min_size=2, max_size=12))
+    def test_quantile_monotone_in_p(self, alpha, ps):
+        xs = gamma_inv_cdf(GammaDist(alpha, 1.0), np.sort(ps))
+        # non-decreasing to within the quantile's own accuracy
+        assert np.all(np.diff(xs) >= -1e-13 * xs[1:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=SHAPES,
+        bad=st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
+        good=PROBABILITIES,
+    )
+    def test_probabilities_outside_open_interval_rejected(self, alpha, bad, good):
+        d = GammaDist(alpha, 1.0)
+        for p in (bad, np.array([good, bad])):
+            with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                gamma_inv_cdf(d, p)
+
+    def test_cdf_where_gammainc_drifts(self):
+        # P(a, x) to 50 digits is 0.855279252744993313...; scipy 1.17's
+        # gammainc returns 1.13e-14 more
+        a, x = 0.5009365006641944, 1.0653240293947728
+        assert gamma_cdf(GammaDist(a, 1.0), x) == pytest.approx(0.8552792527449933, abs=3e-16)
+
+    @pytest.mark.parametrize("key", sorted(PRIOR_STATED_MOMENTS))
+    def test_shipped_marginals(self, key):
+        mat, par = key
+        d = BUILTIN_PRIORS[mat].marginals[par]
+        ps = np.concatenate([[1e-6, 1e-4, 1e-2], np.linspace(0.05, 0.95, 19), [1 - 1e-2, 1 - 1e-4, 1 - 1e-6]])
+        want = d.theta * special.gammaincinv(d.alpha, ps)
+        np.testing.assert_allclose(gamma_inv_cdf(d, ps), want, rtol=1e-11, atol=0.0)
+        assert np.max(np.abs(gamma_cdf(d, want) - special.gammainc(d.alpha, want / d.theta))) <= 1e-14
 
 
 class TestLhs:
@@ -253,13 +225,6 @@ class TestErrorNorms:
             z = rng.uniform(-2.0, 2.0, 3)
             bound = relative_1(x_hat, z) + np.sum(np.abs(z - x) / np.abs(x_hat))
             assert relative_1(x_hat, x) <= bound + 1e-12
-
-    def test_relative2(self):
-        assert relative_2([3.0, 4.0], [3.0, 4.0]) == 0.0
-        assert relative_2([3.0, 4.0], [0.0, 0.0]) == pytest.approx(1.0)
-        assert relative_2([3.0, 4.0], [3.0, 0.0]) == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            relative_2([0.0, 0.0], [1.0, 1.0])
 
 
 class TestPriorTable:
