@@ -326,9 +326,14 @@ class TestStableArg:
         with pytest.raises(PipelineError):
             phase_features(np.zeros(5, dtype=complex), 1.0, PhaseObjectiveConfig(bandwidth_hz=1.0))
 
+    def test_damping_constant_range_enforced(self):
+        # a configured C reaches phase_features only through the experiment
+        # config, which rejects one outside [1, 10] before any work
+        with pytest.raises(bench.ConfigError, match=r"damping constant must lie in \[1, 10\], got 0.5"):
+            bench.ExperimentConfig(damping=0.5)
+
     def test_config_rejects_out_of_range_damping(self):
-        # the one range check of C, so no phase transform runs outside [1, 10]
-        for c in (0.2, 0.5, 50.0):
+        for c in (0.2, 50.0):
             with pytest.raises(ValueError):
                 PhaseObjectiveConfig(bandwidth_hz=1.0, damping=c)
         assert PhaseObjectiveConfig(bandwidth_hz=1.0, damping=10).damping == 10.0

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from waveinv.optim import OptimizeOptions, optimize
 from waveinv.stats import (
     BUILTIN_PRIORS,
     MATERIALS,
@@ -27,10 +28,32 @@ from waveinv.stats import (
 )
 
 
-class TestGammaDist:
+class TestGammaPdf:
+    """The gamma density, taken as the derivative of gamma_cdf."""
+
+    def test_exponential_at_origin(self):
+        d, h = GammaDist(1.0, 2.0), 1e-7
+        assert (gamma_cdf(d, h) - gamma_cdf(d, 0.0)) / h == pytest.approx(0.5, rel=1e-6)
+
+    def test_negative_support_is_zero(self):
+        assert np.array_equal(gamma_cdf(GammaDist(3.0, 1.0), np.array([-1.0, -0.5, 0.0])), np.zeros(3))
+
     def test_peek_density_mean(self):
         d = BUILTIN_PRIORS["PEEK"].marginals["rho"]
         assert d.mean == pytest.approx(1.4003, rel=1e-4)
+
+    def test_mode_is_stationary(self):
+        # the second difference of the cdf is the density's slope times h^2
+        d, h = GammaDist(5.0, 2.0), 1e-3
+        mode = (d.alpha - 1.0) * d.theta
+        for x, flat in ((mode, True), (0.5 * mode, False)):
+            slope = (gamma_cdf(d, x + h) - 2.0 * gamma_cdf(d, x) + gamma_cdf(d, x - h)) / h**2
+            assert (abs(slope) <= 1e-8) == flat, (x, slope)
+
+    def test_integrates_to_one(self):
+        for d in (GammaDist(1.3, 0.7), GammaDist(9.0, 0.5), GammaDist(131.45, 0.010653)):
+            hi = d.mean + 20 * d.std
+            assert gamma_cdf(d, hi) - gamma_cdf(d, 0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_invalid_dist_rejected(self):
         with pytest.raises(ValueError):
@@ -68,6 +91,36 @@ class TestGammaInvCdf:
         for p in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 gamma_inv_cdf(d, p)
+
+
+class TestGammaFit:
+    """A method-of-moments gamma fit to inverse-transform draws
+    gamma_inv_cdf(d, u), u uniform, as apply_marginals draws the priors,
+    recovers d."""
+
+    @staticmethod
+    def fit(d, seed, size=100000):
+        x = gamma_inv_cdf(d, np.random.default_rng(seed).uniform(size=size))
+        alpha = np.mean(x) ** 2 / np.var(x)
+        return GammaDist(alpha, np.mean(x) / alpha)
+
+    def test_recovers_peek_modulus_prior(self):
+        fit = self.fit(GammaDist(106.3, 0.037214), 42)
+        assert fit.mean == pytest.approx(3.9559, rel=0.01)
+
+    def test_exponential_shape(self):
+        fit = self.fit(GammaDist(1.0, 2.0), 43)
+        assert fit.alpha == pytest.approx(1.0, rel=0.05)
+
+    def test_matches_method_of_moments(self):
+        # numpy's own gamma sampler as an independent cross-check oracle
+        x = np.random.default_rng(44).gamma(7.0, 1.3, size=200000)
+        fit = self.fit(GammaDist(7.0, 1.3), 44, size=200000)
+        assert fit.alpha == pytest.approx(np.mean(x) ** 2 / np.var(x), rel=0.02)
+
+    def test_large_shape_converges(self):
+        fit = self.fit(GammaDist(5415.4, 7.46e-5), 45, size=50000)  # the stiffest shipped prior
+        assert fit.mean == pytest.approx(0.40399, rel=0.01)
 
 
 #: Shapes spread evenly in log over the accuracy domain 0.5 <= alpha <= 1e4.
@@ -225,6 +278,19 @@ class TestErrorNorms:
             z = rng.uniform(-2.0, 2.0, 3)
             bound = relative_1(x_hat, z) + np.sum(np.abs(z - x) / np.abs(x_hat))
             assert relative_1(x_hat, x) <= bound + 1e-12
+
+    def test_relative2(self):
+        # the rel2 column of an optimizer record, ||ref - f(x)|| / ||ref||,
+        # at the start point of an identity model f(x) = x
+        def rel2(ref, x0):
+            ref = np.asarray(ref)
+            opts = OptimizeOptions(max_evals=1, ref_norm=float(np.linalg.norm(ref)))
+            return optimize(lambda x, _: (ref - x, np.eye(2)), np.asarray(x0), opts).records[0].rel2
+
+        assert rel2([3.0, 4.0], [3.0, 4.0]) == 0.0
+        assert rel2([3.0, 4.0], [6.0, 8.0]) == pytest.approx(1.0)
+        assert rel2([3.0, 4.0], [3.0, 8.0]) == pytest.approx(0.8)
+        assert np.isnan(rel2([0.0, 0.0], [1.0, 1.0]))  # no reference norm, no relative residual
 
 
 class TestPriorTable:
