@@ -30,6 +30,7 @@ from .signals import (
     GRID_RTOL,
     PhaseObjectiveConfig,
     Signal,
+    _analytic,
     analytic_from_spectrum,
     envelope,
     phase_features,
@@ -93,6 +94,11 @@ _CHUNK = 16
 #: threshold and the heap trim threshold for the rest of the process: with
 #: 16-row chunks, perfbench's invert-phase workload ran its LM and BFGS
 #: evaluations at about 0.7x the host-normalized rate of the serial loop.
+#: With the phase kernel on per-thread scratch arrays, 16-row chunks still
+#: read 666-953 host-normalized evaluations/s against 1039-1126 (4 pairs),
+#: while raw thread CPU per iteration was no higher (1.7-2.4 s against
+#: 1.9-2.5 s): the loss is in perfbench's host-speed normalization, whose
+#: kernel runs faster once the mmap threshold has risen.
 _REF_CHUNK = 3
 
 
@@ -381,12 +387,16 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
         def evaluate(x, need_jacobian=True):
             y, dy = response_spectrum(Materials(x, rho), fwd, counter, need_jacobian)
             if not need_jacobian:
-                return ref_vec - np.abs(analytic_from_spectrum(y, fwd.n)), None
-            # d|a| = Re(conj(a) da) / |a|, with |a| floored where it vanishes
-            a = analytic_from_spectrum(np.concatenate([y[..., None, :], dy], axis=-2), fwd.n)
+                return ref_vec - np.abs(_analytic(y, fwd.n)), None
+            # d|a| = Re(conj(a) da) / |a|, with |a| floored where it vanishes;
+            # a and da are this thread's scratch arrays, overwritten in place
+            # and never returned
+            a = _analytic(np.concatenate([y[..., None, :], dy], axis=-2), fwd.n)
             env = np.abs(a[..., 0, :])
             floor = 1e-12 * np.maximum(env.max(axis=-1, keepdims=True), 1e-300)
-            jac = (a[..., :1, :].conj() * a[..., 1:, :]).real / np.maximum(env, floor)[..., None, :]
+            a0, da = a[..., :1, :], a[..., 1:, :]
+            np.multiply(np.conj(a0, out=a0), da, out=da)
+            jac = da.real / np.maximum(env, floor)[..., None, :]
             return ref_vec - env, np.swapaxes(jac, -1, -2)
 
     def fg(x):

@@ -17,12 +17,17 @@ which is what makes phases of E a robust comparison measure: amplitude
 scaling drops out entirely, and time shifts enter linearly.
 
 All operations are pure functions on immutable inputs and are safe to call
-concurrently.
+concurrently.  The phase and analytic kernels write their FFTs and products
+into scratch arrays that each thread keeps for itself (one per named
+temporary, reallocated only when its shape changes), so repeated evaluations
+at one shape allocate no large temporaries; every public function returns
+fresh arrays, never one of these.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +59,29 @@ _TWO_PI = 2.0 * np.pi
 #: Damping weight below which a zero-magnitude autocorrelation coefficient is
 #: considered harmless for differentiation (its phase never matters).
 _UNDAMPED_TOL = 1e-12
+
+#: This thread's scratch arrays, by role; see :func:`_scratch`.
+_SCRATCH = threading.local()
+
+
+def _scratch(role: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """This thread's uninitialized scratch array for ``role``, a named
+    temporary of the kernels below, reallocated when the shape or dtype
+    changes.
+
+    A large temporary freed after every evaluation lets glibc return the
+    heap top to the system and fault it back in on the next evaluation (about
+    75 minor faults per phase evaluation with Jacobian); reused arrays keep
+    the steady state off the allocator.  The contents are overwritten by the
+    next call that takes the same role on the same thread, so no public
+    function may return one of these arrays or a view of it.
+    """
+    buffers = _SCRATCH.__dict__
+    buf = buffers.get(role)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = buffers[role] = np.empty(shape, dtype)
+    return buf
+
 
 class PipelineError(ValueError):
     """Raised when an objective-transform stage receives degenerate input."""
@@ -199,7 +227,14 @@ def analytic_from_spectrum(coeffs: np.ndarray, n: int) -> np.ndarray:
     demeans the record; the self-conjugate Nyquist bin keeps unit weight so
     that Re(a) reproduces the demeaned record exactly.
     """
-    return np.fft.ifft(coeffs * _analytic_weights(n), n, axis=-1)
+    return _analytic(coeffs, n).copy()
+
+
+def _analytic(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """:func:`analytic_from_spectrum` in this thread's scratch arrays: the
+    result is overwritten by the next call on the same thread."""
+    weighted = np.multiply(coeffs, _analytic_weights(n), out=_scratch("weighted", coeffs.shape))
+    return np.fft.ifft(weighted, n, axis=-1, out=_scratch("analytic", coeffs.shape[:-1] + (n,)))
 
 
 def envelope(s: Signal) -> Signal:
@@ -225,7 +260,8 @@ def autocorr_spectrum(u: Spectrum) -> Spectrum:
 
 def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positive-lag autocorrelation E of v along its last axis and the
-    zero-padded FFT of v it was computed from.
+    zero-padded FFT of v it was computed from, both in this thread's scratch
+    arrays.
 
     The padded length is a power of two of at least 2 m (m = v.shape[-1]),
     so the circular correlation of the padded sequences equals the linear
@@ -234,16 +270,22 @@ def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = v.shape[-1]
     if m == 0:
         raise ValueError("autocorrelation of an empty spectrum is undefined")
-    fv = np.fft.fft(v, 1 << int(np.ceil(np.log2(2 * m))), axis=-1)
-    e = _real_ifft_head(fv.real**2 + fv.imag**2, m)
+    shape = v.shape[:-1] + (1 << int(np.ceil(np.log2(2 * m))),)
+    fv = np.fft.fft(v, shape[-1], axis=-1, out=_scratch("fv", shape))
+    power = np.square(fv.real, out=_scratch("power", shape, np.float64))
+    power += np.square(fv.imag, out=_scratch("power-imag", shape, np.float64))
+    e = _real_ifft_head(power, m, "e")
     e[..., 0] = e[..., 0].real  # exact: E_0 is a sum of |V_i|^2 (conj left a -0.0 there)
     return e, fv
 
 
-def _real_ifft_head(x: np.ndarray, m: int) -> np.ndarray:
+def _real_ifft_head(x: np.ndarray, m: int, role: str) -> np.ndarray:
     """First m terms of ifft(x) along the last axis for real x, as
-    conj(rfft(x))[:m] / N: half the work of a complex ifft."""
-    return np.conj(np.fft.rfft(x, axis=-1, norm="forward")[..., :m])
+    conj(rfft(x))[:m] / N (half the work of a complex ifft), in the scratch
+    array of ``role``."""
+    full = _scratch(role, x.shape[:-1] + (x.shape[-1] // 2 + 1,))
+    head = np.fft.rfft(x, axis=-1, norm="forward", out=full)[..., :m]
+    return np.conj(head, out=head)
 
 
 def unwrap(phases: np.ndarray) -> np.ndarray:
@@ -363,11 +405,16 @@ def phase_features(
                 "phase derivative is singular there"
             )
         fault |= singular
-        x = np.fft.fft(dcoeffs[..., 1:], fv.shape[-1], axis=-1) * np.conj(fv)[..., None, :]
-        de = _real_ifft_head(2.0 * x.real, m)
+        size = fv.shape[-1]
+        x = np.fft.fft(dcoeffs[..., 1:], size, axis=-1, out=_scratch("x", dcoeffs.shape[:-1] + (size,)))
+        x *= np.conj(fv, out=fv)[..., None, :]
+        de = _real_ifft_head(np.multiply(x.real, 2.0, out=_scratch("2re-x", x.shape, np.float64)), m, "de")
         e, zero = e[..., None, :], zero[..., None, :]  # broadcast over the p columns
         mag2 = np.where(zero, 1.0, e.real**2 + e.imag**2)
-        dtheta = np.where(zero, 0.0, (np.conj(e) * de).imag / mag2)
+        dtheta = np.divide(
+            np.multiply(np.conj(e), de, out=de).imag, mag2, out=_scratch("dtheta", de.shape, np.float64)
+        )
+        np.copyto(dtheta, 0.0, where=zero)
         dvalues = np.swapaxes(gamma * dtheta, -1, -2)
     if fault.any():
         values[fault] = np.nan

@@ -512,6 +512,91 @@ class TestTransformPipeline:
         assert np.array_equal(a.gamma, b.gamma)
 
 
+class TestScratchArrays:
+    """The phase and analytic kernels reuse per-thread scratch arrays; no
+    public result may alias one, and threads must not share them."""
+
+    @staticmethod
+    def spectra(seed, rows):
+        rng = np.random.default_rng(seed)
+        shape = (rows, 2049) if rows else (2049,)
+        dshape = (rows, 2, 2049) if rows else (2, 2049)
+        return (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            rng.standard_normal(dshape) + 1j * rng.standard_normal(dshape),
+        )
+
+    @pytest.mark.parametrize("rows", [0, 16])
+    @pytest.mark.parametrize("with_jacobian", [False, True])
+    def test_second_phase_call_leaves_first_results_unchanged(self, rows, with_jacobian):
+        obj = PhaseObjectiveConfig(bandwidth_hz=700.0)
+
+        def call(seed):
+            coeffs, dcoeffs = self.spectra(seed, rows)
+            return phase_features(coeffs, 1.0, obj, dcoeffs if with_jacobian else None)
+
+        first = call(1)
+        kept = [None if out is None else out.copy() for out in first]
+        second = call(2)
+        assert (first[1] is None) is not with_jacobian
+        for got, want, other in zip(first, kept, second):
+            if want is not None:
+                assert np.array_equal(got, want)
+                assert not np.shares_memory(got, other)
+
+    def test_second_autocorr_and_analytic_calls_leave_first_results_unchanged(self):
+        (a, _), (b, _) = self.spectra(1, 3), self.spectra(2, 3)
+        first = autocorr_spectrum(Spectrum(a[0, 1:], df=1.0))
+        kept = first.coeffs.copy()
+        autocorr_spectrum(Spectrum(b[0, 1:], df=1.0))
+        assert np.array_equal(first.coeffs, kept)
+        analytic = analytic_from_spectrum(a, 4096)
+        kept = analytic.copy()
+        analytic_from_spectrum(b, 4096)
+        assert np.array_equal(analytic, kept)
+        assert not np.shares_memory(analytic, signals._analytic(b, 4096))
+
+    @pytest.mark.parametrize("objective", ["autocorr-phase", "envelope"])
+    def test_second_objective_evaluation_leaves_first_results_unchanged(self, objective):
+        cfg = bench.load_config(None, {"n_refs": 2, "seed": 3, "objective": objective})
+        ref = bench.gen_refs(cfg)[0]
+        evaluate, x = bench.make_objective(cfg, ref)[0], ref.truth.as_vector()
+        r, jac = evaluate(x * 1.01)
+        kept = r.copy(), jac.copy()
+        evaluate(x * 0.98)
+        assert np.array_equal(r, kept[0]) and np.array_equal(jac, kept[1])
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("objective", ["autocorr-phase", "envelope"])
+    def test_threads_match_serial_results_bitwise(self, rows, objective):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = bench.load_config(None, {"material": "PA6", "n_refs": 4, "seed": 7, "objective": objective})
+        refs = bench.gen_refs(cfg)
+        assert len(refs) == 4  # four materials, one per thread
+        spread = 1.0 + 0.02 * np.linspace(-1.0, 1.0, rows)[:, None]
+        jobs = [(bench.make_objective(cfg, ref)[0], ref.truth.as_vector() * spread) for ref in refs]
+        serial = [evaluate(x) for evaluate, x in jobs]
+
+        def repeat(job):
+            evaluate, x = job
+            return [evaluate(x) for _ in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(repeat, job) for job in jobs]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (r, jac), runs in zip(serial, threaded):
+            for r_t, jac_t in runs:
+                assert r_t.tobytes() == r.tobytes()
+                assert np.ascontiguousarray(jac_t).tobytes() == np.ascontiguousarray(jac).tobytes()
+
+
 def _read_signal(path):
     s = read_signal_csv(path)
     return s.samples.tobytes(), s.dt

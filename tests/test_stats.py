@@ -92,6 +92,12 @@ class TestGammaInvCdf:
             with pytest.raises(ValueError):
                 gamma_inv_cdf(d, p)
 
+    def test_integer_shape_and_scale(self):
+        # an integer shape of 20 or more used to reach integer negative powers
+        for p in (0.3, 1e-310):
+            assert gamma_inv_cdf(GammaDist(20, 2), p) == gamma_inv_cdf(GammaDist(20.0, 2.0), p)
+        assert gamma_cdf(GammaDist(100, 1), 90.0) == gamma_cdf(GammaDist(100.0, 1.0), 90.0)
+
 
 class TestGammaFit:
     """A method-of-moments gamma fit to inverse-transform draws
@@ -172,6 +178,29 @@ class TestGammaAgainstScipy:
         for p in (bad, np.array([good, bad])):
             with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
                 gamma_inv_cdf(d, p)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 2.0, 7.0, 20.0, 100.0, 5415.4, 1e4, 1e6])
+    def test_quantile_at_tiny_probabilities(self, alpha):
+        d = GammaDist(alpha, 1.0)
+        # P is subnormal near these quantiles, where gammaincinv itself
+        # loses digits
+        deep = np.array([5e-324, 1e-320, 1e-310, 2.2e-308, 1e-301])
+        np.testing.assert_allclose(gamma_inv_cdf(d, deep), special.gammaincinv(alpha, deep), rtol=1e-3, atol=0.0)
+        ps = np.array([1e-300, 1e-200, 1e-20])
+        np.testing.assert_allclose(gamma_inv_cdf(d, ps), special.gammaincinv(alpha, ps), rtol=1e-9, atol=0.0)
+        # continuous where the solver switches to log P; either side is
+        # within about |log p| eps / alpha of the root
+        below, at = gamma_inv_cdf(d, np.array([np.nextafter(1e-300, 0.0), 1e-300]))
+        assert abs(below - at) <= 1e-12 * at
+
+    @pytest.mark.parametrize(
+        "alpha, want",
+        # 40-digit roots of P(alpha, x) = 5e-324 (mpmath); scipy 1.17's
+        # gammaincinv gives 6629.6066 and 962022.54
+        [(1e4, 6629.606484352349285), (1e6, 962023.9263240446038)],
+    )
+    def test_quantile_at_smallest_subnormal(self, alpha, want):
+        assert gamma_inv_cdf(GammaDist(alpha, 1.0), 5e-324) == pytest.approx(want, rel=1e-14)
 
     def test_cdf_where_gammainc_drifts(self):
         # P(a, x) to 50 digits is 0.855279252744993313...; scipy 1.17's
