@@ -123,7 +123,6 @@ class ExperimentConfig:
     seed: int = 1
     cutoff: float = 1e-6
     eval_budget: int = 200
-    max_iters: int = 100
     damping: float = 1.0
     lhs_restarts: int = 100
     start_sigma: float = 1.0
@@ -182,8 +181,6 @@ class ExperimentConfig:
             raise ConfigError(f"success cutoff must be finite and positive, got {self.cutoff}")
         if self.eval_budget < 1:
             raise ConfigError("evaluation budget must be at least 1")
-        if self.max_iters < 1:
-            raise ConfigError("iteration limit max_iters must be at least 1")
         try:
             fwd = self.forward_config()
             self.objective_config()
@@ -362,7 +359,8 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
 
     if cfg.objective == "autocorr-phase":
         obj = cfg.objective_config()
-        ref_feature = transform_pipeline(ref.signal, obj)
+        # on the model's grid, whose damping weights the residual requires
+        ref_feature = transform_pipeline(Signal(ref.signal.samples, fwd.dt), obj)
         ref_norm = float(np.linalg.norm(ref_feature.values))
 
         def evaluate(x, need_jacobian=True):
@@ -441,7 +439,6 @@ def run_single(cfg: ExperimentConfig, ref: Reference, x0: np.ndarray) -> tuple[O
     evaluate, fg, counter, ref_norm = make_objective(cfg, ref)
     opts = OptimizeOptions(
         method=cfg.optimizer,
-        max_iters=cfg.max_iters,
         max_evals=cfg.eval_budget,
         bounds=((_modulus_floor(cfg, ref.truth.rho), np.inf), (0.0, 0.5)),
         ground_truth=ref.truth.as_vector(),

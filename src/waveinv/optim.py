@@ -27,13 +27,14 @@ every model evaluation, line-search trials included, through one recorder
 that checks the budget and appends one record, so evaluation counts
 between methods are directly comparable.
 
-The stopping tolerances are fixed module constants, not options:
-``_OBJECTIVE_TOL``, ``_STEP_TOL``, ``_STALL_TOL`` and ``_STALL_ITERS`` sit
-beside BFGS's line-search constants.
+A run ends on a stopping test or when the evaluation budget, its only cost
+limit, is spent (status ``max-iters``).  The stopping tolerances are fixed
+module constants beside BFGS's line-search constants, not options.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,17 +120,13 @@ def rescale_jacobian(J: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.asarray(J, dtype=float) * x[None, :]
 
 
-def _svd_solve(Jt: np.ndarray, r: np.ndarray) -> np.ndarray:
+def gn_step(Jt: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Gauss-Newton increment (Jt' Jt)^-1 Jt' r via a rank-revealing SVD."""
     u, s, vt = np.linalg.svd(Jt, full_matrices=False)
     rcond = s[-1] / s[0] if s[0] > 0 else 0.0
     if rcond < RCOND_LIMIT:
         raise SingularMatrixError("rank-deficient rescaled Jacobian", rcond)
     return vt.T @ ((u.T @ r) / s)
-
-
-def gn_step(Jt: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Gauss-Newton increment (Jt' Jt)^-1 Jt' r via a rank-revealing SVD."""
-    return _svd_solve(Jt, r)
 
 
 def gd_step(Jt: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -208,10 +205,14 @@ def corrected_gd_step(state: OptState) -> StepReport:
 #: Stopping tests: a relative residual ||r_k|| / ||r_0|| below
 #: _OBJECTIVE_TOL or a rescaled step below _STEP_TOL converges, and
 #: _STALL_ITERS iterations in a row whose relative decrease stays below
-#: _STALL_TOL stall.  BFGS accepts a line-search trial on the strong Wolfe
-#: conditions with _WOLFE_C1 and _WOLFE_C2, within _MAX_LS_TRIALS trials.
+#: _STALL_TOL stall.  BFGS converges at f_k <= _OBJECTIVE_TOL**2 f_0 (the
+#: residual test on f = 0.5 ||r||^2) or at a gradient norm at most
+#: _GRADIENT_TOL times the first; it accepts a line-search trial on the
+#: strong Wolfe conditions with _WOLFE_C1 and _WOLFE_C2, within
+#: _MAX_LS_TRIALS trials per search.
 _STEP_TOL = 1e-10
 _OBJECTIVE_TOL = 1e-12
+_GRADIENT_TOL = 1e-12
 _STALL_TOL = 1e-14
 _STALL_ITERS = 5
 _WOLFE_C1 = 1e-4
@@ -262,17 +263,17 @@ class OptTrace:
 class OptimizeOptions:
     """Iteration controls shared by all methods.
 
-    ``max_evals`` caps cumulative model evaluations (line-search trials
-    included); ``bounds`` is one (lo, hi) pair per parameter, enforced by
-    halving the step at most ten times.  When ``ground_truth`` is given,
-    per-record relative parameter errors are filled in; ``ref_norm`` is the
-    Euclidean norm of the reference feature vector used for the relative
-    residual column.
+    ``max_evals`` (at least 1), the only cost limit, caps cumulative model
+    evaluations, line-search trials included; a run that spends it ends
+    with status ``max-iters``.  ``bounds`` is one (lo, hi) pair per
+    parameter, enforced by halving the step at most ten times.  When
+    ``ground_truth`` is given, per-record relative parameter errors are
+    filled in; ``ref_norm`` is the Euclidean norm of the reference feature
+    vector used for the relative residual column.
     """
 
     method: str = "modified-lm"
-    max_iters: int = 100
-    max_evals: int | None = None
+    max_evals: int = 100
     bounds: tuple[tuple[float, float], ...] | None = None
     ground_truth: np.ndarray | None = None
     ref_norm: float | None = None
@@ -280,6 +281,8 @@ class OptimizeOptions:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.max_evals < 1:
+            raise ValueError(f"evaluation budget max_evals must be at least 1, got {self.max_evals}")
 
 
 def _end(trace: OptTrace, status: str, message: str) -> OptTrace:
@@ -304,7 +307,7 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
     model raised one of MODEL_ERRORS (``error``), or the pair holds NaN or
     inf (``non-finite``: no stopping test can hold on such values).
     """
-    if opts.max_evals is not None and trace.eval_count >= opts.max_evals:
+    if trace.eval_count >= opts.max_evals:
         _end(trace, "max-iters", "evaluation budget exhausted")
         return None
     try:
@@ -372,7 +375,7 @@ def optimize(
     def residual_and_jacobian(x):
         return evaluate(x, True)
 
-    for k in range(opts.max_iters):
+    for k in itertools.count():
         evaluated = _evaluate(trace, residual_and_jacobian, x, k, opts)
         if evaluated is None:
             return trace
@@ -411,8 +414,6 @@ def optimize(
             return _end(trace, "stalled", "step could not be pulled back inside the bounds")
         x = x + dx
 
-    return _end(trace, "max-iters", "iteration limit reached")
-
 
 # ---------------------------------------------------------------------------
 # BFGS baseline
@@ -440,7 +441,8 @@ def bfgs_baseline(
     line-search trial is one evaluation and lands in the trace, so the
     cumulative counts are comparable with the residual-based methods.  A
     NaN or inf objective or gradient ends the run at its record with status
-    ``non-finite``.
+    ``non-finite``.  An iteration either spends at least one evaluation or
+    ends the run as ``stalled``, so the budget always ends it.
     """
     x0 = np.asarray(x0, dtype=float)
     scale = np.where(x0 != 0.0, x0, 1.0)
@@ -462,8 +464,8 @@ def bfgs_baseline(
     g_scale = max(float(np.linalg.norm(g)), 1e-300)
     first_update = True
 
-    for k in range(1, opts.max_iters + 1):
-        if float(np.linalg.norm(g)) <= 1e-12 * g_scale or f <= 1e-24 * max(f0, 1e-300):
+    for k in itertools.count(1):
+        if float(np.linalg.norm(g)) <= _GRADIENT_TOL * g_scale or f <= _OBJECTIVE_TOL**2 * max(f0, 1e-300):
             return _end(trace, "converged", "gradient vanished")
 
         accepted = False
@@ -520,7 +522,9 @@ def bfgs_baseline(
             if accepted:
                 break
         if not accepted:
-            return _end(trace, "stalled", f"line search failed after {_MAX_LS_TRIALS} trials")
+            # every evaluation of iteration k is one of its line-search trials
+            trials = sum(rec.k == k for rec in trace.records)
+            return _end(trace, "stalled", f"line search failed after {trials} evaluated trials")
 
         s = alpha * p
         y = g_new - g
@@ -537,8 +541,6 @@ def bfgs_baseline(
         if float(np.linalg.norm(s / np.where(u != 0.0, u, 1.0))) < _STEP_TOL:
             return _end(trace, "converged", "rescaled step below tolerance")
         f, g = f_new, g_new
-
-    return _end(trace, "max-iters", "iteration limit reached")
 
 
 # ---------------------------------------------------------------------------

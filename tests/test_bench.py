@@ -179,6 +179,28 @@ class TestOptimizeBatch:
         result = optimize_batch(cfg, refs)
         assert result.success_rate == 0.0
 
+    def test_run_spends_the_whole_budget(self):
+        # scaled-GD neither converges nor stalls within 150 evaluations here;
+        # the evaluation budget is the run's only cost limit
+        cfg = small_cfg(n_refs=1, optimizer="scaled-gd", eval_budget=150)
+        refs = gen_refs(cfg)
+        trace, counter = run_single(cfg, refs[0], draw_starts(cfg, 1)[0])
+        assert trace.eval_count == counter.count == 150
+        assert (trace.status, trace.message) == ("max-iters", "evaluation budget exhausted")
+
+    def test_reference_within_grid_tolerance_inverts_like_an_exact_one(self):
+        # optimize_batch accepts a dt within GRID_RTOL of the configured one;
+        # the phase feature is then taken on the configured grid
+        cfg = small_cfg(eval_budget=30)
+        refs = gen_refs(cfg)
+        shifted = [replace(ref, signal=signals.Signal(ref.signal.samples, ref.signal.dt * (1 + 1e-12))) for ref in refs]
+        assert shifted[0].signal.dt != cfg.dt
+        exact, near = optimize_batch(cfg, refs), optimize_batch(cfg, shifted)
+        for a, b in zip(exact.runs, near.runs):
+            assert a.trace.status == b.trace.status != "error"
+            assert a.trace.eval_count == b.trace.eval_count
+            np.testing.assert_array_equal(a.trace.final_x, b.trace.final_x)
+
     def test_modified_lm_batch_succeeds(self):
         cfg = small_cfg(n_refs=4)
         result = optimize_batch(cfg, gen_refs(cfg))
@@ -649,6 +671,7 @@ class TestCli:
             ("damping = 5", "largest usable damping for this grid is 745*(bT)^2/(n/2-1)^2 = 4.923"),
             ("n = 1000", "power of two"),
             ("max_iters = 0", "max_iters"),
+            ("max_iters = 5", "unknown key 'max_iters'"),
             ("grid_n = 0", "grid_n must be at least 3"),
             ("seed = -1", "seed must be non-negative"),
             ("lhs_restarts = 0", "lhs_restarts must be at least 1"),
@@ -713,6 +736,17 @@ class TestCli:
         assert self.run_cli("--config", str(cfg_file), "--out", str(out), "optimize") == 2
         assert "reference 0 is sampled at (n, dt) = (4096, 2.083333333e-08)" in capsys.readouterr().err
         assert not (out / "runs").exists()
+
+    def test_optimize_within_the_grid_tolerance_exits_0(self, tmp_path):
+        # the configured dt differs from the references' by a relative 1.6e-12
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("n_refs = 3\nlhs_restarts = 5\neval_budget = 30\n")
+        assert self.run_cli("--config", str(cfg_file), "--out", str(out), "gen-refs") == 0
+        cfg_file.write_text("n_refs = 3\nlhs_restarts = 5\neval_budget = 30\ndt = 2.08333333333e-08\n")
+        assert self.run_cli("--config", str(cfg_file), "--out", str(out), "optimize") == 0
+        index = (out / "runs" / "modified-lm" / "runs_index.csv").read_text()
+        assert ",error," not in index
 
     # (damaged file, {field index of its last row: new text, None to drop
     # the field} or None to delete the file, command, stderr pattern)

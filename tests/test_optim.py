@@ -416,6 +416,11 @@ class TestOptimize:
         assert trace.eval_count == 1
         assert trace.status in ("max-iters", "converged")
 
+    @pytest.mark.parametrize("max_evals", [0, -1])
+    def test_budget_below_one_rejected(self, max_evals):
+        with pytest.raises(ValueError, match="max_evals must be at least 1"):
+            OptimizeOptions(max_evals=max_evals)
+
     def test_model_error_propagates_with_trace(self):
         calls = {"n": 0}
 
@@ -568,6 +573,29 @@ class TestBfgs:
             self.quad(a), np.array([3.0, 3.0]), OptimizeOptions(method="bfgs", max_evals=4)
         )
         assert trace.eval_count <= 4
+
+    def test_budget_ends_a_run_it_cannot_finish(self):
+        # 1 + |x|_1 has its kink at the origin: the gradient never vanishes
+        # and the step relative to x never drops below tolerance, so only
+        # the evaluation budget ends the run, after more than 100 iterations
+        def fg(x):
+            return 1.0 + float(np.abs(x).sum()), np.sign(x)
+
+        trace = bfgs_baseline(fg, np.array([1.0, 2.0]), OptimizeOptions(method="bfgs", max_evals=2000))
+        assert trace.eval_count == 2000
+        assert (trace.status, trace.message) == ("max-iters", "evaluation budget exhausted")
+        assert max(rec.k for rec in trace.records) > 100
+
+    def test_stall_message_counts_both_searches(self):
+        # the gradient points uphill: the quasi-Newton search and the
+        # steepest-descent retry both spend all their trials
+        def fg(x):
+            return float(x @ x), -2.0 * x
+
+        trace = bfgs_baseline(fg, np.array([1.0, 2.0]), OptimizeOptions(method="bfgs"))
+        assert trace.status == "stalled"
+        assert trace.eval_count == 41
+        assert trace.message == "line search failed after 40 evaluated trials"
 
 
 class TestTraceCsv:
