@@ -22,6 +22,7 @@ from .forward import (
     ForwardConfig,
     MaterialParams,
     Materials,
+    phase_objective_gradient,
     phase_objective_terms,
     response_spectrum,
 )
@@ -351,7 +352,10 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
     forward evaluation.  ``evaluate`` also takes N points as the rows of an
     (N, 2) array and returns (N, M) residual rows and (N, M, 2) Jacobians,
     one evaluation per row; a point without a model output raises alone and
-    is a NaN row in a batch.
+    is a NaN row in a batch.  ``fg`` returns 0.5 ||r||^2 and its gradient:
+    on the phase objective from one reverse pass that never builds the
+    Jacobian (:func:`~waveinv.forward.phase_objective_gradient`), on the
+    signal and envelope objectives as -J^T r.
     """
     fwd = cfg.forward_config()
     counter = EvalCounter()
@@ -366,6 +370,9 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
         def evaluate(x, need_jacobian=True):
             m = Materials(x, rho)
             return phase_objective_terms(m, fwd, obj, ref_feature, counter=counter, need_jacobian=need_jacobian)
+
+        def fg(x):
+            return phase_objective_gradient(Materials(x, rho), fwd, obj, ref_feature, counter)
 
     elif cfg.objective == "signal":
         ref_vec = ref.signal.samples
@@ -397,9 +404,11 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
             jac = da.real / np.maximum(env, floor)[..., None, :]
             return ref_vec - env, np.swapaxes(jac, -1, -2)
 
-    def fg(x):
-        r, jac = evaluate(x, True)
-        return 0.5 * float(r @ r), -(jac.T @ r)
+    if cfg.objective != "autocorr-phase":
+
+        def fg(x):
+            r, jac = evaluate(x, True)
+            return 0.5 * float(r @ r), -(jac.T @ r)
 
     return evaluate, fg, counter, ref_norm
 

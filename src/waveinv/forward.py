@@ -19,8 +19,11 @@ Every function from the delays to the phase objective takes one material
 or a batch of them (:class:`Materials`) along a leading axis, and the
 single material is the batch of one: the same operations on one row.  Model
 evaluations are counted per optimization run through an explicit
-:class:`EvalCounter`, one per row; a Jacobian shares its forward pass and
-never double counts.
+:class:`EvalCounter`, one per row; a Jacobian, or the gradient of the
+phase objective, shares its forward pass and never double counts.  The
+Jacobian is forward mode, one derivative row per parameter; the gradient
+(:func:`phase_objective_gradient`) is one reverse pass over the forward
+pass's own intermediates, without the Jacobian.
 """
 
 from __future__ import annotations
@@ -30,7 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PhaseFeature, PhaseObjectiveConfig, Signal, Spectrum, damping_weights, phase_features
+from .signals import (
+    PhaseFeature,
+    PhaseObjectiveConfig,
+    Signal,
+    Spectrum,
+    _phase_forward,
+    _phase_pullback,
+    _scratch,
+    damping_weights,
+    phase_features,
+)
 
 __all__ = [
     "MaterialParams",
@@ -47,6 +60,7 @@ __all__ = [
     "forward_jacobian",
     "residual_jacobian",
     "phase_objective_terms",
+    "phase_objective_gradient",
 ]
 
 #: Fine-table length of the carrier factorization: frequency index
@@ -284,6 +298,16 @@ def response_spectrum(
     raises ``ValueError`` (``TruncationError`` for the window); in a batch,
     the row of each such material is NaN and is not counted.
     """
+    y, dy, _ = _response(m, cfg, counter, need_jacobian)
+    return y, dy
+
+
+def _response(
+    m: MaterialParams | Materials, cfg: ForwardConfig, counter: EvalCounter | None, need_jacobian: bool
+) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, ...]]:
+    """:func:`response_spectrum`, and the forward pass's tape for
+    :func:`_response_pullback`: the carrier tables and the delay
+    derivatives d tau / dE and d tau / dnu."""
     x, rho = _rows(m)
     batch = x.ndim == 2
     # the validity predicate, one row per material: a single material raises
@@ -326,7 +350,28 @@ def response_spectrum(
             dy[~ok] = np.nan
     if counter is not None:
         counter.add(int(np.count_nonzero(ok)) if batch else 1)
-    return y, dy
+    return y, dy, (coarse, fine, dtau_de, dtau_dnu)
+
+
+def _response_pullback(tape: tuple[np.ndarray, ...], w: np.ndarray, cfg: ForwardConfig) -> np.ndarray:
+    """Re sum_k w_k dY_k/d(E, nu) for one material, without building dY.
+
+    ``tape`` comes from the :func:`_response` call that made Y and ``w``
+    holds one weight per coefficient of Y.  With dY_k/dp =
+    -i omega_k P_k sum_j a_j (d tau_j / dp) exp(-i tau_j omega_k), the
+    pairing is Re sum_j a_j (d tau_j / dp) S_j over the three carrier sums
+    S_j = sum_k h_k exp(-i tau_j omega_k), h = w (-i omega P), which the
+    coarse and fine tables give as one small matrix product.
+    """
+    coarse, fine, dtau_de, dtau_dnu = tape
+    _, p_rate = _excitation_spectrum(cfg)
+    h = _scratch("pullback-h", (coarse.shape[-1], fine.shape[-1]))
+    flat = h.reshape(-1)
+    np.multiply(w, p_rate, out=flat[: p_rate.size])
+    flat[p_rate.size :] = 0.0
+    # S_j = sum_q coarse[j, q] sum_r h[q, r] fine[j, r]
+    sums = np.einsum("jq,qj->j", coarse, h @ fine.T)
+    return ((np.array([dtau_de, dtau_dnu]) * cfg.amplitudes) @ sums).real
 
 
 def forward_response(
@@ -366,10 +411,38 @@ def phase_objective_terms(
     """
     y, dy = response_spectrum(m, cfg, counter, need_jacobian)
     values, dvalues = phase_features(y, cfg.duration, objective, dy)
+    return _phase_residual(values, cfg, objective, ref_feature), dvalues
+
+
+def phase_objective_gradient(
+    m: MaterialParams | Materials,
+    cfg: ForwardConfig,
+    objective: PhaseObjectiveConfig,
+    ref_feature: PhaseFeature,
+    counter: EvalCounter | None = None,
+) -> tuple[float, np.ndarray]:
+    """Objective 0.5 ||r||^2 of the phase residual r = ref - sim for one
+    material and its gradient with respect to (E, nu), in one counted
+    forward evaluation.
+
+    The gradient -sum_k r_k d(sim feature)_k/dp comes from one reverse pass
+    over the forward pass's own intermediates (the adjoint of the phase
+    kernel, then of the response spectrum), without the Jacobian.  It fails
+    as :func:`phase_objective_terms` with the Jacobian does.
+    """
+    y, _, spectrum_tape = _response(m, cfg, counter, need_jacobian=False)
+    values, _, phase_tape = _phase_forward(y, cfg.duration, objective)
+    r = _phase_residual(values, cfg, objective, ref_feature)
+    return 0.5 * float(r @ r), -_response_pullback(spectrum_tape, _phase_pullback(phase_tape, r), cfg)
+
+
+def _phase_residual(
+    values: np.ndarray, cfg: ForwardConfig, objective: PhaseObjectiveConfig, ref_feature: PhaseFeature
+) -> np.ndarray:
     gamma = damping_weights(values.shape[-1], objective.bandwidth_hz, cfg.duration, objective.damping)
     if not np.array_equal(gamma, ref_feature.gamma):
         raise ValueError("reference feature was produced with different damping weights")
-    return ref_feature.values - values, dvalues
+    return ref_feature.values - values
 
 
 def residual_jacobian(

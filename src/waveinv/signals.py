@@ -391,21 +391,11 @@ def phase_features(
     derivatives untouched away from branch crossings; the argument
     differentiates as d arg(z) = Im(conj(z) dz) / |z|^2.
     """
-    v = coeffs[..., 1:]
-    m = v.shape[-1]
-    e, fv = _autocorr(v)
-    gamma = damping_weights(m, objective.bandwidth_hz, duration, objective.damping)
-    values, zero, fault = _stable_phase(e, gamma)
+    values, fault, (e, fv, zero, gamma) = _phase_forward(coeffs, duration, objective)
     dvalues = None
     if dcoeffs is not None:
-        singular = np.any(zero & (gamma > _UNDAMPED_TOL), axis=-1)
-        if v.ndim == 1 and singular:
-            raise PipelineError(
-                "zero-magnitude autocorrelation coefficient at an undamped index; "
-                "phase derivative is singular there"
-            )
-        fault |= singular
-        size = fv.shape[-1]
+        fault |= _singular(zero, gamma)
+        m, size = e.shape[-1], fv.shape[-1]
         x = np.fft.fft(dcoeffs[..., 1:], size, axis=-1, out=_scratch("x", dcoeffs.shape[:-1] + (size,)))
         x *= np.conj(fv, out=fv)[..., None, :]
         de = _real_ifft_head(np.multiply(x.real, 2.0, out=_scratch("2re-x", x.shape, np.float64)), m, "de")
@@ -421,6 +411,63 @@ def phase_features(
         if dvalues is not None:
             dvalues[fault] = np.nan
     return values, dvalues
+
+
+def _phase_forward(
+    coeffs: np.ndarray, duration: float, objective: PhaseObjectiveConfig
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The feature values of :func:`phase_features`, the mask of rows that
+    have none, and the tape its derivatives read: the autocorrelation E, the
+    zero-padded fft(V) it came from (both this thread's scratch arrays),
+    the mask of E's zero coefficients and the damping weights."""
+    e, fv = _autocorr(coeffs[..., 1:])
+    gamma = damping_weights(e.shape[-1], objective.bandwidth_hz, duration, objective.damping)
+    values, zero, fault = _stable_phase(e, gamma)
+    return values, fault, (e, fv, zero, gamma)
+
+
+def _singular(zero: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Rows with a zero autocorrelation coefficient at an undamped lag, where
+    the phase derivative is singular; a single row raises instead."""
+    singular = np.any(zero & (gamma > _UNDAMPED_TOL), axis=-1)
+    if zero.ndim == 1 and singular:
+        raise PipelineError(
+            "zero-magnitude autocorrelation coefficient at an undamped index; phase derivative is singular there"
+        )
+    return singular
+
+
+def _phase_pullback(tape: tuple[np.ndarray, ...], u: np.ndarray) -> np.ndarray:
+    """Weights w of the n/2 + 1 one-sided coefficients with
+    sum_k u_k d(values)_k = Re sum_i w_i d(coeffs)_i, for one record, from
+    the tape of its :func:`_phase_forward`; w is this thread's scratch array.
+
+    The reverse of :func:`phase_features`' derivative: with
+    c_k = u_k gamma_k / |E_k|^2 (0 where E_k = 0), the real sequence
+    q = irfft([-i c conj(E), 0]) pairs with 2 Re X in one sum, and
+    W = fft(q conj(fft(V)))[:n/2] carries it back to V: two FFTs for any
+    number of parameters.  It consumes the tape (fft(V) is conjugated in
+    place) and fails where the Jacobian would.
+    """
+    e, fv, zero, gamma = tape
+    _singular(zero, gamma)
+    m, size = e.size, fv.size
+    c, tmp = _scratch("c", (m,), np.float64), _scratch("c-tmp", (m,), np.float64)
+    np.square(e.real, out=c)
+    c += np.square(e.imag, out=tmp)
+    np.copyto(c, 1.0, where=zero)
+    np.divide(np.multiply(u, gamma, out=tmp), c, out=c)
+    np.copyto(c, 0.0, where=zero)
+    w = _scratch("w", (m + 1,))
+    np.multiply(np.conj(e, out=w[:m]), c, out=w[:m])
+    w[:m] *= -1j
+    w[m] = 0.0
+    q = np.fft.irfft(w, size, out=_scratch("q", (size,), np.float64))
+    np.multiply(np.conj(fv, out=fv), q, out=fv)
+    back = np.fft.fft(fv, out=_scratch("w-full", (size,)))
+    w[0] = 0.0  # the static coefficient is dropped before the autocorrelation
+    w[1:] = back[:m]
+    return w
 
 
 def transform_pipeline(s: Signal, cfg: PhaseObjectiveConfig) -> PhaseFeature:

@@ -3,7 +3,8 @@ PASS/FAIL line (run with -s to see them on success).
 
 The criteria pin the structural and quantitative claims the toolkit must
 reproduce: the squared-envelope/autocorrelation identity, the metric-length
-property of the step adaptation, analytic-gradient correctness, objective
+property of the step adaptation, analytic-gradient correctness (the
+Jacobian and the reverse-mode gradient BFGS reads), objective
 convexification, batch convergence and optimizer-comparison behavior, prior
 moment fidelity, and end-to-end determinism.
 """
@@ -18,6 +19,7 @@ from waveinv.bench import (
     draw_starts,
     gen_refs,
     load_config,
+    make_objective,
     mean_reference,
     optimize_batch,
     surface_scan,
@@ -123,6 +125,40 @@ def test_gradient_correctness():
     elapsed = time.time() - start
     ok = worst <= 1e-4 and elapsed < 30.0
     _report("gradient-correctness", ok, f"max rel err {worst:.2e} over 60 points, {elapsed:.1f}s")
+    assert worst <= 1e-4
+    assert elapsed < 30.0
+
+
+def test_fg_gradient_correctness():
+    # the gradient BFGS reads (one reverse pass, no Jacobian) against central
+    # finite differences of 0.5 ||r||^2 at 20 random prior draws per
+    # material, in the rescaled units u = x / x0 that BFGS steps in
+    start = time.time()
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for mat in MATERIALS:
+        cfg = load_config(None, {"material": mat})
+        evaluate, fg, _, _ = make_objective(cfg, mean_reference(cfg))
+        prior = BUILTIN_PRIORS[mat]
+
+        def objective(x):
+            r, _ = evaluate(x, False)
+            return 0.5 * float(r @ r)
+
+        for _ in range(20):
+            e = 1.0e9 * gamma_inv_cdf(prior.marginals["E"], rng.uniform(0.01, 0.99))
+            nu = gamma_inv_cdf(prior.marginals["nu"], rng.uniform(0.01, 0.99))
+            x = np.array([e, nu])
+            grad = fg(x)[1] * x
+            fd = np.empty(2)
+            for i in range(2):
+                h = np.zeros(2)
+                h[i] = 1e-6 * x[i]
+                fd[i] = (objective(x + h) - objective(x - h)) / 2e-6
+            worst = max(worst, float(np.max(np.abs(grad - fd)) / np.max(np.abs(fd))))
+    elapsed = time.time() - start
+    ok = worst <= 1e-4 and elapsed < 30.0
+    _report("fg-gradient-correctness", ok, f"max rel err {worst:.2e} over 60 points, {elapsed:.1f}s")
     assert worst <= 1e-4
     assert elapsed < 30.0
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from waveinv import bench, cli, optim, signals
+from waveinv import bench, cli, forward, optim, signals
 from waveinv.bench import (
     BenchResult,
     ConfigError,
@@ -39,7 +39,7 @@ from waveinv.bench import _count_interior_minima
 from waveinv.cli import main as cli_main
 from waveinv.forward import EvalCounter, MaterialParams, forward_jacobian, forward_response
 from waveinv.optim import OptRecord, OptTrace
-from waveinv.stats import BUILTIN_PRIORS, write_priors
+from waveinv.stats import BUILTIN_PRIORS, MATERIALS, gamma_inv_cdf, write_priors
 
 
 def small_cfg(**overrides):
@@ -250,7 +250,10 @@ class TestOptimizeBatch:
         def broken(*args, **kwargs):
             raise TypeError("synthetic programming error")
 
-        monkeypatch.setattr(bench, "phase_objective_terms", broken)
+        # LM evaluates residuals and Jacobians, BFGS the objective and its
+        # reverse-mode gradient: each reaches its own forward function
+        target = {"modified-lm": "phase_objective_terms", "bfgs": "phase_objective_gradient"}[optimizer]
+        monkeypatch.setattr(bench, target, broken)
         with pytest.raises(TypeError, match="synthetic"):
             optimize_batch(cfg, refs)
 
@@ -411,6 +414,90 @@ class TestRawObjectives:
         _, jac = evaluate(self.x, True)
         assert jac.shape == (self.fwd.n, 2)
         assert calls == {"fft": 1, "analytic_signal": 0}
+
+
+class TestPhaseGradient:
+    """The phase objective's ``fg``: 0.5 ||r||^2 and its gradient from one
+    reverse pass, against ``evaluate(x, True)``'s forward-mode -J^T r."""
+
+    @staticmethod
+    def prior_draws(cfg, rng, count):
+        prior = cfg.prior()
+        for _ in range(count):
+            e = 1.0e9 * gamma_inv_cdf(prior.marginals["E"], rng.uniform(0.01, 0.99))
+            yield np.array([e, gamma_inv_cdf(prior.marginals["nu"], rng.uniform(0.01, 0.99))])
+
+    def test_matches_the_forward_mode_gradient(self):
+        # 100 prior draws per material against the prior-mean reference: the
+        # objective is 0.5 r.r bit for bit, the gradient -J^T r to 1e-8 in norm
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for material in MATERIALS:
+            cfg = load_config(None, {"material": material})
+            evaluate, fg, _, _ = make_objective(cfg, mean_reference(cfg))
+            for x in self.prior_draws(cfg, rng, 100):
+                r, jac = evaluate(x, True)
+                value, grad = fg(x)
+                assert value == 0.5 * float(r @ r)
+                want = -(jac.T @ r)
+                worst = max(worst, float(np.linalg.norm(grad - want) / np.linalg.norm(want)))
+        assert worst <= 1e-8
+
+    @staticmethod
+    def single_line_excitation(cfg):
+        # one nonzero coefficient: every lag > 0 of the autocorrelation is zero
+        p_spec = np.zeros(cfg.n // 2 + 1, dtype=complex)
+        p_spec[3] = 1.0 + 0.5j
+        return p_spec, -1j * 2 * np.pi * np.arange(p_spec.size) / cfg.duration * p_spec
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("outside-the-domain", ValueError),
+            ("truncated-window", forward.TruncationError),
+            ("all-zero-spectrum", signals.PipelineError),
+            ("zero-lag-undamped", signals.PipelineError),
+        ],
+    )
+    def test_fails_like_the_jacobian(self, case, error, monkeypatch):
+        cfg = small_cfg(n_refs=1)
+        ref = gen_refs(cfg)[0]
+        x = ref.truth.as_vector()
+        if case == "outside-the-domain":
+            x = np.array([x[0], 0.6])
+        elif case == "truncated-window":
+            x = np.array([1e-3 * x[0], x[1]])
+        elif case == "all-zero-spectrum":
+            monkeypatch.setattr(forward, "_excitation_spectrum", lambda c: (np.zeros(c.n // 2 + 1, dtype=complex),) * 2)
+        else:
+            monkeypatch.setattr(forward, "_excitation_spectrum", self.single_line_excitation)
+        evaluate, fg, _, _ = make_objective(cfg, ref)
+        with pytest.raises(error) as jacobian:
+            evaluate(x, True)
+        with pytest.raises(error) as gradient:
+            fg(x)
+        assert type(gradient.value) is type(jacobian.value)
+
+    def test_each_call_counts_one_evaluation(self):
+        cfg = small_cfg(n_refs=1)
+        ref = gen_refs(cfg)[0]
+        _, fg, counter, _ = make_objective(cfg, ref)
+        for i, scale in enumerate((1.0, 1.02, 0.97), start=1):
+            fg(ref.truth.as_vector() * scale)
+            assert counter.count == i
+
+    def test_exact_zero_lags_raise_no_floating_point_error(self):
+        # PEEK, seed 1, reference 1 at 1.03 x truth: its autocorrelation has
+        # lags that are exactly zero, which the adjoint weights skip
+        cfg = load_config(None, {"material": "PEEK", "seed": 1})
+        ref = gen_refs(cfg)[1]
+        x = 1.03 * ref.truth.as_vector()
+        y, _ = forward.response_spectrum(MaterialParams(*x, ref.truth.rho), cfg.forward_config())
+        assert (signals.autocorr_spectrum(signals.Spectrum(y[1:], df=1.0)).coeffs == 0.0).any()
+        _, fg, _, _ = make_objective(cfg, ref)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            value, grad = fg(x)
+        assert np.isfinite(value) and np.isfinite(grad).all()
 
 
 class TestBatchedEvaluation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveinv import forward
+from waveinv import forward, signals
 from waveinv.forward import (
     EvalCounter,
     ForwardConfig,
@@ -17,6 +17,7 @@ from waveinv.forward import (
     forward_jacobian,
     forward_response,
     packet_delays,
+    phase_objective_gradient,
     phase_objective_terms,
     residual_jacobian,
     response_spectrum,
@@ -360,6 +361,34 @@ class TestPhaseKernelCost:
         assert calls["fft"] <= 4
         assert calls["excitation"] == 1  # served from the cache
 
+    def test_gradient_makes_four_single_row_ffts(self, monkeypatch):
+        # the forward pass's fft(V) and rfft(|fft(V)|^2), then the reverse
+        # pass's irfft and fft, each on one row; no dY is built
+        cfg = default_config()
+        obj = objective_for(cfg)
+        ref = transform_pipeline(forward_response(PEEK, cfg).signal, obj)
+        rows = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                rows.append(np.ndim(a))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        response, asked = forward._response, []
+
+        def recorded(m, cfg, counter, need_jacobian):
+            asked.append(need_jacobian)
+            return response(m, cfg, counter, need_jacobian)
+
+        monkeypatch.setattr(forward, "_response", recorded)
+        phase_objective_gradient(PEEK, cfg, obj, ref)
+        assert rows == [1, 1, 1, 1]
+        assert asked == [False]
+
     def test_cached_arrays_are_read_only(self):
         cfg = default_config()
         cached = forward._excitation_spectrum(cfg)
@@ -404,6 +433,34 @@ class TestCarrierTables:
         y, dy = response_spectrum(PEEK, cfg, need_jacobian=True)
         for got, ref in zip((y, dy[0], dy[1]), want):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestPullbacks:
+    """The reverse passes pair a weight vector with the derivatives the
+    forward-mode path builds explicitly."""
+
+    def test_response_pullback_pairs_with_the_jacobian_rows(self):
+        cfg = default_config()
+        _, dy = response_spectrum(PEEK, cfg, need_jacobian=True)
+        _, _, tape = forward._response(PEEK, cfg, None, need_jacobian=False)
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            w = rng.standard_normal(dy.shape[-1]) + 1j * rng.standard_normal(dy.shape[-1])
+            want = (dy @ w).real
+            got = forward._response_pullback(tape, w, cfg)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(dy)) * np.sum(np.abs(w))
+
+    def test_phase_pullback_pairs_with_the_feature_derivatives(self):
+        obj = PhaseObjectiveConfig(bandwidth_hz=700.0)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            coeffs = rng.standard_normal(1025) + 1j * rng.standard_normal(1025)
+            dcoeffs = rng.standard_normal((2, 1025)) + 1j * rng.standard_normal((2, 1025))
+            u = rng.standard_normal(1024)
+            _, dvalues = phase_features(coeffs, 1.0, obj, dcoeffs)
+            _, _, tape = signals._phase_forward(coeffs, 1.0, obj)
+            w = signals._phase_pullback(tape, u)
+            np.testing.assert_allclose((dcoeffs @ w).real, u @ dvalues, rtol=1e-10)
 
 
 class TestBatch:

@@ -596,6 +596,45 @@ class TestScratchArrays:
                 assert r_t.tobytes() == r.tobytes()
                 assert np.ascontiguousarray(jac_t).tobytes() == np.ascontiguousarray(jac).tobytes()
 
+    def test_phase_gradient_threads_match_serial_bitwise(self):
+        # the reverse pass reads the forward pass's scratch arrays: four
+        # threads on four materials give the serial gradients bit for bit
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = bench.load_config(None, {"material": "PA6", "n_refs": 4, "seed": 7})
+        refs = bench.gen_refs(cfg)
+        assert len(refs) == 4
+        jobs = [(bench.make_objective(cfg, ref)[1], ref.truth.as_vector() * [1.02, 0.99]) for ref in refs]
+        serial = [fg(x) for fg, x in jobs]
+
+        def repeat(job):
+            fg, x = job
+            return [fg(x) for _ in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = [future.result(timeout=120) for future in [pool.submit(repeat, job) for job in jobs]]
+        finally:
+            sys.setswitchinterval(interval)
+        for (value, grad), runs in zip(serial, threaded):
+            for value_t, grad_t in runs:
+                assert value_t == value
+                assert grad_t.tobytes() == grad.tobytes()
+
+    def test_phase_gradient_does_not_alias_scratch(self):
+        cfg = bench.load_config(None, {"n_refs": 2, "seed": 3})
+        ref = bench.gen_refs(cfg)[0]
+        fg = bench.make_objective(cfg, ref)[1]
+        _, grad = fg(ref.truth.as_vector() * 1.01)
+        kept = grad.copy()
+        fg(ref.truth.as_vector() * 0.98)
+        assert np.array_equal(grad, kept)
+        scratch = list(signals._SCRATCH.__dict__.values())
+        assert scratch and not any(np.shares_memory(grad, buf) for buf in scratch)
+
 
 def _read_signal(path):
     s = read_signal_csv(path)
