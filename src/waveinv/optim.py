@@ -19,10 +19,24 @@ scaled-gradient regime far from the minimizer to pure Gauss-Newton near it.
 eta_bar is deliberately not clamped above one: uphill excursions raise the
 damping instead of triggering a line search.
 
+There are two unknowns, (E, nu), so the scaled-gd and modified-lm steps are
+worked out on Python floats without forming Jt.  Three dot products of J's
+columns and two with r give
+
+  G = [[x0^2 c00, x0 x1 c01], [x0 x1 c01, x1^2 c11]],   dxt* = (x0 b0, x1 b1),
+
+with c_ij = J_i' J_j and b_i = J_i' r, and both 2x2 systems are solved in
+closed form: G^-1 = [[g11, -g01], [-g10, g00]] / det G for lambda, and
+(G + mu I)^-1 the same way with mu = eta_bar / lambda.  A Gram with
+det G < RCOND_LIMIT g00 g11, whose columns are parallel to within rounding,
+is singular.  ||r|| is computed once per evaluation and reused by
+the stopping tests and eta_bar.
+
 A BFGS baseline with a strong-Wolfe backtracking line search is provided for
 comparisons.  It owns its parameter scaling as the step rules do: it runs in
 start-rescaled coordinates u = x / x0 (a zero start component is left
-unscaled) and returns its records in physical units.  Both drivers spend
+unscaled) and returns its records in physical units.  Its line search and
+its 2x2 inverse-Hessian update run on floats as well.  Both drivers spend
 every model evaluation, line-search trials included, through one recorder
 that checks the budget and appends one record, so evaluation counts
 between methods are directly comparable.
@@ -35,6 +49,7 @@ module constants beside BFGS's line-search constants, not options.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,12 +104,13 @@ class SingularMatrixError(np.linalg.LinAlgError):
 @dataclass
 class OptState:
     """One optimizer iterate: parameters, residual, model Jacobian in
-    physical units, and the initial residual norm."""
+    physical units, the initial residual norm and the current one."""
 
     x: np.ndarray
     r: np.ndarray
     J: np.ndarray
     r0_norm: float
+    r_norm: float
 
     def __post_init__(self) -> None:
         if self.J.shape != (self.r.size, self.x.size):
@@ -144,21 +160,33 @@ def metric_norm(G: np.ndarray, dx: np.ndarray) -> float:
     return float(np.sqrt(q))
 
 
-def lambda_k(G: np.ndarray, dx_star: np.ndarray) -> float:
+def lambda_k(G, dx_star) -> float:
     """Scalar making the gradient step as long, in the metric, as the
-    Gauss-Newton step: lambda = sqrt((dx*' G^-1 dx*) / (dx*' G dx*))."""
-    dx_star = np.asarray(dx_star, dtype=float)
-    if not np.any(dx_star != 0.0):
+    Gauss-Newton step: lambda = sqrt((dx*' G^-1 dx*) / (dx*' G dx*)), for a
+    2x2 metric G (any nested pair of rows) and a 2-vector dx*."""
+    (g00, g01), (g10, g11) = ((float(a), float(b)) for a, b in G)
+    p, q = (float(v) for v in dx_star)
+    if p == 0.0 and q == 0.0:
         raise ValueError("lambda is undefined for a zero gradient step")
-    try:
-        g_inv_dx = np.linalg.solve(G, dx_star)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("metric tensor is singular", 0.0) from exc
-    num = float(dx_star @ g_inv_dx)
-    den = float(dx_star @ (G @ dx_star))
-    if num <= 0.0 or den <= 0.0:
-        raise SingularMatrixError("metric tensor is not positive definite", num / max(den, 1e-300))
-    return float(np.sqrt(num / den))
+    if not (g00 >= 0.0 and g11 >= 0.0):
+        raise SingularMatrixError("metric tensor is not positive definite", 0.0)
+    # det G / (g00 g11): 1 for orthogonal columns of Jt, 0 for parallel or
+    # zero ones
+    rcond = 1.0 - (g01 / g00) * (g10 / g11) if g00 > 0.0 and g11 > 0.0 else 0.0
+    if not rcond >= RCOND_LIMIT:
+        message = "metric tensor is singular" if abs(rcond) < RCOND_LIMIT else "metric tensor is not positive definite"
+        raise SingularMatrixError(message, rcond)
+    # both forms are quadratic in dx*, so the ratio does not depend on its
+    # length: scaling it to unit max-norm keeps p*p and q*q in range
+    size = max(abs(p), abs(q))
+    p, q = p / size, q / size
+    cross = (g01 + g10) * p * q
+    num = g11 * p * p - cross + g00 * q * q  # det G * dx*' G^-1 dx*
+    den = (g00 * g11 * rcond) * (g00 * p * p + cross + g11 * q * q)
+    lam = math.sqrt(num / den) if num > 0.0 and den > 0.0 else math.nan
+    if not 0.0 < lam < math.inf:
+        raise SingularMatrixError("metric tensor is not positive definite", rcond)
+    return lam
 
 
 def eta_bar(state: OptState) -> float:
@@ -166,24 +194,33 @@ def eta_bar(state: OptState) -> float:
     uphill excursions."""
     if state.r0_norm <= 0.0:
         raise ValueError("initial residual is zero; optimization should have terminated")
-    return float(np.linalg.norm(state.r) / state.r0_norm)
+    return state.r_norm / state.r0_norm
 
 
 def _lm_core(state: OptState, scaled_gd_only: bool) -> StepReport:
-    jt = rescale_jacobian(state.J, state.x)
-    dx_star = gd_step(jt, state.r)
-    metric = jt.T @ jt
-    lam = lambda_k(metric, dx_star)
+    x0, x1 = state.x.tolist()
+    if x0 == 0.0 or x1 == 0.0:
+        raise ValueError("rescaling is undefined for zero parameter components")
+    c0, c1 = state.J.T
+    r = state.r
+    g00 = x0 * x0 * float(c0.dot(c0))
+    g01 = x0 * x1 * float(c0.dot(c1))
+    g11 = x1 * x1 * float(c1.dot(c1))
+    p = x0 * float(c0.dot(r))
+    q = x1 * float(c1.dot(r))
+    lam = lambda_k(((g00, g01), (g01, g11)), (p, q))
     eta = eta_bar(state)
     if scaled_gd_only:
-        dxt = lam * dx_star
+        dxt0, dxt1 = lam * p, lam * q
     else:
-        damped = metric + (eta / lam) * np.eye(metric.shape[0])
-        try:
-            dxt = np.linalg.solve(damped, dx_star)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("damped normal equations are singular", 0.0) from exc
-    return StepReport(dx=state.x * dxt, lambda_=lam, eta_bar=eta)
+        mu = eta / lam
+        a, d = g00 + mu, g11 + mu
+        det = a * d - g01 * g01
+        if not 0.0 < det < math.inf:
+            raise SingularMatrixError("damped normal equations are singular", 0.0)
+        dxt0 = (d * p - g01 * q) / det
+        dxt1 = (a * q - g01 * p) / det
+    return StepReport(dx=np.array((x0 * dxt0, x1 * dxt1)), lambda_=lam, eta_bar=eta)
 
 
 def modified_lm_step(state: OptState) -> StepReport:
@@ -291,8 +328,9 @@ def _end(trace: OptTrace, status: str, message: str) -> OptTrace:
     return trace
 
 
-def _inside(x: np.ndarray, bounds) -> bool:
-    """True when x lies strictly inside the bounds, or there are none."""
+def _inside(x: list[float], bounds) -> bool:
+    """True when the point x (floats) lies strictly inside the bounds, or
+    there are none."""
     return bounds is None or all(lo < t < hi for t, (lo, hi) in zip(x, bounds))
 
 
@@ -302,10 +340,11 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
 
     ``call`` returns a residual vector and its Jacobian, or the objective
     0.5 ||r||^2 and its gradient.  Returns that pair, as a float array (a
-    float for the objective) and a float array, or None once the run has
-    ended at its last record: the budget was spent (``max-iters``), the
-    model raised one of MODEL_ERRORS (``error``), or the pair holds NaN or
-    inf (``non-finite``: no stopping test can hold on such values).
+    float for the objective) and a float array, followed by ||r||, or None
+    once the run has ended at its last record: the budget was spent
+    (``max-iters``), the model raised one of MODEL_ERRORS (``error``), or
+    the pair holds NaN or inf (``non-finite``: no stopping test can hold on
+    such values).
     """
     if trace.eval_count >= opts.max_evals:
         _end(trace, "max-iters", "evaluation budget exhausted")
@@ -319,10 +358,10 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
     if np.ndim(value):
         value = np.asarray(value, dtype=float)
         r_norm = float(np.linalg.norm(value))
-        objective = 0.5 * r_norm**2
+        objective = 0.5 * (r_norm * r_norm)
     else:
         value = objective = float(value)
-        r_norm = np.sqrt(max(2.0 * objective, 0.0))
+        r_norm = math.sqrt(max(2.0 * objective, 0.0))
     ref_norm = opts.ref_norm
     trace.records.append(
         OptRecord(
@@ -334,19 +373,21 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
             rel2=float(r_norm / ref_norm) if ref_norm is not None and ref_norm > 0.0 else np.nan,
         )
     )
-    if not (np.isfinite(objective) and np.isfinite(deriv).all()):
+    if not (math.isfinite(objective) and np.isfinite(deriv).all()):
         _end(trace, "non-finite", f"evaluation {trace.eval_count} returned NaN or inf")
         return None
-    return value, deriv
+    return value, deriv, r_norm
 
 
-def _apply_bounds(x: np.ndarray, dx: np.ndarray, bounds) -> np.ndarray | None:
-    """Halve dx (at most 10 times) until x + dx is strictly inside the
-    bounds; None when even the smallest step leaves the box."""
+def _apply_bounds(x: list[float], dx: list[float], bounds) -> list[float] | None:
+    """The point x + dx, with dx halved (at most 10 times) until the point
+    is strictly inside the bounds; None when even the smallest step leaves
+    the box."""
     for _ in range(11):
-        if _inside(x + dx, bounds):
-            return dx
-        dx = 0.5 * dx
+        trial = [t + d for t, d in zip(x, dx)]
+        if _inside(trial, bounds):
+            return trial
+        dx = [0.5 * d for d in dx]
     return None
 
 
@@ -355,7 +396,8 @@ def optimize(
     x0: np.ndarray,
     opts: OptimizeOptions = OptimizeOptions(),
 ) -> OptTrace:
-    """Drive a residual-based method (modified-lm, gauss-newton, scaled-gd).
+    """Drive a residual-based method (modified-lm, gauss-newton, scaled-gd);
+    modified-lm and scaled-gd take two parameters.
 
     ``evaluate(x, need_jacobian)`` runs the forward model once and returns
     the residual r = ref - f(x) and, on request, the model Jacobian df/dx.
@@ -367,6 +409,8 @@ def optimize(
     if opts.method == "bfgs":
         raise ValueError("use bfgs_baseline for the BFGS method")
     x = np.asarray(x0, dtype=float).copy()
+    if opts.method != "gauss-newton" and x.shape != (2,):
+        raise ValueError(f"{opts.method} takes two parameters, got shape {x.shape}")
     trace = OptTrace()
     r0_norm = 0.0
     stall_count = 0
@@ -379,8 +423,7 @@ def optimize(
         evaluated = _evaluate(trace, residual_and_jacobian, x, k, opts)
         if evaluated is None:
             return trace
-        r, jac = evaluated
-        r_norm = float(np.linalg.norm(r))
+        r, jac, r_norm = evaluated
         if k == 0:
             r0_norm = r_norm
         if r0_norm == 0.0 or r_norm / r0_norm < _OBJECTIVE_TOL:
@@ -392,7 +435,7 @@ def optimize(
                 return _end(trace, "stalled", f"no relative decrease above {_STALL_TOL} for {_STALL_ITERS} iterations")
         prev_norm = r_norm
 
-        state = OptState(x=x, r=r, J=jac, r0_norm=r0_norm)
+        state = OptState(x=x, r=r, J=jac, r0_norm=r0_norm, r_norm=r_norm)
         try:
             if opts.method == "modified-lm":
                 report = modified_lm_step(state)
@@ -407,12 +450,14 @@ def optimize(
         trace.records[-1].lambda_ = report.lambda_
         trace.records[-1].eta_bar = report.eta_bar
 
-        if float(np.linalg.norm(report.dx / x)) < _STEP_TOL:
+        # every step rule has already rejected a zero component of x
+        xs, dx = x.tolist(), report.dx.tolist()
+        if math.hypot(*(d / t for d, t in zip(dx, xs))) < _STEP_TOL:
             return _end(trace, "converged", "rescaled step below tolerance")
-        dx = _apply_bounds(x, report.dx, opts.bounds)
-        if dx is None:
+        x_next = _apply_bounds(xs, dx, opts.bounds)
+        if x_next is None:
             return _end(trace, "stalled", "step could not be pulled back inside the bounds")
-        x = x + dx
+        x = np.array(x_next)
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +468,18 @@ def bfgs_baseline(
     x0: np.ndarray,
     opts: OptimizeOptions = OptimizeOptions(method="bfgs"),
 ) -> OptTrace:
-    """BFGS with inverse-Hessian updates and a strong-Wolfe backtracking
-    line search (c1 = 1e-4, c2 = 0.9, at most 20 trials per search).
+    """BFGS on two parameters with inverse-Hessian updates and a
+    strong-Wolfe backtracking line search (c1 = 1e-4, c2 = 0.9, at most 20
+    trials per search).
 
     Backtracking halves on overshoot, with a secant refinement on the
     directional derivative that makes the search exact on quadratics;
     steps that satisfy the sufficient-decrease condition but still have a
-    strongly negative slope are doubled instead.
+    strongly negative slope are doubled instead.  When a search fails, it
+    is retried once along steepest descent with the inverse Hessian reset
+    to the identity; while the inverse Hessian is still the identity the
+    failed search already was that search, so the iteration stalls without
+    repeating it.
 
     The iteration runs in start-rescaled coordinates u = x / x0, so its
     course does not depend on the units of x; a zero start component is
@@ -445,63 +495,66 @@ def bfgs_baseline(
     ends the run as ``stalled``, so the budget always ends it.
     """
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2,):
+        raise ValueError(f"bfgs_baseline takes two parameters, got shape {x0.shape}")
     scale = np.where(x0 != 0.0, x0, 1.0)
-    bounds = None if opts.bounds is None else [sorted((lo / s, hi / s)) for (lo, hi), s in zip(opts.bounds, scale)]
+    bounds = None if opts.bounds is None else [sorted((lo / s, hi / s)) for (lo, hi), s in zip(opts.bounds, scale.tolist())]
 
     def fg_u(u):
         value, grad = fg(scale * u)
         return value, scale * grad
 
-    u = x0 / scale
     trace = OptTrace()
-    n = u.size
-    h = np.eye(n)
-    evaluated = _evaluate(trace, fg_u, u, 0, opts, scale)
+    evaluated = _evaluate(trace, fg_u, x0 / scale, 0, opts, scale)
     if evaluated is None:
         return trace
-    f, g = evaluated
+    f, g, _ = evaluated
+    (u0, u1), (g0, g1) = (x0 / scale).tolist(), g.tolist()
     f0 = f
-    g_scale = max(float(np.linalg.norm(g)), 1e-300)
-    first_update = True
+    g_scale = max(math.hypot(g0, g1), 1e-300)
+    # the symmetric inverse Hessian (h00, h01, h11); ``identity`` holds until
+    # the first update, which starts from the scaled identity
+    h00, h01, h11 = 1.0, 0.0, 1.0
+    identity = True
 
     for k in itertools.count(1):
-        if float(np.linalg.norm(g)) <= _GRADIENT_TOL * g_scale or f <= _OBJECTIVE_TOL**2 * max(f0, 1e-300):
+        if math.hypot(g0, g1) <= _GRADIENT_TOL * g_scale or f <= _OBJECTIVE_TOL**2 * max(f0, 1e-300):
             return _end(trace, "converged", "gradient vanished")
 
         accepted = False
-        f_new = f
-        g_new = g
-        alpha = 1.0
-        p = -h @ g
         for attempt in range(2):
             if attempt == 1:
+                if identity:
+                    break
                 # retry along steepest descent with a fresh inverse Hessian:
                 # kinks in the objective can make a stale h non-productive
-                h = np.eye(n)
-                first_update = True
-                p = -g
-            slope = float(g @ p)
+                h00, h01, h11 = 1.0, 0.0, 1.0
+                identity = True
+            p0 = -(h00 * g0 + h01 * g1)
+            p1 = -(h01 * g0 + h11 * g1)
+            slope = g0 * p0 + g1 * p1
             if slope >= 0.0:
                 continue
             alpha = 1.0
-            best = None  # best Armijo-satisfying trial seen: (f, alpha, g)
+            best = None  # best Armijo-satisfying trial seen: (f, alpha, g0, g1)
             for _ in range(_MAX_LS_TRIALS):
-                u_trial = u + alpha * p
+                u_trial = [u0 + alpha * p0, u1 + alpha * p1]
                 if not _inside(u_trial, bounds):
                     alpha *= 0.5
                     continue
-                evaluated = _evaluate(trace, fg_u, u_trial, k, opts, scale)
+                evaluated = _evaluate(trace, fg_u, np.array(u_trial), k, opts, scale)
                 if evaluated is None:
                     return trace
-                f_new, g_new = evaluated
-                slope_trial = float(g_new @ p)
+                f_new, g_new, _ = evaluated
+                gn0, gn1 = g_new.tolist()
+                slope_trial = gn0 * p0 + gn1 * p1
                 armijo = f_new <= f + _WOLFE_C1 * alpha * slope
                 curvature = abs(slope_trial) <= _WOLFE_C2 * abs(slope)
                 if armijo and curvature:
                     accepted = True
                     break
                 if armijo and (best is None or f_new < best[0]):
-                    best = (f_new, alpha, g_new)
+                    best = (f_new, alpha, gn0, gn1)
                 if armijo and slope_trial < 0.0:
                     # Wolfe undershoot: the 1-d minimizer lies beyond alpha.
                     alpha *= 2.0
@@ -517,7 +570,7 @@ def bfgs_baseline(
                 # The curvature condition can be unattainable at derivative
                 # kinks of the objective; sufficient decrease alone is then
                 # accepted (the y's > 0 guard protects the h update).
-                f_new, alpha, g_new = best
+                f_new, alpha, gn0, gn1 = best
                 accepted = True
             if accepted:
                 break
@@ -526,21 +579,28 @@ def bfgs_baseline(
             trials = sum(rec.k == k for rec in trace.records)
             return _end(trace, "stalled", f"line search failed after {trials} evaluated trials")
 
-        s = alpha * p
-        y = g_new - g
-        ys = float(y @ s)
-        if ys > 1e-12 * float(np.linalg.norm(y)) * float(np.linalg.norm(s)):
-            if first_update:
-                h = (ys / float(y @ y)) * np.eye(n)
-                first_update = False
+        s0, s1 = alpha * p0, alpha * p1
+        y0, y1 = gn0 - g0, gn1 - g1
+        ys = y0 * s0 + y1 * s1
+        yy = y0 * y0 + y1 * y1
+        if ys > 1e-12 * math.hypot(y0, y1) * math.hypot(s0, s1) and yy > 0.0:
+            if identity:
+                h00 = h11 = ys / yy
+                identity = False
+            # h <- (I - rho s y') h (I - rho y s') + rho s s', expanded
             rho = 1.0 / ys
-            i_n = np.eye(n)
-            v = i_n - rho * np.outer(s, y)
-            h = v @ h @ v.T + rho * np.outer(s, s)
-        u = u + s
-        if float(np.linalg.norm(s / np.where(u != 0.0, u, 1.0))) < _STEP_TOL:
+            hy0 = h00 * y0 + h01 * y1
+            hy1 = h01 * y0 + h11 * y1
+            c = rho * (1.0 + rho * (y0 * hy0 + y1 * hy1))
+            h00, h01, h11 = (
+                h00 - 2.0 * rho * s0 * hy0 + c * s0 * s0,
+                h01 - rho * (s0 * hy1 + s1 * hy0) + c * s0 * s1,
+                h11 - 2.0 * rho * s1 * hy1 + c * s1 * s1,
+            )
+        u0, u1 = u0 + s0, u1 + s1
+        if math.hypot(s0 / (u0 or 1.0), s1 / (u1 or 1.0)) < _STEP_TOL:
             return _end(trace, "converged", "rescaled step below tolerance")
-        f, g = f_new, g_new
+        f, g0, g1 = f_new, gn0, gn1
 
 
 # ---------------------------------------------------------------------------

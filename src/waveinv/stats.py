@@ -500,12 +500,17 @@ def apply_marginals(
 # error norm
 
 def relative_1(x_hat, x) -> float:
-    """Elementwise relative Manhattan error ||1 - diag(x_hat)^-1 x||_1."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(x_hat == 0.0):
+    """Elementwise relative Manhattan error ||1 - diag(x_hat)^-1 x||_1 of
+    two vectors of equal length, summed left to right on floats (for two
+    parameters the same bits as numpy's sum)."""
+    x_hat = np.asarray(x_hat, dtype=float).tolist()
+    x = np.asarray(x, dtype=float).tolist()
+    if 0.0 in x_hat:
         raise ValueError("reference parameters must be nonzero")
-    return float(np.sum(np.abs(1.0 - x / x_hat)))
+    total = 0.0
+    for ref, value in zip(x_hat, x, strict=True):
+        total += abs(1.0 - value / ref)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ def random_spd(rng, lo=0.1, hi=10.0):
 
 
 def make_state(J, r, x, r0_norm=None):
+    r_norm = float(np.linalg.norm(r))
     return OptState(
         x=np.asarray(x, float),
         r=np.asarray(r, float),
         J=np.asarray(J, float),
-        r0_norm=float(np.linalg.norm(r)) if r0_norm is None else r0_norm,
+        r0_norm=r_norm if r0_norm is None else r0_norm,
+        r_norm=r_norm,
     )
 
 
@@ -296,6 +298,80 @@ def linear_problem(a, y):
     def evaluate(x, need_jacobian):
         return y - a @ x, a
     return evaluate
+
+
+def reference_step(state, scaled_gd_only):
+    """The step on numpy's array path: rescaled Jacobian, BLAS Gram matrix
+    and np.linalg.solve (the formulation the closed form replaced)."""
+    jt = rescale_jacobian(state.J, state.x)
+    dx_star = jt.T @ state.r
+    metric = jt.T @ jt
+    lam = np.sqrt((dx_star @ np.linalg.solve(metric, dx_star)) / (dx_star @ metric @ dx_star))
+    eta = np.linalg.norm(state.r) / state.r0_norm
+    dxt = lam * dx_star if scaled_gd_only else np.linalg.solve(metric + eta / lam * np.eye(2), dx_star)
+    return state.x * dxt, lam, eta
+
+
+class TestClosedFormStep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 64),
+        log_x=st.tuples(st.floats(-3.0, 10.0), st.floats(-3.0, 10.0)),
+        eta=st.floats(1e-6, 1e3),
+        scaled_gd_only=st.booleans(),
+    )
+    def test_matches_the_array_formulation(self, seed, rows, log_x, eta, scaled_gd_only):
+        # Gram eigenvalues in [0.1, 10] in rescaled units, any parameter scale
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((rows, 2)))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        jt = basis @ np.diag(np.sqrt(np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2)))) @ rot.T
+        x = 10.0 ** np.array(log_x) * rng.choice([-1.0, 1.0], size=2)
+        r = rng.standard_normal(rows)
+        assume(np.linalg.norm(jt.T @ r) > 1e-6 * np.linalg.norm(r))
+        state = make_state(jt / x, r, x, r0_norm=np.linalg.norm(r) / eta)
+        step = corrected_gd_step if scaled_gd_only else modified_lm_step
+        report = step(state)
+        ref_dx, ref_lam, ref_eta = reference_step(state, scaled_gd_only)
+        assert abs(report.lambda_ - ref_lam) <= 1e-12 * ref_lam
+        assert abs(report.eta_bar - ref_eta) <= 1e-12 * ref_eta
+        assert np.linalg.norm((report.dx - ref_dx) / x) <= 1e-12 * np.linalg.norm(ref_dx / x)
+
+    @pytest.mark.parametrize("step", [modified_lm_step, corrected_gd_step])
+    @pytest.mark.parametrize("case", ["identical-columns", "tiny", "huge", "orthogonal-residual"])
+    def test_degenerate_systems_are_model_errors(self, step, case):
+        # a model error (SingularMatrixError or ValueError) for the step and
+        # status error or stalled for the run; never a ZeroDivisionError or
+        # OverflowError from the float arithmetic
+        rng = np.random.default_rng(18)
+        col = rng.standard_normal(12)
+        J = rng.standard_normal((12, 2))
+        r = rng.standard_normal(12)
+        if case == "identical-columns":
+            J = np.column_stack([col, col])
+        elif case == "tiny":
+            J = J * 1e-300
+        elif case == "huge":
+            J = J * 1e200
+        else:
+            J = np.zeros((12, 2))
+            J[0, 0] = J[1, 1] = 1.0
+            r = np.zeros(12)
+            r[2:] = 1.0
+        x = np.array([3.9e9, 0.4])
+
+        def evaluate(x, need_jacobian):
+            return r, J / np.array([3.9e9, 0.4])
+
+        method = "modified-lm" if step is modified_lm_step else "scaled-gd"
+        # J * 1e200 overflows the Gram in numpy's dot products, which warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises((SingularMatrixError, ValueError)):
+                step(make_state(J / x, r, x))
+            trace = optimize(evaluate, x, OptimizeOptions(method=method))
+        assert trace.status in ("error", "stalled")
 
 
 class TestOptimize:
@@ -586,16 +662,39 @@ class TestBfgs:
         assert (trace.status, trace.message) == ("max-iters", "evaluation budget exhausted")
         assert max(rec.k for rec in trace.records) > 100
 
-    def test_stall_message_counts_both_searches(self):
-        # the gradient points uphill: the quasi-Newton search and the
-        # steepest-descent retry both spend all their trials
+    def test_stall_without_repeating_the_identity_search(self):
+        # the gradient points uphill: the first search runs along steepest
+        # descent with h = I, so the retry would repeat it trial for trial
+        # and the run stalls after one search
         def fg(x):
             return float(x @ x), -2.0 * x
 
         trace = bfgs_baseline(fg, np.array([1.0, 2.0]), OptimizeOptions(method="bfgs"))
         assert trace.status == "stalled"
-        assert trace.eval_count == 41
+        assert trace.eval_count == 21
+        assert trace.message == "line search failed after 20 evaluated trials"
+
+    def test_stall_message_counts_both_searches(self):
+        # one quadratic step moves h away from the identity; after it every
+        # trial value rises, so the quasi-Newton search and the
+        # steepest-descent retry both spend all their trials
+        a = np.diag([1.0, 2.0])
+        calls = {"n": 0}
+
+        def fg(x):
+            calls["n"] += 1
+            if calls["n"] <= 2:
+                return 0.5 * float(x @ a @ x), a @ x
+            return 11.0, np.array([0.0, -2.0])
+
+        trace = bfgs_baseline(fg, np.ones(2), OptimizeOptions(method="bfgs"))
+        assert trace.status == "stalled"
+        assert trace.eval_count == 42
         assert trace.message == "line search failed after 40 evaluated trials"
+        # the retry searched along -g, not along the updated -h g
+        first, retry = trace.records[2].x - trace.records[1].x, trace.records[22].x - trace.records[1].x
+        assert abs(first[0]) > 0.0
+        assert retry[0] == 0.0
 
 
 class TestTraceCsv:

@@ -287,6 +287,9 @@ class TestApplyMarginals:
             assert np.all((nu > 0.0) & (nu < 0.5))
 
 
+finite_nonzero = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)
+
+
 class TestErrorNorms:
     def test_relative1_zero_at_match(self):
         assert relative_1([2.0, 3.0], [2.0, 3.0]) == 0.0
@@ -298,6 +301,25 @@ class TestErrorNorms:
     def test_relative1_zero_reference_rejected(self):
         with pytest.raises(ValueError):
             relative_1([0.0, 1.0], [1.0, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x_hat=st.tuples(finite_nonzero, finite_nonzero),
+        x=st.tuples(finite_nonzero, finite_nonzero),
+        zero_at=st.sampled_from([None, 0, 1]),
+        zero=st.sampled_from([0.0, -0.0]),
+    )
+    def test_relative1_bits_match_numpy(self, x_hat, x, zero_at, zero):
+        # the float loop gives numpy's bits, so the rel1 trace column is
+        # byte-identical; a zero reference component still raises
+        if zero_at is not None:
+            x_hat = tuple(zero if i == zero_at else v for i, v in enumerate(x_hat))
+            with pytest.raises(ValueError):
+                relative_1(x_hat, x)
+            return
+        with np.errstate(all="ignore"):
+            want = float(np.sum(np.abs(1 - np.array(x) / np.array(x_hat))))
+        assert relative_1(x_hat, x).hex() == want.hex()
 
     def test_relative1_triangle_bound(self):
         rng = np.random.default_rng(13)
