@@ -1,7 +1,9 @@
 #!/bin/sh
 # The installed `waveinv` console script on a tiny config: gen-refs, optimize
 # with each of the four optimizers, report, surface and manifold, then one
-# success-table row per optimizer.
+# success-table row per optimizer.  Then the raw objectives, signal and
+# envelope, each into its own output directory: gen-refs, optimize with
+# modified-lm and surface, with one trace per reference and the surface file.
 # Usage: console-pipeline.sh <work directory>
 set -e
 dir="$1"
@@ -17,3 +19,11 @@ for command in report surface manifold; do
 done
 # one success-table row per optimizer
 test "$(grep -c -v -e '^#' -e '^material,' "$dir/out/report/success_table.csv")" -eq 4
+for objective in signal envelope; do
+  { cat "$dir/tiny.cfg"; echo "objective = $objective"; } > "$dir/$objective.cfg"
+  for command in gen-refs optimize surface; do
+    waveinv --config "$dir/$objective.cfg" --out "$dir/out-$objective" "$command"
+  done
+  test "$(ls "$dir/out-$objective/runs/modified-lm"/trace_*.csv | wc -l)" -eq 2
+  test -s "$dir/out-$objective/surface/surface_$objective.csv"
+done

@@ -28,10 +28,8 @@ from .optim import (
     bfgs_baseline,
     corrected_gd_step,
     eta_bar,
-    gd_step,
     gn_step,
     lambda_k,
-    metric_norm,
     modified_lm_step,
     optimize,
     rescale_jacobian,

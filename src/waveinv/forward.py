@@ -29,6 +29,7 @@ pass's own intermediates, without the Jacobian.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +69,6 @@ __all__ = [
 #: q and a fine factor in r.
 _CARRIER_BLOCK = 64
 
-#: The model domain of a row (E, nu), bounds excluded: 0 < E < inf and
-#: 0 < nu < 0.5, as MaterialParams enforces.
-_DOMAIN_LOW = np.array([0.0, 0.0])
-_DOMAIN_HIGH = np.array([np.inf, 0.5])
-
-
 class TruncationError(ValueError):
     """A wave packet would arrive after the end of the simulated window."""
 
@@ -108,9 +103,10 @@ class Materials:
     """Materials of one density rho as rows (E, nu) of ``x``: shape (2,) is
     one material, shape (N, 2) a batch of N.
 
-    Rows are not validated here.  The model raises for a single material
-    outside its domain, as for a :class:`MaterialParams`, and turns the
-    rows of a batch that fail the same checks into NaN.
+    The density must be positive and finite; rows are not validated here.
+    The model raises for a single material outside its domain, as for a
+    :class:`MaterialParams`, and turns the rows of a batch that fail the
+    same checks into NaN.
     """
 
     x: np.ndarray
@@ -121,6 +117,9 @@ class Materials:
         if x.ndim not in (1, 2) or x.shape[-1] != 2:
             raise ValueError(f"materials are rows (E, nu) of shape (2,) or (N, 2), got {x.shape}")
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "rho", float(self.rho))
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive, got {self.rho}")
 
 
 def _rows(m: MaterialParams | Materials) -> tuple[np.ndarray, float]:
@@ -216,11 +215,6 @@ def excitation(cfg: ForwardConfig) -> Signal:
     return Signal(p, dt=cfg.dt)
 
 
-def _speeds(e, nu, rho):
-    c_l = np.sqrt(e / rho)
-    return c_l, c_l / np.sqrt(2.0 * (1.0 + nu))
-
-
 def packet_delays(
     m: MaterialParams | Materials, cfg: ForwardConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,25 +222,48 @@ def packet_delays(
     with respect to E and nu, each of shape (3,), or (N, 3) for a batch.
 
     All delays scale as E^(-1/2), so d tau_j / dE = -tau_j / (2 E).  Only
-    the shear-borne path segments respond to nu.
+    the shear-borne path segments respond to nu.  A row outside the model
+    domain (E > 0, 0 < nu < 0.5) is NaN.
     """
     return _delays(*_rows(m), cfg)
 
 
 def _delays(x: np.ndarray, rho: float, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    e, nu = x[..., :1], x[..., 1:]  # trailing axis kept: broadcasts over the 3 packets
-    c_l, c_t = _speeds(e, nu, rho)
-    # tau_1 = L / c_L and tau_3 = L / c_T in one division; the middle column
-    # becomes tau_2 = (L / 2) (1 / c_L + 1 / c_T)
-    speeds = np.concatenate([c_l, c_l, c_t], axis=-1)
-    tau = cfg.L / speeds
-    slowness = 1.0 / speeds
-    tau[..., 1] = 0.5 * cfg.L * (slowness[..., 0] + slowness[..., 2])
-    dtau_de = -tau / (2.0 * e)
-    # d c_T / d nu = -c_T / (2 (1 + nu)); tau contributions through 1/c_T only.
-    shear_path = np.array([0.0, 0.5 * cfg.L, cfg.L])
-    dtau_dnu = shear_path / c_t / (2.0 * (1.0 + nu))
-    return tau, dtau_de, dtau_dnu
+    # one Python-float row at a time: a row costs far less than the numpy
+    # calls of a vectorized formula, and a batch row is the single row
+    table = np.array([_row_delays(e, nu, rho, cfg.L) for e, nu in x.reshape(-1, 2).tolist()])
+    table = table.reshape(x.shape[:-1] + (3, 3))
+    return table[..., 0, :], table[..., 1, :], table[..., 2, :]
+
+
+def _row_delays(e: float, nu: float, rho: float, length: float) -> tuple[float, ...]:
+    """tau_1, tau_2, tau_3, their E derivatives and their nu derivatives
+    for one row, with c_L = sqrt(E / rho) and c_T = c_L / sqrt(2 (1 + nu)).
+
+    The model domain, bounds excluded, is 0 < E < inf and 0 < nu < 0.5, as
+    MaterialParams enforces; a row outside it is NaN."""
+    if not (0.0 < e < math.inf and 0.0 < nu < 0.5):
+        return (math.nan,) * 9
+    c_l = math.sqrt(e / rho)
+    if c_l == 0.0:  # E / rho underflows: no packet ever arrives
+        return (math.inf,) * 3 + (math.nan,) * 6
+    two_nu1 = 2.0 * (1.0 + nu)
+    c_t = c_l / math.sqrt(two_nu1)
+    tau_1, tau_2, tau_3 = length / c_l, 0.5 * length * (1.0 / c_l + 1.0 / c_t), length / c_t
+    # d c_T / d nu = -c_T / (2 (1 + nu)): tau responds to nu through 1/c_T
+    # only, along the shear-borne path lengths 0, L/2 and L
+    two_e = 2.0 * e
+    return (
+        tau_1,
+        tau_2,
+        tau_3,
+        -tau_1 / two_e,
+        -tau_2 / two_e,
+        -tau_3 / two_e,
+        0.0,
+        0.5 * length / c_t / two_nu1,
+        length / c_t / two_nu1,
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -270,11 +287,21 @@ def _carrier_tables(tau: np.ndarray, cfg: ForwardConfig) -> tuple[np.ndarray, np
     fine = exp(-i tau dw r): about 3 (n/2 / B + B) complex exponentials
     instead of 3 (n/2 + 1).
     """
-    dw = 2 * np.pi / cfg.duration
-    n_blocks = -(-(cfg.n // 2 + 1) // _CARRIER_BLOCK)
-    coarse = np.exp(-1j * ((tau * (_CARRIER_BLOCK * dw))[..., None] * np.arange(n_blocks)))
-    fine = np.exp(-1j * ((tau * dw)[..., None] * np.arange(_CARRIER_BLOCK)))
+    dw, coarse_index, fine_index = _carrier_grid(cfg)
+    coarse = np.exp(-1j * ((tau * (_CARRIER_BLOCK * dw))[..., None] * coarse_index))
+    fine = np.exp(-1j * ((tau * dw)[..., None] * fine_index))
     return coarse, fine
+
+
+@functools.lru_cache(maxsize=16)
+def _carrier_grid(cfg: ForwardConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """The frequency step dw and the index grids q and r of the carrier
+    tables, built once per configuration; the grids are read-only."""
+    n_blocks = -(-(cfg.n // 2 + 1) // _CARRIER_BLOCK)
+    grids = np.arange(n_blocks, dtype=np.float64), np.arange(_CARRIER_BLOCK, dtype=np.float64)
+    for grid in grids:
+        grid.flags.writeable = False
+    return 2 * np.pi / cfg.duration, *grids
 
 
 def response_spectrum(
@@ -310,19 +337,17 @@ def _response(
     derivatives d tau / dE and d tau / dnu."""
     x, rho = _rows(m)
     batch = x.ndim == 2
-    # the validity predicate, one row per material: a single material raises
-    # where it fails, a batch masks the rows that fail
-    ok = ((x > _DOMAIN_LOW) & (x < _DOMAIN_HIGH)).all(axis=-1)
-    if not batch:
-        if not ok:
-            raise ValueError(f"(E, nu) = ({x[0]!r}, {x[1]!r}) lies outside E > 0, 0 < nu < 0.5")
-    elif not ok.all():
-        x = np.where(ok[:, None], x, np.nan)  # NaN flows silently to the masked rows
     tau, dtau_de, dtau_dnu = _delays(x, rho, cfg)
+    # the validity predicate, one row per material: a single material raises
+    # where it fails, a batch masks the rows that fail.  NaN delays mark a
+    # row outside the domain
     latest = cfg.tbar + tau.max(axis=-1) + 4.0 * cfg.sigma
-    if not batch and latest > cfg.duration:
-        raise TruncationError(f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window")
-    ok &= latest <= cfg.duration
+    if not batch:
+        if np.isnan(latest):
+            raise ValueError(f"(E, nu) = ({x[0]!r}, {x[1]!r}) lies outside E > 0, 0 < nu < 0.5")
+        if latest > cfg.duration:
+            raise TruncationError(f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window")
+    ok = latest <= cfg.duration
     p_spec, p_rate = _excitation_spectrum(cfg)
     a = np.asarray(cfg.amplitudes)
     if need_jacobian:

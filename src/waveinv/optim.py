@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -69,8 +68,6 @@ __all__ = [
     "OptimizeOptions",
     "rescale_jacobian",
     "gn_step",
-    "gd_step",
-    "metric_norm",
     "lambda_k",
     "eta_bar",
     "modified_lm_step",
@@ -143,21 +140,6 @@ def gn_step(Jt: np.ndarray, r: np.ndarray) -> np.ndarray:
     if rcond < RCOND_LIMIT:
         raise SingularMatrixError("rank-deficient rescaled Jacobian", rcond)
     return vt.T @ ((u.T @ r) / s)
-
-
-def gd_step(Jt: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Gradient-descent increment Jt' r (projection onto the dual basis)."""
-    return Jt.T @ r
-
-
-def metric_norm(G: np.ndarray, dx: np.ndarray) -> float:
-    """Metric length sqrt(dx' G dx); tiny negative quadratic forms are
-    clamped to zero with a warning."""
-    q = float(dx @ (G @ dx))
-    if q < 0.0:
-        warnings.warn(f"metric form returned {q:.3e} < 0; clamped to 0", RuntimeWarning)
-        return 0.0
-    return float(np.sqrt(q))
 
 
 def lambda_k(G, dx_star) -> float:

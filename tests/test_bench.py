@@ -357,15 +357,45 @@ class TestRawObjectives:
     def evaluate(self, objective):
         return make_objective(replace(self.cfg, objective=objective), self.ref)[0]
 
-    def test_signal_terms_equal_the_time_domain_response(self):
-        r, jac = self.evaluate("signal")(self.x, True)
-        d_e, d_nu = forward_jacobian(self.m, self.fwd)
-        sim = forward_response(self.m, self.fwd).signal.samples
-        np.testing.assert_array_equal(r, self.ref.signal.samples - sim)
-        np.testing.assert_array_equal(jac, np.column_stack([d_e.samples, d_nu.samples]))
-        r_only, none = self.evaluate("signal")(self.x, False)
+    @staticmethod
+    def from_real_fourier(v, n):
+        """The time record whose orthonormal real Fourier coordinates are v:
+        [Re c_0, Re c_1, Im c_1, ..., Re c_{n/2}] scaled by sqrt(1/n) at the
+        two real bins and sqrt(2/n) elsewhere."""
+        coeffs = np.empty(n // 2 + 1, dtype=complex)
+        coeffs[0] = v[0] * np.sqrt(n)
+        coeffs[1:-1] = (v[1:-1:2] + 1j * v[2:-1:2]) * np.sqrt(n / 2)
+        coeffs[-1] = v[-1] * np.sqrt(n)
+        return np.fft.irfft(coeffs, n)
+
+    def check_signal_terms(self, evaluate, x):
+        # r and J are the time-domain residual and Jacobian in an orthonormal
+        # basis: mapped back they are ref - y and dy, and ||r||, J^T J and
+        # J^T r keep their values, to rounding on the Cauchy-Schwarz scale
+        m = MaterialParams(x[0], x[1], self.ref.truth.rho)
+        r, jac = evaluate(x, True)
+        r_time = self.ref.signal.samples - forward_response(m, self.fwd).signal.samples
+        jac_time = np.column_stack([d.samples for d in forward_jacobian(m, self.fwd)])
+        assert r.shape == (self.fwd.n,) and jac.shape == (self.fwd.n, 2)
+        for got, want in [(r, r_time), (jac[:, 0], jac_time[:, 0]), (jac[:, 1], jac_time[:, 1])]:
+            assert np.max(np.abs(self.from_real_fourier(got, self.fwd.n) - want)) <= 1e-15 * np.max(np.abs(want))
+        r_norm, col_norms = np.linalg.norm(r_time), np.linalg.norm(jac_time, axis=0)
+        assert abs(np.linalg.norm(r) - r_norm) <= 1e-13 * r_norm
+        assert np.all(np.abs(jac.T @ jac - jac_time.T @ jac_time) <= 1e-13 * np.outer(col_norms, col_norms))
+        assert np.all(np.abs(jac.T @ r - jac_time.T @ r_time) <= 1e-13 * col_norms * r_norm)
+        r_only, none = evaluate(x, False)
         assert none is None
-        np.testing.assert_array_equal(r_only, r)
+        assert r_only.tobytes() == r.tobytes()
+
+    def test_signal_terms_equal_the_time_domain_response(self):
+        self.check_signal_terms(self.evaluate("signal"), self.x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(u_e=st.floats(0.01, 0.99), u_nu=st.floats(0.01, 0.99))
+    def test_signal_terms_over_prior_draws(self, u_e, u_nu):
+        prior = self.cfg.prior()
+        x = np.array([1.0e9 * gamma_inv_cdf(prior.marginals["E"], u_e), gamma_inv_cdf(prior.marginals["nu"], u_nu)])
+        self.check_signal_terms(self.evaluate("signal"), x)
 
     def test_envelope_terms_match_the_time_domain_formula(self):
         # |a| and Re(conj(a) da) / max(|a|, 1e-12 max|a|) from the analytic
@@ -397,6 +427,9 @@ class TestRawObjectives:
 
     @pytest.mark.parametrize("objective", ["signal", "envelope"])
     def test_one_transform_per_evaluation(self, objective, monkeypatch):
+        # at most one: signal reads the residual and Jacobian off the
+        # spectrum, envelope makes one batched inverse transform of [Y; dY]
+        transforms = {"signal": 0, "envelope": 1}[objective]
         evaluate = self.evaluate(objective)
         evaluate(self.x, True)  # fills the excitation cache
         calls = {"fft": 0, "analytic_signal": 0}
@@ -413,7 +446,7 @@ class TestRawObjectives:
         monkeypatch.setattr(signals, "analytic_signal", counted(signals.analytic_signal, "analytic_signal"))
         _, jac = evaluate(self.x, True)
         assert jac.shape == (self.fwd.n, 2)
-        assert calls == {"fft": 1, "analytic_signal": 0}
+        assert calls == {"fft": transforms, "analytic_signal": 0}
 
 
 class TestPhaseGradient:
@@ -557,7 +590,13 @@ class TestBatchedEvaluation:
         assert 0 < failed < 49
         assert result.failed_nodes == failed
         assert result.objective.tobytes() == want.tobytes()
-        assert sum("surface node" in rec.getMessage() for rec in caplog.records) == failed
+        # one warning per scan: the failed-node count and the first failed node
+        first = np.argwhere(np.isnan(want))[0]
+        messages = [rec.getMessage() for rec in caplog.records if "surface node" in rec.getMessage()]
+        assert messages == [
+            f"{failed} of 49 surface nodes failed, first ({first[0]}, {first[1]}): no model output at "
+            f"(E, nu) = {np.array([result.e_values[first[0]], result.nu_values[first[1]]])}"
+        ]
 
     def test_gen_refs_skips_truncated_truths(self):
         cfg = small_cfg(n_refs=8, n=1024, dt=2.4e-5 / 1024)

@@ -485,6 +485,49 @@ class TestBatch:
                 assert y[i].tobytes() == y1.tobytes()
                 assert dy is None and dy1 is None or dy[i].tobytes() == dy1.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        e=st.floats(1e-300, 1e300),
+        nu=st.floats(1e-9, 0.5, exclude_max=True),
+        rho=st.floats(1e-3, 1e6),
+    )
+    def test_delays_are_the_vectorized_formula(self, e, nu, rho):
+        # the Python-float rows give the bits of the array formula, operation
+        # for operation, so the responses built on them do not move
+        cfg = default_config()
+        x = np.array([[e, nu]])
+        with np.errstate(over="ignore", under="ignore"):  # Python floats overflow silently too
+            c_l = np.sqrt(x[:, :1] / rho)
+            c_t = c_l / np.sqrt(2.0 * (1.0 + x[:, 1:]))
+            speeds = np.concatenate([c_l, c_l, c_t], axis=-1)
+            tau = cfg.L / speeds
+            tau[:, 1] = 0.5 * cfg.L * (1.0 / c_l[:, 0] + 1.0 / c_t[:, 0])
+            dtau_de = -tau / (2.0 * x[:, :1])
+            dtau_dnu = np.array([0.0, 0.5 * cfg.L, cfg.L]) / c_t / (2.0 * (1.0 + x[:, 1:]))
+        for got, want in zip(packet_delays(Materials(x, rho), cfg), (tau, dtau_de, dtau_dnu)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_delays_outside_the_domain_are_nan(self):
+        cfg = default_config()
+        x = np.array(
+            [PEEK.as_vector(), [PEEK.E, 0.5], [PEEK.E, 0.0], [0.0, PEEK.nu], [-PEEK.E, PEEK.nu], [np.inf, PEEK.nu], [np.nan, PEEK.nu]]
+        )
+        for values in packet_delays(Materials(x, PEEK.rho), cfg):
+            assert np.isfinite(values[0]).all() and np.isnan(values[1:]).all()
+
+    def test_density_must_be_positive_and_finite(self):
+        for rho in (0.0, -PEEK.rho, np.inf, np.nan):
+            with pytest.raises(ValueError, match="rho"):
+                Materials(PEEK.as_vector(), rho)
+
+    def test_vanishing_speed_is_a_truncated_window(self):
+        # E / rho underflows to zero: the packets never arrive
+        m = Materials(np.array([1e-321, PEEK.nu]), PEEK.rho)
+        tau, _, _ = packet_delays(m, default_config())
+        assert (tau == np.inf).all()
+        with pytest.raises(TruncationError):
+            response_spectrum(m, default_config())
+
     def test_rows_without_model_output_are_nan_and_uncounted(self):
         # (E, nu) outside the domain, and a window that cuts the slow packets
         # of soft materials: a single material raises, a batch masks its row
