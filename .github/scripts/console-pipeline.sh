@@ -1,9 +1,10 @@
 #!/bin/sh
 # The installed `waveinv` console script on a tiny config: gen-refs, optimize
 # with each of the four optimizers, report, surface and manifold, then one
-# success-table row per optimizer.  Then the raw objectives, signal and
-# envelope, each into its own output directory: gen-refs, optimize with
-# modified-lm and surface, with one trace per reference and the surface file.
+# success-table row per optimizer and no run with status error.  Then the
+# raw objectives, signal and envelope, each into its own output directory:
+# gen-refs, optimize with modified-lm and surface, with one trace per
+# reference and the surface file.
 # Usage: console-pipeline.sh <work directory>
 set -e
 dir="$1"
@@ -17,8 +18,12 @@ done
 for command in report surface manifold; do
   waveinv --config "$dir/tiny.cfg" --out "$dir/out" "$command"
 done
-# one success-table row per optimizer
+# one success-table row per optimizer, and no run that ended with status
+# error (the second column of each runs index)
 test "$(grep -c -v -e '^#' -e '^material,' "$dir/out/report/success_table.csv")" -eq 4
+for optimizer in modified-lm gauss-newton scaled-gd bfgs; do
+  test "$(grep -v '^#' "$dir/out/runs/$optimizer/runs_index.csv" | cut -d, -f2 | grep -c -x error)" -eq 0
+done
 for objective in signal envelope; do
   { cat "$dir/tiny.cfg"; echo "objective = $objective"; } > "$dir/$objective.cfg"
   for command in gen-refs optimize surface; do

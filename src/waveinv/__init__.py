@@ -13,11 +13,9 @@ from .forward import (
     Materials,
     ModelOutput,
     TruncationError,
-    default_config,
     excitation,
     forward_jacobian,
     forward_response,
-    residual_jacobian,
     response_spectrum,
 )
 from .optim import (
@@ -28,11 +26,9 @@ from .optim import (
     bfgs_baseline,
     corrected_gd_step,
     eta_bar,
-    gn_step,
     lambda_k,
     modified_lm_step,
     optimize,
-    rescale_jacobian,
 )
 from .signals import (
     PhaseFeature,
@@ -42,7 +38,6 @@ from .signals import (
     Spectrum,
     analytic_from_spectrum,
     analytic_signal,
-    autocorr_spectrum,
     dft_forward,
     envelope,
     transform_pipeline,

@@ -53,13 +53,11 @@ __all__ = [
     "ModelOutput",
     "EvalCounter",
     "TruncationError",
-    "default_config",
     "excitation",
     "packet_delays",
     "response_spectrum",
     "forward_response",
     "forward_jacobian",
-    "residual_jacobian",
     "phase_objective_terms",
     "phase_objective_gradient",
 ]
@@ -133,6 +131,14 @@ def _rows(m: MaterialParams | Materials) -> tuple[np.ndarray, float]:
 class ForwardConfig:
     """Geometry, excitation, and sampling of the transmission response.
 
+    The defaults are the desk-scale setup: a 20 mm sample, a 3 MHz carrier
+    and 4096 samples at 16x carrier oversampling.  The carrier is chosen so
+    that, within two standard deviations of the material priors, the
+    raw-signal objective shows its characteristic interference ripples
+    (several local minima) while the phase objective stays unimodal; much
+    below ~2.5 MHz the ripples are too wide for the standard 41-point scan
+    to resolve.
+
     The bandwidth defaults to b = 0.65 * fbar; the Gaussian excitation width
     is sigma = 1 / (pi b).  The excitation must end, tbar + 4 sigma, within
     the record of n*dt seconds.  The window must also be long enough for all
@@ -175,19 +181,6 @@ class ForwardConfig:
         return self.n * self.dt
 
 
-def default_config(**overrides) -> ForwardConfig:
-    """Desk-scale preset: 20 mm sample, 3 MHz carrier, 4096 samples at 16x
-    carrier oversampling.
-
-    The carrier is chosen so that, within two standard deviations of the
-    material priors, the raw-signal objective exhibits its characteristic
-    interference ripples (several local minima) while the phase objective
-    stays unimodal; much below ~2.5 MHz the ripples are too wide for the
-    standard 41-point scan to resolve.
-    """
-    return ForwardConfig(**overrides)
-
-
 @dataclass(frozen=True)
 class ModelOutput:
     """One forward evaluation: the response signal and its one-sided
@@ -225,10 +218,7 @@ def packet_delays(
     the shear-borne path segments respond to nu.  A row outside the model
     domain (E > 0, 0 < nu < 0.5) is NaN.
     """
-    return _delays(*_rows(m), cfg)
-
-
-def _delays(x: np.ndarray, rho: float, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x, rho = _rows(m)
     # one Python-float row at a time: a row costs far less than the numpy
     # calls of a vectorized formula, and a batch row is the single row
     table = np.array([_row_delays(e, nu, rho, cfg.L) for e, nu in x.reshape(-1, 2).tolist()])
@@ -335,15 +325,15 @@ def _response(
     """:func:`response_spectrum`, and the forward pass's tape for
     :func:`_response_pullback`: the carrier tables and the delay
     derivatives d tau / dE and d tau / dnu."""
-    x, rho = _rows(m)
-    batch = x.ndim == 2
-    tau, dtau_de, dtau_dnu = _delays(x, rho, cfg)
+    tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
+    batch = tau.ndim == 2
     # the validity predicate, one row per material: a single material raises
     # where it fails, a batch masks the rows that fail.  NaN delays mark a
     # row outside the domain
     latest = cfg.tbar + tau.max(axis=-1) + 4.0 * cfg.sigma
     if not batch:
         if np.isnan(latest):
+            x, _ = _rows(m)
             raise ValueError(f"(E, nu) = ({x[0]!r}, {x[1]!r}) lies outside E > 0, 0 < nu < 0.5")
         if latest > cfg.duration:
             raise TruncationError(f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window")
@@ -468,18 +458,3 @@ def _phase_residual(
     if not np.array_equal(gamma, ref_feature.gamma):
         raise ValueError("reference feature was produced with different damping weights")
     return ref_feature.values - values
-
-
-def residual_jacobian(
-    m: MaterialParams,
-    cfg: ForwardConfig,
-    objective: PhaseObjectiveConfig,
-    ref_feature: PhaseFeature,
-    counter: EvalCounter | None = None,
-) -> np.ndarray:
-    """Jacobian of the phase residual r = ref - sim with respect to (E, nu).
-
-    The columns carry -d(feature)/d(E, nu); one model evaluation.
-    """
-    _, dfeature = phase_objective_terms(m, cfg, objective, ref_feature, counter=counter)
-    return -dfeature

@@ -19,17 +19,20 @@ scaled-gradient regime far from the minimizer to pure Gauss-Newton near it.
 eta_bar is deliberately not clamped above one: uphill excursions raise the
 damping instead of triggering a line search.
 
-There are two unknowns, (E, nu), so the scaled-gd and modified-lm steps are
-worked out on Python floats without forming Jt.  Three dot products of J's
-columns and two with r give
+The three step rules are one damped 2x2 system, (G + mu I) dxt = Jt' r:
+Gauss-Newton is mu = 0 and modified-lm mu = eta_bar / lambda; scaled-gd
+steps along Jt' r, the direction the solution turns to as mu grows, with
+the length lambda gives it.  There are two unknowns, (E, nu), so every
+step is worked out on Python floats without forming Jt.  Three dot
+products of J's columns and two with r give
 
   G = [[x0^2 c00, x0 x1 c01], [x0 x1 c01, x1^2 c11]],   dxt* = (x0 b0, x1 b1),
 
 with c_ij = J_i' J_j and b_i = J_i' r, and both 2x2 systems are solved in
 closed form: G^-1 = [[g11, -g01], [-g10, g00]] / det G for lambda, and
-(G + mu I)^-1 the same way with mu = eta_bar / lambda.  A Gram with
-det G < RCOND_LIMIT g00 g11, whose columns are parallel to within rounding,
-is singular.  ||r|| is computed once per evaluation and reused by
+(G + mu I)^-1 the same way.  All three rules share one singularity test: a
+Gram with det G < RCOND_LIMIT g00 g11, whose columns are parallel to within
+rounding, is singular.  ||r|| is computed once per evaluation and reused by
 the stopping tests and eta_bar.
 
 A BFGS baseline with a strong-Wolfe backtracking line search is provided for
@@ -66,8 +69,6 @@ __all__ = [
     "OptRecord",
     "OptTrace",
     "OptimizeOptions",
-    "rescale_jacobian",
-    "gn_step",
     "lambda_k",
     "eta_bar",
     "modified_lm_step",
@@ -125,21 +126,18 @@ class StepReport:
     eta_bar: float
 
 
-def rescale_jacobian(J: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Jt = J diag(x); increments map back through dx = diag(x) dxt."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0.0):
-        raise ValueError("rescaling is undefined for zero parameter components")
-    return np.asarray(J, dtype=float) * x[None, :]
-
-
-def gn_step(Jt: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Gauss-Newton increment (Jt' Jt)^-1 Jt' r via a rank-revealing SVD."""
-    u, s, vt = np.linalg.svd(Jt, full_matrices=False)
-    rcond = s[-1] / s[0] if s[0] > 0 else 0.0
-    if rcond < RCOND_LIMIT:
-        raise SingularMatrixError("rank-deficient rescaled Jacobian", rcond)
-    return vt.T @ ((u.T @ r) / s)
+def _gram_rcond(g00: float, g01: float, g10: float, g11: float) -> float:
+    """det G / (g00 g11) for a 2x2 Gram matrix G: 1 for orthogonal columns
+    of Jt, 0 for parallel or zero ones.  Every step rule checks its Gram
+    here: below RCOND_LIMIT it is singular, and it must be positive
+    definite."""
+    if not (g00 >= 0.0 and g11 >= 0.0):
+        raise SingularMatrixError("metric tensor is not positive definite", 0.0)
+    rcond = 1.0 - (g01 / g00) * (g10 / g11) if g00 > 0.0 and g11 > 0.0 else 0.0
+    if not rcond >= RCOND_LIMIT:
+        message = "metric tensor is singular" if abs(rcond) < RCOND_LIMIT else "metric tensor is not positive definite"
+        raise SingularMatrixError(message, rcond)
+    return rcond
 
 
 def lambda_k(G, dx_star) -> float:
@@ -150,14 +148,7 @@ def lambda_k(G, dx_star) -> float:
     p, q = (float(v) for v in dx_star)
     if p == 0.0 and q == 0.0:
         raise ValueError("lambda is undefined for a zero gradient step")
-    if not (g00 >= 0.0 and g11 >= 0.0):
-        raise SingularMatrixError("metric tensor is not positive definite", 0.0)
-    # det G / (g00 g11): 1 for orthogonal columns of Jt, 0 for parallel or
-    # zero ones
-    rcond = 1.0 - (g01 / g00) * (g10 / g11) if g00 > 0.0 and g11 > 0.0 else 0.0
-    if not rcond >= RCOND_LIMIT:
-        message = "metric tensor is singular" if abs(rcond) < RCOND_LIMIT else "metric tensor is not positive definite"
-        raise SingularMatrixError(message, rcond)
+    rcond = _gram_rcond(g00, g01, g10, g11)
     # both forms are quadratic in dx*, so the ratio does not depend on its
     # length: scaling it to unit max-norm keeps p*p and q*q in range
     size = max(abs(p), abs(q))
@@ -179,7 +170,9 @@ def eta_bar(state: OptState) -> float:
     return state.r_norm / state.r0_norm
 
 
-def _lm_core(state: OptState, scaled_gd_only: bool) -> StepReport:
+def _lm_core(state: OptState, method: str) -> StepReport:
+    """The step of ``method`` (modified-lm, gauss-newton or scaled-gd) from
+    the Gram G = Jt' Jt and the gradient step dxt* = Jt' r, on floats."""
     x0, x1 = state.x.tolist()
     if x0 == 0.0 or x1 == 0.0:
         raise ValueError("rescaling is undefined for zero parameter components")
@@ -190,12 +183,16 @@ def _lm_core(state: OptState, scaled_gd_only: bool) -> StepReport:
     g11 = x1 * x1 * float(c1.dot(c1))
     p = x0 * float(c0.dot(r))
     q = x1 * float(c1.dot(r))
-    lam = lambda_k(((g00, g01), (g01, g11)), (p, q))
+    if method == "gauss-newton":
+        _gram_rcond(g00, g01, g01, g11)
+        lam = math.nan
+    else:
+        lam = lambda_k(((g00, g01), (g01, g11)), (p, q))
     eta = eta_bar(state)
-    if scaled_gd_only:
+    if method == "scaled-gd":
         dxt0, dxt1 = lam * p, lam * q
     else:
-        mu = eta / lam
+        mu = 0.0 if method == "gauss-newton" else eta / lam
         a, d = g00 + mu, g11 + mu
         det = a * d - g01 * g01
         if not 0.0 < det < math.inf:
@@ -209,13 +206,13 @@ def modified_lm_step(state: OptState) -> StepReport:
     """Step-size-adapted Levenberg-Marquardt increment
     dxt = (Jt' Jt + eta_bar / lambda * I)^-1 Jt' r, mapped back to physical
     units."""
-    return _lm_core(state, scaled_gd_only=False)
+    return _lm_core(state, "modified-lm")
 
 
 def corrected_gd_step(state: OptState) -> StepReport:
     """Locally step-size-adapted gradient descent dxt = lambda * Jt' r;
     selectable for ablations."""
-    return _lm_core(state, scaled_gd_only=True)
+    return _lm_core(state, "scaled-gd")
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +375,8 @@ def optimize(
     x0: np.ndarray,
     opts: OptimizeOptions = OptimizeOptions(),
 ) -> OptTrace:
-    """Drive a residual-based method (modified-lm, gauss-newton, scaled-gd);
-    modified-lm and scaled-gd take two parameters.
+    """Drive a residual-based method (modified-lm, gauss-newton, scaled-gd)
+    on two parameters; all three share one closed-form step solver.
 
     ``evaluate(x, need_jacobian)`` runs the forward model once and returns
     the residual r = ref - f(x) and, on request, the model Jacobian df/dx.
@@ -391,7 +388,7 @@ def optimize(
     if opts.method == "bfgs":
         raise ValueError("use bfgs_baseline for the BFGS method")
     x = np.asarray(x0, dtype=float).copy()
-    if opts.method != "gauss-newton" and x.shape != (2,):
+    if x.shape != (2,):
         raise ValueError(f"{opts.method} takes two parameters, got shape {x.shape}")
     trace = OptTrace()
     r0_norm = 0.0
@@ -419,14 +416,14 @@ def optimize(
 
         state = OptState(x=x, r=r, J=jac, r0_norm=r0_norm, r_norm=r_norm)
         try:
+            # modified-lm is called through the module global, which
+            # perfbench/tracing.py rebinds to time every LM step
             if opts.method == "modified-lm":
                 report = modified_lm_step(state)
             elif opts.method == "scaled-gd":
                 report = corrected_gd_step(state)
             else:
-                jt = rescale_jacobian(state.J, state.x)
-                dxt = gn_step(jt, r)
-                report = StepReport(dx=state.x * dxt, lambda_=np.nan, eta_bar=eta_bar(state))
+                report = _lm_core(state, "gauss-newton")
         except MODEL_ERRORS as exc:
             return _end(trace, "error", str(exc))
         trace.records[-1].lambda_ = report.lambda_

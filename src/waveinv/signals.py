@@ -45,7 +45,6 @@ __all__ = [
     "analytic_signal",
     "analytic_from_spectrum",
     "envelope",
-    "autocorr_spectrum",
     "unwrap",
     "damping_weights",
     "phase_features",
@@ -242,26 +241,19 @@ def envelope(s: Signal) -> Signal:
     return Signal(np.abs(analytic_signal(s)), dt=s.dt)
 
 
-def autocorr_spectrum(u: Spectrum) -> Spectrum:
-    """Autocorrelation of the positive-frequency coefficients.
+def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-lag autocorrelation E of v along its last axis and the
+    zero-padded FFT of v it was computed from, both in this thread's scratch
+    arrays.
 
-    The input holds the one-sided coefficients U_1..U_{n+} (static term
-    excluded).  With V = coeffs in 0-based indexing,
+    For the one-sided coefficients U_1..U_{n+} (static term excluded) as
+    V = v in 0-based indexing,
 
         E_k = sum_{i=k}^{n+ - 1} V[i] * conj(V[i-k]),   k = 0..n+ - 1.
 
     E_0 is real and strictly positive for any nonzero input; it equals the
     sum of squared coefficient magnitudes (the static mode of the squared
     envelope, up to scale).
-    """
-    e, _ = _autocorr(u.coeffs)
-    return Spectrum(e, df=u.df)
-
-
-def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-lag autocorrelation E of v along its last axis and the
-    zero-padded FFT of v it was computed from, both in this thread's scratch
-    arrays.
 
     The padded length is a power of two of at least 2 m (m = v.shape[-1]),
     so the circular correlation of the padded sequences equals the linear
@@ -368,7 +360,7 @@ def phase_features(
     ``coeffs`` holds the n/2 + 1 one-sided coefficients of a record of
     length ``duration`` (static term first, as from ``rfft``), or N such
     records as rows; the static term is dropped, the rest autocorrelated
-    (:func:`autocorr_spectrum`) and turned into damped phases, n/2 values
+    (:func:`_autocorr`) and turned into damped phases, n/2 values
     per record: each lag is normalized by the pseudo-coefficient
     Y_k = (-1)^k, the raw angles are unwrapped, the pseudo-phases pi*k are
     subtracted and the result is damped by gamma_k; a coefficient of

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .table import read_table, write_table
+from .table import read_table
 
 __all__ = [
     "GammaDist",
@@ -36,7 +36,6 @@ __all__ = [
     "apply_marginals",
     "relative_1",
     "load_priors",
-    "write_priors",
 ]
 
 log = logging.getLogger(__name__)
@@ -519,15 +518,11 @@ def relative_1(x_hat, x) -> float:
 _PRIORS_HEADER = "material,parameter,alpha,theta"
 
 
-def write_priors(priors: dict[str, MaterialPrior], path: str | Path) -> None:
-    """Editable CSV: material, parameter, alpha, theta."""
-    dists = ((mat, par, prior.marginals[par]) for mat, prior in priors.items() for par in PARAMETERS)
-    write_table(path, (), _PRIORS_HEADER, ([mat, par, repr(d.alpha), repr(d.theta)] for mat, par, d in dists))
-
-
 def load_priors(path: str | Path) -> dict[str, MaterialPrior]:
-    """Read a ``write_priors`` file; a malformed row raises ``ValueError``
-    naming its line."""
+    """Read an editable priors CSV with the header
+    ``material,parameter,alpha,theta`` and one gamma marginal (shape alpha,
+    scale theta) per row; a malformed row raises ``ValueError`` naming its
+    line."""
     table: dict[str, dict[str, GammaDist]] = {}
     for mat, par, dist in read_table(path, _PRIORS_HEADER, lambda m, p, a, t: (m, p, GammaDist(float(a), float(t)))):
         table.setdefault(mat, {})[par] = dist

@@ -39,7 +39,7 @@ from waveinv.bench import _count_interior_minima
 from waveinv.cli import main as cli_main
 from waveinv.forward import EvalCounter, MaterialParams, forward_jacobian, forward_response
 from waveinv.optim import OptRecord, OptTrace
-from waveinv.stats import BUILTIN_PRIORS, MATERIALS, gamma_inv_cdf, write_priors
+from waveinv.stats import BUILTIN_PRIORS, MATERIALS, gamma_inv_cdf
 
 
 def small_cfg(**overrides):
@@ -294,34 +294,31 @@ class TestOptimizeBatch:
             np.testing.assert_array_equal(lm_run.x0, bf_run.x0)
 
     def test_gauss_newton_near_linear_surrogate(self):
-        # single-packet response, log-modulus parametrization: the phase
-        # features are near-linear around the truth, so Gauss-Newton
-        # converges with a three-record trace from a 1% start
+        # Gauss-Newton in (E, nu) from a 1% start converges quadratically:
+        # each record's parameter error is at most ten times the square of
+        # the one before, and the run stops at its fourth record.  A single
+        # packet would leave nu unobservable (a zero Jacobian column), so
+        # this runs the three-packet model
         from waveinv.forward import ForwardConfig, forward_response, phase_objective_terms
         from waveinv.optim import OptimizeOptions, optimize
         from waveinv.signals import PhaseObjectiveConfig, transform_pipeline
 
-        fwd = ForwardConfig(amplitudes=(1.0, 0.0, 0.0))
+        fwd = ForwardConfig()
         obj = PhaseObjectiveConfig(bandwidth_hz=fwd.b)
-        truth_e, rho = 3.9559e9, 1400.3
-        ref = transform_pipeline(
-            forward_response(MaterialParams(truth_e, 0.4, rho), fwd).signal, obj
-        )
+        truth, rho = np.array([3.9559e9, 0.40079]), 1400.3
+        ref = transform_pipeline(forward_response(MaterialParams(*truth, rho), fwd).signal, obj)
 
         def evaluate(x, need_jacobian):
-            e = float(np.exp(x[0]))
-            r, jac = run_terms(e)
-            return r, jac[:, [0]] * e  # d(feature)/d(log E)
-
-        def run_terms(e):
-            return phase_objective_terms(MaterialParams(e, 0.4, rho), fwd, obj, ref)
+            return phase_objective_terms(MaterialParams(*x, rho), fwd, obj, ref)
 
         trace = optimize(
-            evaluate, np.array([np.log(0.99 * truth_e)]), OptimizeOptions(method="gauss-newton")
+            evaluate, truth * np.array([0.99, 1.01]), OptimizeOptions(method="gauss-newton", ground_truth=truth)
         )
         assert trace.status == "converged"
-        assert len(trace.records) <= 3
-        assert abs(np.exp(trace.final_x[0]) - truth_e) / truth_e < 1e-8
+        assert len(trace.records) <= 4
+        errors = [rec.rel1 for rec in trace.records]
+        assert all(e1 <= 10.0 * e0 * e0 for e0, e1 in zip(errors, errors[1:]))
+        assert errors[-1] < 1e-12
 
     @pytest.mark.parametrize("objective", ["signal", "envelope"])
     def test_other_objectives_run(self, objective):
@@ -526,7 +523,7 @@ class TestPhaseGradient:
         ref = gen_refs(cfg)[1]
         x = 1.03 * ref.truth.as_vector()
         y, _ = forward.response_spectrum(MaterialParams(*x, ref.truth.rho), cfg.forward_config())
-        assert (signals.autocorr_spectrum(signals.Spectrum(y[1:], df=1.0)).coeffs == 0.0).any()
+        assert (signals._autocorr(y[1:])[0] == 0.0).any()
         _, fg, _, _ = make_objective(cfg, ref)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             value, grad = fg(x)
@@ -835,10 +832,10 @@ class TestCli:
         ],
         ids=["missing", "malformed-row", "negative-shape", "zero-scale"],
     )
-    def test_bad_priors_file_exits_2_before_any_work(self, tmp_path, capsys, rows, message):
+    def test_bad_priors_file_exits_2_before_any_work(self, tmp_path, capsys, write_builtin_priors, rows, message):
         priors = tmp_path / "priors.csv"
         if rows is not None:
-            write_priors(BUILTIN_PRIORS, priors)
+            write_builtin_priors(priors)
             priors.write_text(priors.read_text() + "\n".join(rows) + "\n")
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(f"grid_n = 5\npriors_file = {priors}\n")
@@ -958,9 +955,9 @@ class TestCli:
             for command in ("gen-refs", "optimize", "report", "surface", "manifold"):
                 assert self.run_cli("--config", str(cfg_file), "--out", str(Path(tmp) / "out"), command) in (0, 2, 3)
 
-    def test_priors_file_gives_the_builtin_prior(self, tmp_path):
+    def test_priors_file_gives_the_builtin_prior(self, tmp_path, write_builtin_priors):
         priors = tmp_path / "priors.csv"
-        write_priors(BUILTIN_PRIORS, priors)
+        write_builtin_priors(priors)
         for material in ("PEEK", "PA6", "PP"):
             cfg = small_cfg(material=material, priors_file=str(priors))
             assert cfg.prior() == BUILTIN_PRIORS[material]

@@ -12,14 +12,12 @@ from waveinv.forward import (
     MaterialParams,
     Materials,
     TruncationError,
-    default_config,
     excitation,
     forward_jacobian,
     forward_response,
     packet_delays,
     phase_objective_gradient,
     phase_objective_terms,
-    residual_jacobian,
     response_spectrum,
 )
 from waveinv.signals import (
@@ -62,11 +60,11 @@ class TestExcitation:
         assert abs(s.samples[idx]) <= 1e-9
 
     def test_amplitude_bounded_by_one(self):
-        s = excitation(default_config())
+        s = excitation(ForwardConfig())
         assert np.max(np.abs(s.samples)) <= 1.0
 
     def test_gaussian_factor_is_one_at_center(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         t = excitation(cfg).times()
         gauss = np.exp(-((t - cfg.tbar) ** 2) / (2 * cfg.sigma**2))
         assert gauss[int(round(cfg.tbar / cfg.dt))] == pytest.approx(1.0, abs=1e-6)
@@ -78,7 +76,7 @@ class TestWaveSpeeds:
 
     @staticmethod
     def speeds(m):
-        cfg = default_config()
+        cfg = ForwardConfig()
         tau, _, _ = packet_delays(m, cfg)
         return cfg.L / tau[0], cfg.L / tau[2]
 
@@ -113,7 +111,7 @@ class TestWaveSpeeds:
 class TestPacketDelays:
     def test_causal_order(self):
         rng = np.random.default_rng(1)
-        cfg = default_config()
+        cfg = ForwardConfig()
         for _ in range(50):
             m = MaterialParams(
                 E=rng.uniform(0.1e9, 10e9), nu=rng.uniform(0.01, 0.49), rho=rng.uniform(800, 2000)
@@ -122,18 +120,18 @@ class TestPacketDelays:
             assert tau[0] < tau[1] < tau[2]
 
     def test_primary_delay_nu_free(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         _, _, dtau_dnu = packet_delays(PEEK, cfg)
         assert dtau_dnu[0] == 0.0
 
     def test_primary_delay_modulus_derivative(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         tau, dtau_de, _ = packet_delays(PEEK, cfg)
         assert dtau_de[0] == pytest.approx(-tau[0] / (2 * PEEK.E), rel=1e-12)
         assert dtau_de[0] < 0.0
 
     def test_delay_derivatives_match_finite_differences(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         h_e = PEEK.E * 1e-6
         h_n = PEEK.nu * 1e-6
         tau_ep, _, _ = packet_delays(MaterialParams(PEEK.E + h_e, PEEK.nu, PEEK.rho), cfg)
@@ -162,14 +160,14 @@ class TestForwardResponse:
         np.testing.assert_array_equal(a, b)
 
     def test_linear_in_packet_amplitudes(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         scaled = ForwardConfig(amplitudes=tuple(3.0 * a for a in cfg.amplitudes))
         y1 = forward_response(PEEK, cfg).signal.samples
         y3 = forward_response(PEEK, scaled).signal.samples
         np.testing.assert_allclose(y3, 3.0 * y1, atol=1e-12 * np.max(np.abs(y1)))
 
     def test_default_packet_amplitude_ratios(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         out = forward_response(PEEK, cfg)
         env = envelope(out.signal).samples
         t = out.signal.times()
@@ -187,7 +185,7 @@ class TestForwardResponse:
             forward_response(PEEK, cfg)
 
     def test_signal_matches_spectrum(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         out = forward_response(PEEK, cfg)
         np.testing.assert_allclose(
             out.signal.samples,
@@ -197,7 +195,7 @@ class TestForwardResponse:
 
     def test_counter_increments_once(self):
         counter = EvalCounter()
-        cfg = default_config()
+        cfg = ForwardConfig()
         forward_response(PEEK, cfg, counter=counter)
         assert counter.count == 1
         forward_jacobian(PEEK, cfg)  # shares the pass: no increment
@@ -234,7 +232,7 @@ class TestForwardJacobian:
         return cols
 
     def test_matches_central_differences(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         d_e, d_nu = forward_jacobian(PEEK, cfg)
         fd_e, fd_nu = self.fd_columns(cfg)
         assert np.max(np.abs(d_e.samples - fd_e)) <= 1e-5 * np.max(np.abs(d_e.samples))
@@ -248,7 +246,7 @@ class TestForwardJacobian:
 
 class TestResidualJacobian:
     def setup_method(self):
-        self.cfg = default_config()
+        self.cfg = ForwardConfig()
         self.obj = objective_for(self.cfg)
         truth = MaterialParams(PEEK.E * 1.02, PEEK.nu * 0.995, PEEK.rho)
         self.ref = transform_pipeline(forward_response(truth, self.cfg).signal, self.obj)
@@ -257,7 +255,7 @@ class TestResidualJacobian:
         return transform_pipeline(forward_response(m, self.cfg).signal, self.obj).values
 
     def test_matches_pipeline_finite_differences(self):
-        jac = residual_jacobian(PEEK, self.cfg, self.obj, self.ref)
+        jac = -phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)[1]
         fd = []
         for i in range(2):
             x = [PEEK.E, PEEK.nu]
@@ -303,18 +301,18 @@ class TestResidualJacobian:
     def test_amplitude_scaling_leaves_jacobian_unchanged(self):
         cfg2 = ForwardConfig(amplitudes=tuple(2.0 * a for a in self.cfg.amplitudes))
         ref2 = transform_pipeline(forward_response(PEEK, cfg2).signal, self.obj)
-        j1 = residual_jacobian(PEEK, self.cfg, self.obj, self.ref)
-        j2 = residual_jacobian(PEEK, cfg2, self.obj, ref2)
+        j1 = -phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)[1]
+        j2 = -phase_objective_terms(PEEK, cfg2, self.obj, ref2)[1]
         assert np.max(np.abs(j1 - j2)) <= 1e-9 * np.max(np.abs(j1))
 
     def test_deterministic(self):
-        j1 = residual_jacobian(PEEK, self.cfg, self.obj, self.ref)
-        j2 = residual_jacobian(PEEK, self.cfg, self.obj, self.ref)
+        j1 = -phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)[1]
+        j2 = -phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)[1]
         assert np.array_equal(j1, j2)
 
     def test_counts_one_evaluation(self):
         counter = EvalCounter()
-        residual_jacobian(PEEK, self.cfg, self.obj, self.ref, counter=counter)
+        phase_objective_terms(PEEK, self.cfg, self.obj, self.ref, counter=counter)
         assert counter.count == 1
 
     def test_zero_coefficient_at_undamped_index_flagged(self):
@@ -336,7 +334,7 @@ class TestPhaseKernelCost:
     """Work per evaluation, counted by call (no timing)."""
 
     def test_fft_and_excitation_calls_per_evaluation(self, monkeypatch):
-        cfg = default_config()
+        cfg = ForwardConfig()
         obj = objective_for(cfg)
         ref = transform_pipeline(forward_response(PEEK, cfg).signal, obj)
         calls = {"fft": 0, "excitation": 0}
@@ -364,7 +362,7 @@ class TestPhaseKernelCost:
     def test_gradient_makes_four_single_row_ffts(self, monkeypatch):
         # the forward pass's fft(V) and rfft(|fft(V)|^2), then the reverse
         # pass's irfft and fft, each on one row; no dY is built
-        cfg = default_config()
+        cfg = ForwardConfig()
         obj = objective_for(cfg)
         ref = transform_pipeline(forward_response(PEEK, cfg).signal, obj)
         rows = []
@@ -390,7 +388,7 @@ class TestPhaseKernelCost:
         assert asked == [False]
 
     def test_cached_arrays_are_read_only(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         cached = forward._excitation_spectrum(cfg)
         assert forward._excitation_spectrum(ForwardConfig()) is cached
         obj = objective_for(cfg)
@@ -407,7 +405,7 @@ class TestCarrierTables:
     def test_tables_match_direct_exponentials(self, material):
         # over the +-2 sigma prior box, the factored carriers stay within
         # 1e-11 rad of exp(-i tau omega) evaluated directly
-        cfg = default_config()
+        cfg = ForwardConfig()
         omega = 2 * np.pi * np.arange(cfg.n // 2 + 1) / cfg.duration
         prior = BUILTIN_PRIORS[material]
         (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
@@ -421,7 +419,7 @@ class TestCarrierTables:
                 assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-12
 
     def test_response_spectrum_matches_direct_sum(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         tau, dtau_de, dtau_dnu = packet_delays(PEEK, cfg)
         p_spec = np.fft.rfft(excitation(cfg).samples)
         omega = 2 * np.pi * np.arange(p_spec.size) / cfg.duration
@@ -440,7 +438,7 @@ class TestPullbacks:
     forward-mode path builds explicitly."""
 
     def test_response_pullback_pairs_with_the_jacobian_rows(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         _, dy = response_spectrum(PEEK, cfg, need_jacobian=True)
         _, _, tape = forward._response(PEEK, cfg, None, need_jacobian=False)
         rng = np.random.default_rng(2)
@@ -471,7 +469,7 @@ class TestBatch:
         return PEEK.as_vector() * (1.0 + 0.05 * rng.standard_normal((count, 2)))
 
     def test_delays_and_spectra_are_the_single_rows(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         x = self.rows()
         batch = Materials(x, PEEK.rho)
         for got, want in zip(packet_delays(batch, cfg), zip(*(packet_delays(MaterialParams(*row, PEEK.rho), cfg) for row in x))):
@@ -494,7 +492,7 @@ class TestBatch:
     def test_delays_are_the_vectorized_formula(self, e, nu, rho):
         # the Python-float rows give the bits of the array formula, operation
         # for operation, so the responses built on them do not move
-        cfg = default_config()
+        cfg = ForwardConfig()
         x = np.array([[e, nu]])
         with np.errstate(over="ignore", under="ignore"):  # Python floats overflow silently too
             c_l = np.sqrt(x[:, :1] / rho)
@@ -508,7 +506,7 @@ class TestBatch:
             assert got.tobytes() == want.tobytes()
 
     def test_delays_outside_the_domain_are_nan(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         x = np.array(
             [PEEK.as_vector(), [PEEK.E, 0.5], [PEEK.E, 0.0], [0.0, PEEK.nu], [-PEEK.E, PEEK.nu], [np.inf, PEEK.nu], [np.nan, PEEK.nu]]
         )
@@ -523,10 +521,10 @@ class TestBatch:
     def test_vanishing_speed_is_a_truncated_window(self):
         # E / rho underflows to zero: the packets never arrive
         m = Materials(np.array([1e-321, PEEK.nu]), PEEK.rho)
-        tau, _, _ = packet_delays(m, default_config())
+        tau, _, _ = packet_delays(m, ForwardConfig())
         assert (tau == np.inf).all()
         with pytest.raises(TruncationError):
-            response_spectrum(m, default_config())
+            response_spectrum(m, ForwardConfig())
 
     def test_rows_without_model_output_are_nan_and_uncounted(self):
         # (E, nu) outside the domain, and a window that cuts the slow packets
@@ -545,7 +543,7 @@ class TestBatch:
         assert counter.count == 1
 
     def test_phase_terms_are_the_single_rows(self):
-        cfg = default_config()
+        cfg = ForwardConfig()
         obj = objective_for(cfg)
         ref = transform_pipeline(forward_response(PEEK, cfg).signal, obj)
         x = self.rows()

@@ -12,11 +12,10 @@ from waveinv.optim import (
     bfgs_baseline,
     corrected_gd_step,
     eta_bar,
-    gn_step,
     lambda_k,
+    _lm_core,
     modified_lm_step,
     optimize,
-    rescale_jacobian,
     write_trace_csv,
 )
 
@@ -34,6 +33,16 @@ def metric_length(g, dx):
     return float(np.sqrt(dx @ (g @ dx)))
 
 
+def gauss_newton_step(state):
+    return _lm_core(state, "gauss-newton")
+
+
+def lstsq_step(jt, r):
+    """The Gauss-Newton increment argmin ||jt dxt - r|| from numpy's
+    least-squares solver."""
+    return np.linalg.lstsq(jt, r, rcond=None)[0]
+
+
 def make_state(J, r, x, r0_norm=None):
     r_norm = float(np.linalg.norm(r))
     return OptState(
@@ -46,59 +55,104 @@ def make_state(J, r, x, r0_norm=None):
 
 
 class TestRescale:
+    """Every step rule works on the rescaled Jacobian Jt = J diag(x)."""
+
     def test_unit_parameters_leave_jacobian_alone(self):
-        J = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(rescale_jacobian(J, np.array([1.0, 1.0])), J)
+        # at x = (1, 1), Jt is J: the steps are those of J itself
+        rng = np.random.default_rng(19)
+        J = rng.standard_normal((6, 2))
+        r = rng.standard_normal(6)
+        state = make_state(J, r, np.ones(2))
+        np.testing.assert_allclose(gauss_newton_step(state).dx, lstsq_step(J, r), rtol=1e-12)
+        report = corrected_gd_step(state)
+        assert report.lambda_ == pytest.approx(lambda_k(J.T @ J, J.T @ r), rel=1e-14)
+        np.testing.assert_allclose(report.dx, report.lambda_ * (J.T @ r), rtol=1e-15)
 
     def test_identity_jacobian(self):
-        got = rescale_jacobian(np.eye(2), np.array([2.0, 3.0]))
-        np.testing.assert_array_equal(got, np.diag([2.0, 3.0]))
+        # J = I at x = (2, 3): Jt = diag(2, 3), so G = diag(4, 9) and
+        # dxt* = (2 r0, 3 r1); the Gauss-Newton step solves J dx = r
+        r = np.array([0.5, -1.5])
+        state = make_state(np.eye(2), r, np.array([2.0, 3.0]))
+        assert corrected_gd_step(state).lambda_ == lambda_k(np.diag([4.0, 9.0]), [1.0, -4.5])
+        np.testing.assert_allclose(gauss_newton_step(state).dx, r, rtol=1e-15)
 
     def test_zero_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_jacobian(np.eye(2), np.array([1.0, 0.0]))
+        for step in (modified_lm_step, corrected_gd_step, gauss_newton_step):
+            with pytest.raises(ValueError, match="zero parameter components"):
+                step(make_state(np.eye(2), np.ones(2), np.array([1.0, 0.0])))
 
     def test_equalizes_material_jacobian_columns(self):
         # raw modulus/ratio columns differ by ~9 orders of magnitude (E is
-        # in pascals); after rescaling they agree within one order
-        from waveinv.forward import MaterialParams, default_config, forward_jacobian
+        # in pascals); after rescaling, Jt = J diag(x), they agree within one
+        # order
+        from waveinv.forward import ForwardConfig, MaterialParams, forward_jacobian
 
         peek = MaterialParams(E=3.9559e9, nu=0.40079, rho=1400.3)
-        d_e, d_nu = forward_jacobian(peek, default_config())
+        d_e, d_nu = forward_jacobian(peek, ForwardConfig())
         raw = np.column_stack([d_e.samples, d_nu.samples])
         raw_ratio = np.linalg.norm(raw[:, 1]) / np.linalg.norm(raw[:, 0])
         assert raw_ratio > 1e8
-        scaled = rescale_jacobian(raw, np.array([peek.E, peek.nu]))
+        scaled = raw * np.array([peek.E, peek.nu])
         scaled_ratio = np.linalg.norm(scaled[:, 1]) / np.linalg.norm(scaled[:, 0])
         assert 0.1 <= scaled_ratio <= 10.0
 
 
 class TestGnStep:
+    """The Gauss-Newton step: the closed-form core at zero damping."""
+
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((8, 2)))
         r = rng.standard_normal(8)
-        np.testing.assert_allclose(gn_step(q, r), q.T @ r, atol=1e-12)
+        x = np.array([2.0, -3.0])
+        report = gauss_newton_step(make_state(q / x, r, x))
+        np.testing.assert_allclose(report.dx / x, q.T @ r, atol=1e-12)
+        assert np.isnan(report.lambda_)
+        assert report.eta_bar == 1.0
 
     def test_hand_example(self):
-        np.testing.assert_allclose(
-            gn_step(np.array([[1.0], [1.0]]), np.array([1.0, 0.0])), [0.5], atol=1e-14
-        )
+        # rows (1, 0), (1, 0), (0, 1): dx0 is the mean of r0 and r1
+        J = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        report = gauss_newton_step(make_state(J, np.array([1.0, 0.0, 2.0]), np.ones(2)))
+        np.testing.assert_allclose(report.dx, [0.5, 2.0], atol=1e-14)
 
     def test_exact_on_linear_model(self):
         rng = np.random.default_rng(1)
-        a = rng.standard_normal((12, 3))
+        a = rng.standard_normal((12, 2))
         y = rng.standard_normal(12)
-        x0 = rng.standard_normal(3)
-        dx = gn_step(a, y - a @ x0)
+        x0 = rng.standard_normal(2)
+        dx = gauss_newton_step(make_state(a, y - a @ x0, x0)).dx
         xs, *_ = np.linalg.lstsq(a, y, rcond=None)
         np.testing.assert_allclose(x0 + dx, xs, atol=1e-10)
 
     def test_rank_deficient_raises_with_condition(self):
         J = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(SingularMatrixError) as exc:
-            gn_step(J, np.ones(3))
+            gauss_newton_step(make_state(J, np.ones(3), np.ones(2)))
         assert exc.value.rcond < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 64),
+        log_x=st.tuples(st.floats(-3.0, 10.0), st.floats(-3.0, 10.0)),
+        log_cond=st.floats(0.0, 6.0),
+    )
+    def test_matches_least_squares(self, seed, rows, log_x, log_cond):
+        # rescaled Jacobians with condition numbers up to 1e6, any parameter
+        # scale: the closed form agrees with numpy's least-squares solver to
+        # the accuracy the normal equations allow, cond(Jt)^2 eps
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((rows, 2)))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        jt = basis @ np.diag([1.0, 10.0**-log_cond]) @ rot.T
+        x = 10.0 ** np.array(log_x) * rng.choice([-1.0, 1.0], size=2)
+        r = rng.standard_normal(rows)
+        report = gauss_newton_step(make_state(jt / x, r, x))
+        ref = lstsq_step(jt, r)
+        cond = 10.0**log_cond
+        assert np.linalg.norm(report.dx / x - ref) <= 1e-13 * cond**2 * max(np.linalg.norm(ref), np.linalg.norm(r))
 
 
 class TestLambda:
@@ -158,7 +212,7 @@ class TestModifiedLm:
         x = np.array([2.0, 3.0])
         r = rng.standard_normal(10)
         report = modified_lm_step(make_state(J, r, x, r0_norm=np.inf))
-        gn = x * gn_step(rescale_jacobian(J, x), r)
+        gn = x * lstsq_step(J * x, r)
         np.testing.assert_allclose(report.dx, gn, atol=1e-12)
         assert report.eta_bar == 0.0
 
@@ -174,7 +228,7 @@ class TestModifiedLm:
         r = rng.standard_normal(10)
         report = modified_lm_step(make_state(jt / x, r, x, r0_norm=np.linalg.norm(r) / eta))
         assert report.eta_bar == pytest.approx(eta, rel=1e-12)
-        dxt_gn = gn_step(jt, r)
+        dxt_gn = lstsq_step(jt, r)
         sigma_min = np.linalg.eigvalsh(jt.T @ jt)[0]
         bound = np.max(np.abs(x)) * (eta / report.lambda_) / sigma_min * np.linalg.norm(dxt_gn)
         assert np.linalg.norm(report.dx - x * dxt_gn) <= bound + 1e-12 * np.linalg.norm(x * dxt_gn)
@@ -186,7 +240,7 @@ class TestModifiedLm:
         J = q / x[None, :]  # rescaled Jacobian is orthonormal: G = I, lambda = 1
         r = rng.standard_normal(10)
         report = modified_lm_step(make_state(J, r, x))
-        dx_star = rescale_jacobian(J, x).T @ r
+        dx_star = (J * x).T @ r
         np.testing.assert_allclose(report.dx, x * dx_star / 2.0, atol=1e-12)
 
     def test_large_eta_shrinks_to_gradient_direction(self):
@@ -194,7 +248,7 @@ class TestModifiedLm:
         J = rng.standard_normal((10, 2))
         x = np.array([1.5, 0.5])
         r = rng.standard_normal(10)
-        dx_star = rescale_jacobian(J, x).T @ r
+        dx_star = (J * x).T @ r
         norms = []
         prev_dir = None
         for r0 in (1e2, 1e4, 1e8):
@@ -213,10 +267,10 @@ class TestModifiedLm:
         J = rng.standard_normal((12, 2))
         x = np.array([1.0, 2.0])
         r = rng.standard_normal(12)
-        jt = rescale_jacobian(J, x)
+        jt = J * x
         g = jt.T @ jt
         dx_star = jt.T @ r
-        gn_norm = np.linalg.norm(gn_step(jt, r))
+        gn_norm = np.linalg.norm(lstsq_step(jt, r))
         prev = np.inf
         for eta in np.logspace(-8, 8, 33):
             dxt = np.linalg.solve(g + eta * np.eye(2), dx_star)
@@ -236,7 +290,7 @@ class TestCorrectedGd:
         J = q / x[None, :]
         r = rng.standard_normal(8)
         report = corrected_gd_step(make_state(J, r, x))
-        gn = x * gn_step(rescale_jacobian(J, x), r)
+        gn = x * lstsq_step(J * x, r)
         np.testing.assert_allclose(report.dx, gn, atol=1e-12)
 
     def test_metric_length_matches_gn_step(self):
@@ -246,10 +300,10 @@ class TestCorrectedGd:
             x = np.abs(rng.standard_normal(2)) + 0.5
             r = rng.standard_normal(10)
             report = corrected_gd_step(make_state(J, r, x))
-            jt = rescale_jacobian(J, x)
+            jt = J * x
             g = jt.T @ jt
             lhs = metric_length(g, report.dx / x)
-            rhs = metric_length(g, gn_step(jt, r))
+            rhs = metric_length(g, lstsq_step(jt, r))
             assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_parallel_to_gradient(self):
@@ -258,7 +312,7 @@ class TestCorrectedGd:
         x = np.array([1.0, 4.0])
         r = rng.standard_normal(10)
         report = corrected_gd_step(make_state(J, r, x))
-        dx_star = rescale_jacobian(J, x).T @ r
+        dx_star = (J * x).T @ r
         cross = report.dx[0] / x[0] * dx_star[1] - report.dx[1] / x[1] * dx_star[0]
         assert abs(cross) <= 1e-12 * np.linalg.norm(dx_star) ** 2
 
@@ -272,7 +326,7 @@ def linear_problem(a, y):
 def reference_step(state, scaled_gd_only):
     """The step on numpy's array path: rescaled Jacobian, BLAS Gram matrix
     and np.linalg.solve (the formulation the closed form replaced)."""
-    jt = rescale_jacobian(state.J, state.x)
+    jt = state.J * state.x
     dx_star = jt.T @ state.r
     metric = jt.T @ jt
     lam = np.sqrt((dx_star @ np.linalg.solve(metric, dx_star)) / (dx_star @ metric @ dx_star))
@@ -308,12 +362,13 @@ class TestClosedFormStep:
         assert abs(report.eta_bar - ref_eta) <= 1e-12 * ref_eta
         assert np.linalg.norm((report.dx - ref_dx) / x) <= 1e-12 * np.linalg.norm(ref_dx / x)
 
-    @pytest.mark.parametrize("step", [modified_lm_step, corrected_gd_step])
+    @pytest.mark.parametrize("step", [modified_lm_step, corrected_gd_step, gauss_newton_step])
     @pytest.mark.parametrize("case", ["identical-columns", "tiny", "huge", "orthogonal-residual"])
     def test_degenerate_systems_are_model_errors(self, step, case):
         # a model error (SingularMatrixError or ValueError) for the step and
         # status error or stalled for the run; never a ZeroDivisionError or
-        # OverflowError from the float arithmetic
+        # OverflowError from the float arithmetic.  Gauss-Newton needs no
+        # lambda: a residual orthogonal to J is a zero step, which converges
         rng = np.random.default_rng(18)
         col = rng.standard_normal(12)
         J = rng.standard_normal((12, 2))
@@ -334,13 +389,24 @@ class TestClosedFormStep:
         def evaluate(x, need_jacobian):
             return r, J / np.array([3.9e9, 0.4])
 
-        method = "modified-lm" if step is modified_lm_step else "scaled-gd"
+        method = {modified_lm_step: "modified-lm", corrected_gd_step: "scaled-gd", gauss_newton_step: "gauss-newton"}[step]
         # J * 1e200 overflows the Gram in numpy's dot products, which warn
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises((SingularMatrixError, ValueError)):
-                step(make_state(J / x, r, x))
+            if step is gauss_newton_step and case == "orthogonal-residual":
+                assert step(make_state(J / x, r, x)).dx.tolist() == [0.0, 0.0]
+            else:
+                with pytest.raises((SingularMatrixError, ValueError)):
+                    step(make_state(J / x, r, x))
             trace = optimize(evaluate, x, OptimizeOptions(method=method))
-        assert trace.status in ("error", "stalled")
+        if step is not gauss_newton_step:
+            assert trace.status in ("error", "stalled")
+        elif case == "orthogonal-residual":
+            assert (trace.status, trace.message, trace.eval_count) == ("converged", "rescaled step below tolerance", 1)
+        else:
+            # the Gram of parallel, underflowing or overflowing columns is
+            # singular: the run ends at its first evaluation
+            assert trace.status == "error" and "reciprocal condition" in trace.message
+            assert trace.eval_count == 1
 
 
 class TestOptimize:
@@ -353,6 +419,15 @@ class TestOptimize:
         assert trace.status == "converged"
         assert len(trace.records) <= 3
         np.testing.assert_allclose(trace.final_x, truth, rtol=1e-8)
+
+    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton", "scaled-gd"])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+    def test_two_parameters_required(self, method, shape):
+        def evaluate(x, need_jacobian):
+            raise AssertionError("no evaluation for a rejected start")
+
+        with pytest.raises(ValueError, match=f"{method} takes two parameters"):
+            optimize(evaluate, np.ones(shape), OptimizeOptions(method=method))
 
     def test_start_at_truth(self):
         rng = np.random.default_rng(12)
@@ -405,7 +480,7 @@ class TestOptimize:
             x = np.array([rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)])
             y = model(np.array([1.0, 1.0])) + 0.1 * rng.standard_normal(t.size)
             r = y - model(x)
-            jt = rescale_jacobian(jac(x), x)
+            jt = jac(x) * x
             grad = -(jt.T @ r)
 
             def obj(xt):
@@ -425,9 +500,8 @@ class TestOptimize:
         a = rng.standard_normal((15, 2)) + 2 * np.eye(15, 2)
         y = rng.standard_normal(15)
         x0 = np.array([1.1, 0.9])
-        raw = x0 + gn_step(a, y - a @ x0)
-        jt = rescale_jacobian(a, x0)
-        rescaled = x0 + x0 * gn_step(jt, y - a @ x0)
+        raw = x0 + lstsq_step(a, y - a @ x0)
+        rescaled = x0 + gauss_newton_step(make_state(a, y - a @ x0, x0)).dx
         np.testing.assert_allclose(raw, rescaled, atol=1e-8)
 
     def test_bounds_backtracking(self):

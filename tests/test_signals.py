@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from waveinv import bench, signals
-from waveinv.forward import MaterialParams, default_config, phase_objective_terms, response_spectrum
+from waveinv.forward import ForwardConfig, MaterialParams, phase_objective_terms, response_spectrum
 from waveinv.signals import (
     PhaseObjectiveConfig,
     PipelineError,
@@ -17,7 +17,6 @@ from waveinv.signals import (
     Spectrum,
     analytic_from_spectrum,
     analytic_signal,
-    autocorr_spectrum,
     damping_weights,
     dft_forward,
     envelope,
@@ -189,23 +188,29 @@ class TestEnvelope:
         np.testing.assert_allclose(envelope(s).samples, envelope(flipped).samples, atol=1e-12)
 
 
+def autocorr(v):
+    """The phase kernel's first stage, the positive-lag autocorrelation of
+    v, copied out of its scratch array."""
+    return signals._autocorr(np.asarray(v, dtype=complex))[0].copy()
+
+
 class TestAutocorrSpectrum:
     def test_hand_example(self):
-        e = autocorr_spectrum(Spectrum(np.array([1.0, 1.0j]), df=1.0))
-        np.testing.assert_allclose(e.coeffs, [2.0, 1.0j], atol=1e-15)
+        np.testing.assert_allclose(autocorr([1.0, 1.0j]), [2.0, 1.0j], atol=1e-15)
 
     def test_single_coefficient(self):
-        e = autocorr_spectrum(Spectrum(np.array([3.0 - 4.0j]), df=1.0))
-        np.testing.assert_allclose(e.coeffs, [25.0], atol=1e-12)
+        np.testing.assert_allclose(autocorr([3.0 - 4.0j]), [25.0], atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([], dtype=complex), df=1.0)
+        with pytest.raises(ValueError, match="empty spectrum"):
+            autocorr([])
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(5)
         v = rng.standard_normal(33) + 1j * rng.standard_normal(33)
-        got = autocorr_spectrum(Spectrum(v, df=1.0)).coeffs
+        got = autocorr(v)
         want = np.array([np.sum(v[k:] * np.conj(v[: v.size - k])) for k in range(v.size)])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -213,7 +218,7 @@ class TestAutocorrSpectrum:
         rng = np.random.default_rng(6)
         for _ in range(20):
             v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-            e = autocorr_spectrum(Spectrum(v, df=1.0)).coeffs
+            e = autocorr(v)
             assert e[0].imag == 0.0
             assert e[0].real > 0.0
 
@@ -226,8 +231,7 @@ class TestAutocorrSpectrum:
             s = bandlimited_noise(n, rng)
             e2 = envelope(s).samples ** 2
             lhs = np.fft.rfft(e2)[: n // 2]
-            positive = Spectrum(dft_forward(s).coeffs[1:], df=1.0 / s.duration)
-            rhs = (4.0 / n) * autocorr_spectrum(positive).coeffs
+            rhs = (4.0 / n) * autocorr(dft_forward(s).coeffs[1:])
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(lhs))
 
 
@@ -382,11 +386,11 @@ class TestPhaseFeatures:
         assert np.array_equal(plain, with_jac)
 
     def test_autocorr_wrapper_agrees_with_kernel(self):
-        # the phases of the wrapper's autocorrelation, taken stage by stage,
-        # are the kernel's feature values
+        # the phases of the kernel's autocorrelation stage, taken stage by
+        # stage, are the kernel's feature values
         coeffs, _ = self.crafted()
         b, duration = 16.0, 1.0
-        e = autocorr_spectrum(Spectrum(coeffs[1:], df=1.0)).coeffs
+        e = autocorr(coeffs[1:])
         k = np.arange(e.size)
         gamma = damping_weights(e.size, b, duration, 1.0)
         staged = gamma * (unwrap(np.angle(e * (-1.0) ** k)) - np.pi * k)
@@ -454,7 +458,7 @@ class TestPhaseResidual:
     def test_gamma_mismatch_rejected(self):
         # the phase residual is formed by phase_objective_terms, which refuses
         # a reference feature damped differently from its own objective
-        cfg = default_config(n=1024, dt=2.4e-5 / 1024)
+        cfg = ForwardConfig(n=1024, dt=2.4e-5 / 1024)
         truth = MaterialParams(E=3.9559e9, nu=0.40079, rho=1400.3)
         y, _ = response_spectrum(truth, cfg)
         ref = transform_pipeline(
@@ -545,11 +549,13 @@ class TestScratchArrays:
                 assert not np.shares_memory(got, other)
 
     def test_second_autocorr_and_analytic_calls_leave_first_results_unchanged(self):
+        # the autocorrelation stage runs in scratch arrays; the kernel's
+        # values were copied out of them before it returned
         (a, _), (b, _) = self.spectra(1, 3), self.spectra(2, 3)
-        first = autocorr_spectrum(Spectrum(a[0, 1:], df=1.0))
-        kept = first.coeffs.copy()
-        autocorr_spectrum(Spectrum(b[0, 1:], df=1.0))
-        assert np.array_equal(first.coeffs, kept)
+        first, _ = phase_features(a, 1.0, PhaseObjectiveConfig(bandwidth_hz=700.0))
+        kept = first.copy()
+        signals._autocorr(b[:, 1:])
+        assert np.array_equal(first, kept)
         analytic = analytic_from_spectrum(a, 4096)
         kept = analytic.copy()
         analytic_from_spectrum(b, 4096)

@@ -24,7 +24,6 @@ from waveinv.stats import (
     lhs_sample,
     load_priors,
     relative_1,
-    write_priors,
 )
 
 
@@ -371,9 +370,9 @@ class TestPriorTable:
         assert e_si == pytest.approx(3.9559e9, rel=1e-4)
         assert nu == pytest.approx(0.40079, rel=1e-4)
 
-    def test_priors_file_round_trip(self, tmp_path):
+    def test_priors_file_round_trip(self, tmp_path, write_builtin_priors):
         path = tmp_path / "priors.csv"
-        write_priors(BUILTIN_PRIORS, path)
+        write_builtin_priors(path)
         back = load_priors(path)
         for mat in MATERIALS:
             for par in PARAMETERS:
