@@ -11,7 +11,6 @@ from .forward import (
     ForwardConfig,
     MaterialParams,
     Materials,
-    ModelOutput,
     TruncationError,
     excitation,
     forward_jacobian,
@@ -20,11 +19,8 @@ from .forward import (
 )
 from .optim import (
     OptimizeOptions,
-    OptState,
     OptTrace,
-    StepReport,
     bfgs_baseline,
-    corrected_gd_step,
     eta_bar,
     lambda_k,
     modified_lm_step,
@@ -35,10 +31,8 @@ from .signals import (
     PhaseObjectiveConfig,
     PipelineError,
     Signal,
-    Spectrum,
     analytic_from_spectrum,
     analytic_signal,
-    dft_forward,
     envelope,
     transform_pipeline,
     unwrap,

@@ -38,7 +38,6 @@ from .signals import (
     PhaseFeature,
     PhaseObjectiveConfig,
     Signal,
-    Spectrum,
     _phase_forward,
     _phase_pullback,
     _scratch,
@@ -50,7 +49,6 @@ __all__ = [
     "MaterialParams",
     "Materials",
     "ForwardConfig",
-    "ModelOutput",
     "EvalCounter",
     "TruncationError",
     "excitation",
@@ -179,15 +177,6 @@ class ForwardConfig:
     @property
     def duration(self) -> float:
         return self.n * self.dt
-
-
-@dataclass(frozen=True)
-class ModelOutput:
-    """One forward evaluation: the response signal and its one-sided
-    spectrum."""
-
-    signal: Signal
-    spectrum: Spectrum
 
 
 class EvalCounter:
@@ -389,16 +378,13 @@ def _response_pullback(tape: tuple[np.ndarray, ...], w: np.ndarray, cfg: Forward
     return ((np.array([dtau_de, dtau_dnu]) * cfg.amplitudes) @ sums).real
 
 
-def forward_response(
-    m: MaterialParams, cfg: ForwardConfig, counter: EvalCounter | None = None
-) -> ModelOutput:
+def forward_response(m: MaterialParams, cfg: ForwardConfig, counter: EvalCounter | None = None) -> Signal:
     """Simulated transmission response for one material; one model
-    evaluation."""
+    evaluation.  The package evaluates through :func:`response_spectrum`;
+    this stays public because perfbench/tracing.py's ``TRACED`` table
+    names it."""
     y, _ = response_spectrum(m, cfg, counter)
-    return ModelOutput(
-        signal=Signal(np.fft.irfft(y, n=cfg.n), dt=cfg.dt),
-        spectrum=Spectrum(y, df=1.0 / cfg.duration),
-    )
+    return Signal(np.fft.irfft(y, n=cfg.n), dt=cfg.dt)
 
 
 def forward_jacobian(m: MaterialParams, cfg: ForwardConfig) -> tuple[Signal, Signal]:

@@ -23,17 +23,18 @@ The three step rules are one damped 2x2 system, (G + mu I) dxt = Jt' r:
 Gauss-Newton is mu = 0 and modified-lm mu = eta_bar / lambda; scaled-gd
 steps along Jt' r, the direction the solution turns to as mu grows, with
 the length lambda gives it.  There are two unknowns, (E, nu), so every
-step is worked out on Python floats without forming Jt.  Three dot
-products of J's columns and two with r give
+step is worked out on Python floats without forming Jt.  The driver takes
+three dot products of J's columns and two with r, c_ij = J_i' J_j and
+b_i = J_i' r, and hands them with x and eta_bar to one step function,
+which returns (dx0, dx1, lambda) from
 
-  G = [[x0^2 c00, x0 x1 c01], [x0 x1 c01, x1^2 c11]],   dxt* = (x0 b0, x1 b1),
+  G = [[x0^2 c00, x0 x1 c01], [x0 x1 c01, x1^2 c11]],   dxt* = (x0 b0, x1 b1).
 
-with c_ij = J_i' J_j and b_i = J_i' r, and both 2x2 systems are solved in
-closed form: G^-1 = [[g11, -g01], [-g10, g00]] / det G for lambda, and
-(G + mu I)^-1 the same way.  All three rules share one singularity test: a
-Gram with det G < RCOND_LIMIT g00 g11, whose columns are parallel to within
-rounding, is singular.  ||r|| is computed once per evaluation and reused by
-the stopping tests and eta_bar.
+Both 2x2 systems are solved in closed form: G^-1 = [[g11, -g01], [-g10,
+g00]] / det G for lambda, and (G + mu I)^-1 the same way.  All three rules
+share one singularity test: a Gram with det G < RCOND_LIMIT g00 g11, whose
+columns are parallel to within rounding, is singular.  ||r|| is computed
+once per evaluation and reused by the stopping tests and eta_bar.
 
 A BFGS baseline with a strong-Wolfe backtracking line search is provided for
 comparisons.  It owns its parameter scaling as the step rules do: it runs in
@@ -64,15 +65,12 @@ from .table import cell, write_table
 
 __all__ = [
     "SingularMatrixError",
-    "OptState",
-    "StepReport",
     "OptRecord",
     "OptTrace",
     "OptimizeOptions",
     "lambda_k",
     "eta_bar",
     "modified_lm_step",
-    "corrected_gd_step",
     "optimize",
     "bfgs_baseline",
     "write_trace_csv",
@@ -97,33 +95,6 @@ class SingularMatrixError(np.linalg.LinAlgError):
     def __init__(self, message: str, rcond: float):
         super().__init__(f"{message} (reciprocal condition {rcond:.3e})")
         self.rcond = rcond
-
-
-@dataclass
-class OptState:
-    """One optimizer iterate: parameters, residual, model Jacobian in
-    physical units, the initial residual norm and the current one."""
-
-    x: np.ndarray
-    r: np.ndarray
-    J: np.ndarray
-    r0_norm: float
-    r_norm: float
-
-    def __post_init__(self) -> None:
-        if self.J.shape != (self.r.size, self.x.size):
-            raise ValueError(f"Jacobian shape {self.J.shape} does not match residual/parameters")
-        if self.r0_norm < 0.0:
-            raise ValueError("initial residual norm cannot be negative")
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """A proposed parameter increment and its diagnostics."""
-
-    dx: np.ndarray
-    lambda_: float
-    eta_bar: float
 
 
 def _gram_rcond(g00: float, g01: float, g10: float, g11: float) -> float:
@@ -162,33 +133,33 @@ def lambda_k(G, dx_star) -> float:
     return lam
 
 
-def eta_bar(state: OptState) -> float:
+def eta_bar(r_norm: float, r0_norm: float) -> float:
     """Residual ratio ||r_k|| / ||r_0||; 1 at the start, may exceed 1 on
     uphill excursions."""
-    if state.r0_norm <= 0.0:
+    if r0_norm <= 0.0:
         raise ValueError("initial residual is zero; optimization should have terminated")
-    return state.r_norm / state.r0_norm
+    return r_norm / r0_norm
 
 
-def _lm_core(state: OptState, method: str) -> StepReport:
-    """The step of ``method`` (modified-lm, gauss-newton or scaled-gd) from
-    the Gram G = Jt' Jt and the gradient step dxt* = Jt' r, on floats."""
-    x0, x1 = state.x.tolist()
+def _lm_core(method: str, x: list[float], dots: tuple[float, ...], eta: float) -> tuple[float, float, float]:
+    """The step (dx0, dx1, lambda) of ``method`` (modified-lm, gauss-newton
+    or scaled-gd) at x = (x0, x1), from the dot products
+    dots = (c00, c01, c11, b0, b1) of J's columns, c_ij = J_i' J_j and
+    b_i = J_i' r, and eta = eta_bar; lambda is NaN for Gauss-Newton."""
+    x0, x1 = x
     if x0 == 0.0 or x1 == 0.0:
         raise ValueError("rescaling is undefined for zero parameter components")
-    c0, c1 = state.J.T
-    r = state.r
-    g00 = x0 * x0 * float(c0.dot(c0))
-    g01 = x0 * x1 * float(c0.dot(c1))
-    g11 = x1 * x1 * float(c1.dot(c1))
-    p = x0 * float(c0.dot(r))
-    q = x1 * float(c1.dot(r))
+    c00, c01, c11, b0, b1 = dots
+    g00 = x0 * x0 * c00
+    g01 = x0 * x1 * c01
+    g11 = x1 * x1 * c11
+    p = x0 * b0
+    q = x1 * b1
     if method == "gauss-newton":
         _gram_rcond(g00, g01, g01, g11)
         lam = math.nan
     else:
         lam = lambda_k(((g00, g01), (g01, g11)), (p, q))
-    eta = eta_bar(state)
     if method == "scaled-gd":
         dxt0, dxt1 = lam * p, lam * q
     else:
@@ -199,20 +170,16 @@ def _lm_core(state: OptState, method: str) -> StepReport:
             raise SingularMatrixError("damped normal equations are singular", 0.0)
         dxt0 = (d * p - g01 * q) / det
         dxt1 = (a * q - g01 * p) / det
-    return StepReport(dx=np.array((x0 * dxt0, x1 * dxt1)), lambda_=lam, eta_bar=eta)
+    return x0 * dxt0, x1 * dxt1, lam
 
 
-def modified_lm_step(state: OptState) -> StepReport:
+def modified_lm_step(x: list[float], dots: tuple[float, ...], eta: float) -> tuple[float, float, float]:
     """Step-size-adapted Levenberg-Marquardt increment
     dxt = (Jt' Jt + eta_bar / lambda * I)^-1 Jt' r, mapped back to physical
-    units."""
-    return _lm_core(state, "modified-lm")
-
-
-def corrected_gd_step(state: OptState) -> StepReport:
-    """Locally step-size-adapted gradient descent dxt = lambda * Jt' r;
-    selectable for ablations."""
-    return _lm_core(state, "scaled-gd")
+    units, as (dx0, dx1, lambda) from x = (x0, x1), the dot products
+    dots = (c00, c01, c11, b0, b1) of J's columns with each other and with
+    r, and eta = eta_bar."""
+    return _lm_core("modified-lm", x, dots, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +290,8 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
     once the run has ended at its last record: the budget was spent
     (``max-iters``), the model raised one of MODEL_ERRORS (``error``), or
     the pair holds NaN or inf (``non-finite``: no stopping test can hold on
-    such values).
+    such values).  A Jacobian that is not (r.size, 2) is a programming
+    error of the callback and raises ValueError without a record.
     """
     if trace.eval_count >= opts.max_evals:
         _end(trace, "max-iters", "evaluation budget exhausted")
@@ -336,6 +304,8 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
     deriv = np.asarray(deriv, dtype=float)
     if np.ndim(value):
         value = np.asarray(value, dtype=float)
+        if deriv.shape != (value.size, 2):
+            raise ValueError(f"Jacobian shape {deriv.shape} does not match {value.size} residuals and two parameters")
         r_norm = float(np.linalg.norm(value))
         objective = 0.5 * (r_norm * r_norm)
     else:
@@ -414,26 +384,26 @@ def optimize(
                 return _end(trace, "stalled", f"no relative decrease above {_STALL_TOL} for {_STALL_ITERS} iterations")
         prev_norm = r_norm
 
-        state = OptState(x=x, r=r, J=jac, r0_norm=r0_norm, r_norm=r_norm)
+        c0, c1 = jac.T
+        dots = (float(c0.dot(c0)), float(c0.dot(c1)), float(c1.dot(c1)), float(c0.dot(r)), float(c1.dot(r)))
+        eta = eta_bar(r_norm, r0_norm)
+        xs = x.tolist()
         try:
             # modified-lm is called through the module global, which
             # perfbench/tracing.py rebinds to time every LM step
             if opts.method == "modified-lm":
-                report = modified_lm_step(state)
-            elif opts.method == "scaled-gd":
-                report = corrected_gd_step(state)
+                dx0, dx1, lam = modified_lm_step(xs, dots, eta)
             else:
-                report = _lm_core(state, "gauss-newton")
+                dx0, dx1, lam = _lm_core(opts.method, xs, dots, eta)
         except MODEL_ERRORS as exc:
             return _end(trace, "error", str(exc))
-        trace.records[-1].lambda_ = report.lambda_
-        trace.records[-1].eta_bar = report.eta_bar
+        trace.records[-1].lambda_ = lam
+        trace.records[-1].eta_bar = eta
 
         # every step rule has already rejected a zero component of x
-        xs, dx = x.tolist(), report.dx.tolist()
-        if math.hypot(*(d / t for d, t in zip(dx, xs))) < _STEP_TOL:
+        if math.hypot(dx0 / xs[0], dx1 / xs[1]) < _STEP_TOL:
             return _end(trace, "converged", "rescaled step below tolerance")
-        x_next = _apply_bounds(xs, dx, opts.bounds)
+        x_next = _apply_bounds(xs, [dx0, dx1], opts.bounds)
         if x_next is None:
             return _end(trace, "stalled", "step could not be pulled back inside the bounds")
         x = np.array(x_next)

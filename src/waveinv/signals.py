@@ -37,11 +37,9 @@ from .table import data_lines, read_table, write_table
 
 __all__ = [
     "Signal",
-    "Spectrum",
     "PhaseFeature",
     "PhaseObjectiveConfig",
     "PipelineError",
-    "dft_forward",
     "analytic_signal",
     "analytic_from_spectrum",
     "envelope",
@@ -130,27 +128,6 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """One-sided complex Fourier coefficients over frequencies k * df."""
-
-    coeffs: np.ndarray
-    df: float
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128).copy()
-        if coeffs.ndim != 1 or coeffs.size < 1:
-            raise ValueError("spectrum must hold at least one coefficient")
-        if not (self.df > 0.0 and np.isfinite(self.df)):
-            raise ValueError(f"df must be positive and finite, got {self.df}")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.coeffs.size
-
-
-@dataclass(frozen=True)
 class PhaseFeature:
     """Damped, normalized, unwrapped phase angles of an autocorrelation
     spectrum, together with the damping weights used to produce them."""
@@ -191,11 +168,6 @@ class PhaseObjectiveConfig:
         if not (1.0 <= self.damping <= 10.0):
             raise ValueError(f"damping constant must lie in [1, 10], got {self.damping}")
         object.__setattr__(self, "damping", float(self.damping))
-
-
-def dft_forward(s: Signal) -> Spectrum:
-    """One-sided DFT of a real signal: n/2 + 1 raw (unnormalized) coefficients."""
-    return Spectrum(np.fft.rfft(s.samples), df=1.0 / s.duration)
 
 
 def analytic_signal(s: Signal) -> np.ndarray:
@@ -468,7 +440,7 @@ def transform_pipeline(s: Signal, cfg: PhaseObjectiveConfig) -> PhaseFeature:
 
     Deterministic: identical inputs give bitwise-identical outputs.
     """
-    values, _ = phase_features(dft_forward(s).coeffs, s.duration, cfg)
+    values, _ = phase_features(np.fft.rfft(s.samples), s.duration, cfg)
     gamma = damping_weights(values.size, cfg.bandwidth_hz, s.duration, cfg.damping)
     return PhaseFeature(values=values, gamma=gamma)
 

@@ -306,7 +306,7 @@ class TestOptimizeBatch:
         fwd = ForwardConfig()
         obj = PhaseObjectiveConfig(bandwidth_hz=fwd.b)
         truth, rho = np.array([3.9559e9, 0.40079]), 1400.3
-        ref = transform_pipeline(forward_response(MaterialParams(*truth, rho), fwd).signal, obj)
+        ref = transform_pipeline(forward_response(MaterialParams(*truth, rho), fwd), obj)
 
         def evaluate(x, need_jacobian):
             return phase_objective_terms(MaterialParams(*x, rho), fwd, obj, ref)
@@ -368,14 +368,22 @@ class TestRawObjectives:
     def check_signal_terms(self, evaluate, x):
         # r and J are the time-domain residual and Jacobian in an orthonormal
         # basis: mapped back they are ref - y and dy, and ||r||, J^T J and
-        # J^T r keep their values, to rounding on the Cauchy-Schwarz scale
+        # J^T r keep their values, to rounding on the Cauchy-Schwarz scale.
+        # The residual's rounding scales with its operands, ref and y, not
+        # with ref - y, which cancels where the two records agree
         m = MaterialParams(x[0], x[1], self.ref.truth.rho)
         r, jac = evaluate(x, True)
-        r_time = self.ref.signal.samples - forward_response(m, self.fwd).signal.samples
+        y = forward_response(m, self.fwd).samples
+        r_time = self.ref.signal.samples - y
         jac_time = np.column_stack([d.samples for d in forward_jacobian(m, self.fwd)])
         assert r.shape == (self.fwd.n,) and jac.shape == (self.fwd.n, 2)
-        for got, want in [(r, r_time), (jac[:, 0], jac_time[:, 0]), (jac[:, 1], jac_time[:, 1])]:
-            assert np.max(np.abs(self.from_real_fourier(got, self.fwd.n) - want)) <= 1e-15 * np.max(np.abs(want))
+        r_scale = max(np.max(np.abs(self.ref.signal.samples)), np.max(np.abs(y)))
+        for got, want, scale in [
+            (r, r_time, r_scale),
+            (jac[:, 0], jac_time[:, 0], np.max(np.abs(jac_time[:, 0]))),
+            (jac[:, 1], jac_time[:, 1], np.max(np.abs(jac_time[:, 1]))),
+        ]:
+            assert np.max(np.abs(self.from_real_fourier(got, self.fwd.n) - want)) <= 1e-15 * scale
         r_norm, col_norms = np.linalg.norm(r_time), np.linalg.norm(jac_time, axis=0)
         assert abs(np.linalg.norm(r) - r_norm) <= 1e-13 * r_norm
         assert np.all(np.abs(jac.T @ jac - jac_time.T @ jac_time) <= 1e-13 * np.outer(col_norms, col_norms))
@@ -389,6 +397,7 @@ class TestRawObjectives:
 
     @settings(max_examples=40, deadline=None)
     @given(u_e=st.floats(0.01, 0.99), u_nu=st.floats(0.01, 0.99))
+    @example(u_e=0.19921875, u_nu=0.75)  # ref - y cancels: a bound on its own scale failed here
     def test_signal_terms_over_prior_draws(self, u_e, u_nu):
         prior = self.cfg.prior()
         x = np.array([1.0e9 * gamma_inv_cdf(prior.marginals["E"], u_e), gamma_inv_cdf(prior.marginals["nu"], u_nu)])
@@ -398,7 +407,7 @@ class TestRawObjectives:
         # |a| and Re(conj(a) da) / max(|a|, 1e-12 max|a|) from the analytic
         # signals of the time-domain response and its derivatives
         r, jac = self.evaluate("envelope")(self.x, True)
-        a = full_fft_analytic_signal(forward_response(self.m, self.fwd).signal.samples)
+        a = full_fft_analytic_signal(forward_response(self.m, self.fwd).samples)
         env = np.abs(a)
         env_safe = np.maximum(env, 1e-12 * env.max())
         want = np.column_stack(
@@ -1043,3 +1052,37 @@ class TestCli:
         assert outputs[0].keys() == outputs[1].keys()
         for key in outputs[0]:
             assert outputs[0][key] == outputs[1][key], f"{key} differs between runs"
+
+
+class TestTracedIndirections:
+    """perfbench/tracing.py times a call by rebinding the module global it
+    goes through; a call that a refactor inlines, or binds at import time,
+    would leave its span at zero calls."""
+
+    def test_calls_go_through_the_module_globals(self, monkeypatch):
+        cfg = small_cfg(n_refs=2)
+        refs = gen_refs(cfg)
+        calls = {"modified_lm_step": 0, "make_objective": 0, "phase_objective_terms": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(optim, "modified_lm_step")
+        count(bench, "make_objective")
+        count(bench, "phase_objective_terms")
+        traces = [run.trace for run in optimize_batch(cfg, refs).runs]
+        # each LM step is one optim.modified_lm_step call, each run_single
+        # one bench.make_objective call, and each LM evaluation one
+        # bench.phase_objective_terms call
+        steps = sum(not np.isnan(rec.lambda_) for trace in traces for rec in trace.records)
+        assert steps > 0 and all(trace.status != "error" for trace in traces)
+        evaluations = sum(trace.eval_count for trace in traces)
+        assert calls == {"modified_lm_step": steps, "make_objective": 2, "phase_objective_terms": evaluations}
+        surface_scan(replace(cfg, grid_n=3), refs[0])
+        assert calls["make_objective"] == 3

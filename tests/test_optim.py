@@ -5,16 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from waveinv import optim
 from waveinv.optim import (
     OptimizeOptions,
-    OptState,
     SingularMatrixError,
     bfgs_baseline,
-    corrected_gd_step,
     eta_bar,
     lambda_k,
-    _lm_core,
-    modified_lm_step,
     optimize,
     write_trace_csv,
 )
@@ -33,25 +30,38 @@ def metric_length(g, dx):
     return float(np.sqrt(dx @ (g @ dx)))
 
 
-def gauss_newton_step(state):
-    return _lm_core(state, "gauss-newton")
+def step_of(method, J, r, x, eta):
+    """The step (dx as an array, lambda) of ``method`` for the model
+    Jacobian J and residual r at x, from the five dot products the driver
+    takes (J's columns with each other and with r) and eta_bar."""
+    c0, c1 = np.asarray(J, float).T
+    r = np.asarray(r, float)
+    dots = (float(c0.dot(c0)), float(c0.dot(c1)), float(c1.dot(c1)), float(c0.dot(r)), float(c1.dot(r)))
+    xs = np.asarray(x, float).tolist()
+    if method == "modified-lm":
+        dx0, dx1, lam = optim.modified_lm_step(xs, dots, eta)
+    else:
+        dx0, dx1, lam = optim._lm_core(method, xs, dots, eta)
+    return np.array([dx0, dx1]), lam
+
+
+def modified_lm_step(J, r, x, eta=1.0):
+    return step_of("modified-lm", J, r, x, eta)
+
+
+def corrected_gd_step(J, r, x, eta=1.0):
+    """The scaled-gd step, lambda * Jt' r."""
+    return step_of("scaled-gd", J, r, x, eta)
+
+
+def gauss_newton_step(J, r, x, eta=1.0):
+    return step_of("gauss-newton", J, r, x, eta)
 
 
 def lstsq_step(jt, r):
     """The Gauss-Newton increment argmin ||jt dxt - r|| from numpy's
     least-squares solver."""
     return np.linalg.lstsq(jt, r, rcond=None)[0]
-
-
-def make_state(J, r, x, r0_norm=None):
-    r_norm = float(np.linalg.norm(r))
-    return OptState(
-        x=np.asarray(x, float),
-        r=np.asarray(r, float),
-        J=np.asarray(J, float),
-        r0_norm=r_norm if r0_norm is None else r0_norm,
-        r_norm=r_norm,
-    )
 
 
 class TestRescale:
@@ -62,24 +72,23 @@ class TestRescale:
         rng = np.random.default_rng(19)
         J = rng.standard_normal((6, 2))
         r = rng.standard_normal(6)
-        state = make_state(J, r, np.ones(2))
-        np.testing.assert_allclose(gauss_newton_step(state).dx, lstsq_step(J, r), rtol=1e-12)
-        report = corrected_gd_step(state)
-        assert report.lambda_ == pytest.approx(lambda_k(J.T @ J, J.T @ r), rel=1e-14)
-        np.testing.assert_allclose(report.dx, report.lambda_ * (J.T @ r), rtol=1e-15)
+        np.testing.assert_allclose(gauss_newton_step(J, r, np.ones(2))[0], lstsq_step(J, r), rtol=1e-12)
+        dx, lam = corrected_gd_step(J, r, np.ones(2))
+        assert lam == pytest.approx(lambda_k(J.T @ J, J.T @ r), rel=1e-14)
+        np.testing.assert_allclose(dx, lam * (J.T @ r), rtol=1e-15)
 
     def test_identity_jacobian(self):
         # J = I at x = (2, 3): Jt = diag(2, 3), so G = diag(4, 9) and
         # dxt* = (2 r0, 3 r1); the Gauss-Newton step solves J dx = r
         r = np.array([0.5, -1.5])
-        state = make_state(np.eye(2), r, np.array([2.0, 3.0]))
-        assert corrected_gd_step(state).lambda_ == lambda_k(np.diag([4.0, 9.0]), [1.0, -4.5])
-        np.testing.assert_allclose(gauss_newton_step(state).dx, r, rtol=1e-15)
+        x = np.array([2.0, 3.0])
+        assert corrected_gd_step(np.eye(2), r, x)[1] == lambda_k(np.diag([4.0, 9.0]), [1.0, -4.5])
+        np.testing.assert_allclose(gauss_newton_step(np.eye(2), r, x)[0], r, rtol=1e-15)
 
     def test_zero_parameter_rejected(self):
         for step in (modified_lm_step, corrected_gd_step, gauss_newton_step):
             with pytest.raises(ValueError, match="zero parameter components"):
-                step(make_state(np.eye(2), np.ones(2), np.array([1.0, 0.0])))
+                step(np.eye(2), np.ones(2), np.array([1.0, 0.0]))
 
     def test_equalizes_material_jacobian_columns(self):
         # raw modulus/ratio columns differ by ~9 orders of magnitude (E is
@@ -105,30 +114,31 @@ class TestGnStep:
         q, _ = np.linalg.qr(rng.standard_normal((8, 2)))
         r = rng.standard_normal(8)
         x = np.array([2.0, -3.0])
-        report = gauss_newton_step(make_state(q / x, r, x))
-        np.testing.assert_allclose(report.dx / x, q.T @ r, atol=1e-12)
-        assert np.isnan(report.lambda_)
-        assert report.eta_bar == 1.0
+        dx, lam = gauss_newton_step(q / x, r, x)
+        np.testing.assert_allclose(dx / x, q.T @ r, atol=1e-12)
+        assert np.isnan(lam)
+        # no damping, whatever eta_bar
+        assert gauss_newton_step(q / x, r, x, eta=1e6)[0].tolist() == dx.tolist()
 
     def test_hand_example(self):
         # rows (1, 0), (1, 0), (0, 1): dx0 is the mean of r0 and r1
         J = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        report = gauss_newton_step(make_state(J, np.array([1.0, 0.0, 2.0]), np.ones(2)))
-        np.testing.assert_allclose(report.dx, [0.5, 2.0], atol=1e-14)
+        dx, _ = gauss_newton_step(J, np.array([1.0, 0.0, 2.0]), np.ones(2))
+        np.testing.assert_allclose(dx, [0.5, 2.0], atol=1e-14)
 
     def test_exact_on_linear_model(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((12, 2))
         y = rng.standard_normal(12)
         x0 = rng.standard_normal(2)
-        dx = gauss_newton_step(make_state(a, y - a @ x0, x0)).dx
+        dx, _ = gauss_newton_step(a, y - a @ x0, x0)
         xs, *_ = np.linalg.lstsq(a, y, rcond=None)
         np.testing.assert_allclose(x0 + dx, xs, atol=1e-10)
 
     def test_rank_deficient_raises_with_condition(self):
         J = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(SingularMatrixError) as exc:
-            gauss_newton_step(make_state(J, np.ones(3), np.ones(2)))
+            gauss_newton_step(J, np.ones(3), np.ones(2))
         assert exc.value.rcond < 1e-14
 
     @settings(max_examples=200, deadline=None)
@@ -149,10 +159,10 @@ class TestGnStep:
         jt = basis @ np.diag([1.0, 10.0**-log_cond]) @ rot.T
         x = 10.0 ** np.array(log_x) * rng.choice([-1.0, 1.0], size=2)
         r = rng.standard_normal(rows)
-        report = gauss_newton_step(make_state(jt / x, r, x))
+        dx, _ = gauss_newton_step(jt / x, r, x)
         ref = lstsq_step(jt, r)
         cond = 10.0**log_cond
-        assert np.linalg.norm(report.dx / x - ref) <= 1e-13 * cond**2 * max(np.linalg.norm(ref), np.linalg.norm(r))
+        assert np.linalg.norm(dx / x - ref) <= 1e-13 * cond**2 * max(np.linalg.norm(ref), np.linalg.norm(r))
 
 
 class TestLambda:
@@ -187,21 +197,18 @@ class TestLambda:
 
 class TestEtaBar:
     def test_initial_iterate(self):
-        st = make_state(np.eye(2), np.array([3.0, 4.0]), np.ones(2))
-        assert eta_bar(st) == pytest.approx(1.0)
+        r_norm = float(np.linalg.norm([3.0, 4.0]))
+        assert eta_bar(r_norm, r_norm) == pytest.approx(1.0)
 
     def test_half_residual(self):
-        st = make_state(np.eye(2), np.array([1.5, 2.0]), np.ones(2), r0_norm=5.0)
-        assert eta_bar(st) == pytest.approx(0.5)
+        assert eta_bar(float(np.linalg.norm([1.5, 2.0])), 5.0) == pytest.approx(0.5)
 
     def test_uphill_allowed(self):
-        st = make_state(np.eye(2), np.array([6.0, 8.0]), np.ones(2), r0_norm=5.0)
-        assert eta_bar(st) == pytest.approx(2.0)
+        assert eta_bar(float(np.linalg.norm([6.0, 8.0])), 5.0) == pytest.approx(2.0)
 
     def test_zero_initial_rejected(self):
-        st = make_state(np.eye(2), np.array([1.0, 1.0]), np.ones(2), r0_norm=0.0)
         with pytest.raises(ValueError):
-            eta_bar(st)
+            eta_bar(float(np.linalg.norm([1.0, 1.0])), 0.0)
 
 
 class TestModifiedLm:
@@ -211,10 +218,11 @@ class TestModifiedLm:
         J = rng.standard_normal((10, 2))
         x = np.array([2.0, 3.0])
         r = rng.standard_normal(10)
-        report = modified_lm_step(make_state(J, r, x, r0_norm=np.inf))
+        eta = eta_bar(float(np.linalg.norm(r)), np.inf)
+        assert eta == 0.0
+        dx, _ = modified_lm_step(J, r, x, eta)
         gn = x * lstsq_step(J * x, r)
-        np.testing.assert_allclose(report.dx, gn, atol=1e-12)
-        assert report.eta_bar == 0.0
+        np.testing.assert_allclose(dx, gn, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), eta=st.floats(min_value=1e-9, max_value=1e-2))
@@ -226,12 +234,14 @@ class TestModifiedLm:
         jt = rng.standard_normal((10, 2))
         assume(np.linalg.cond(jt) < 30.0)
         r = rng.standard_normal(10)
-        report = modified_lm_step(make_state(jt / x, r, x, r0_norm=np.linalg.norm(r) / eta))
-        assert report.eta_bar == pytest.approx(eta, rel=1e-12)
+        r_norm = float(np.linalg.norm(r))
+        eta_k = eta_bar(r_norm, r_norm / eta)
+        assert eta_k == pytest.approx(eta, rel=1e-12)
+        dx, lam = modified_lm_step(jt / x, r, x, eta_k)
         dxt_gn = lstsq_step(jt, r)
         sigma_min = np.linalg.eigvalsh(jt.T @ jt)[0]
-        bound = np.max(np.abs(x)) * (eta / report.lambda_) / sigma_min * np.linalg.norm(dxt_gn)
-        assert np.linalg.norm(report.dx - x * dxt_gn) <= bound + 1e-12 * np.linalg.norm(x * dxt_gn)
+        bound = np.max(np.abs(x)) * (eta_k / lam) / sigma_min * np.linalg.norm(dxt_gn)
+        assert np.linalg.norm(dx - x * dxt_gn) <= bound + 1e-12 * np.linalg.norm(x * dxt_gn)
 
     def test_unit_metric_unit_eta_halves_gradient_step(self):
         rng = np.random.default_rng(5)
@@ -239,9 +249,9 @@ class TestModifiedLm:
         q, _ = np.linalg.qr(rng.standard_normal((10, 2)))
         J = q / x[None, :]  # rescaled Jacobian is orthonormal: G = I, lambda = 1
         r = rng.standard_normal(10)
-        report = modified_lm_step(make_state(J, r, x))
+        dx, _ = modified_lm_step(J, r, x)
         dx_star = (J * x).T @ r
-        np.testing.assert_allclose(report.dx, x * dx_star / 2.0, atol=1e-12)
+        np.testing.assert_allclose(dx, x * dx_star / 2.0, atol=1e-12)
 
     def test_large_eta_shrinks_to_gradient_direction(self):
         rng = np.random.default_rng(6)
@@ -249,17 +259,11 @@ class TestModifiedLm:
         x = np.array([1.5, 0.5])
         r = rng.standard_normal(10)
         dx_star = (J * x).T @ r
-        norms = []
-        prev_dir = None
         for r0 in (1e2, 1e4, 1e8):
-            report = modified_lm_step(make_state(J, r * r0, x, r0_norm=1.0))
-            dxt = report.dx / x
-            norms.append(np.linalg.norm(dxt))
-            prev_dir = dxt / np.linalg.norm(dxt)
-        scaled_dir = dx_star * r0 if False else dx_star  # direction only
-        np.testing.assert_allclose(
-            prev_dir, scaled_dir / np.linalg.norm(scaled_dir), atol=1e-4
-        )
+            # the residual r * r0 against an initial norm of 1
+            dx, _ = modified_lm_step(J, r * r0, x, eta_bar(float(np.linalg.norm(r * r0)), 1.0))
+            dxt = dx / x
+        np.testing.assert_allclose(dxt / np.linalg.norm(dxt), dx_star / np.linalg.norm(dx_star), atol=1e-4)
 
     def test_damping_sweep_monotone(self):
         # ||dxt|| decreases continuously from the GN step toward zero
@@ -289,9 +293,9 @@ class TestCorrectedGd:
         q, _ = np.linalg.qr(rng.standard_normal((8, 2)))
         J = q / x[None, :]
         r = rng.standard_normal(8)
-        report = corrected_gd_step(make_state(J, r, x))
+        dx, _ = corrected_gd_step(J, r, x)
         gn = x * lstsq_step(J * x, r)
-        np.testing.assert_allclose(report.dx, gn, atol=1e-12)
+        np.testing.assert_allclose(dx, gn, atol=1e-12)
 
     def test_metric_length_matches_gn_step(self):
         rng = np.random.default_rng(9)
@@ -299,10 +303,10 @@ class TestCorrectedGd:
             J = rng.standard_normal((10, 2))
             x = np.abs(rng.standard_normal(2)) + 0.5
             r = rng.standard_normal(10)
-            report = corrected_gd_step(make_state(J, r, x))
+            dx, _ = corrected_gd_step(J, r, x)
             jt = J * x
             g = jt.T @ jt
-            lhs = metric_length(g, report.dx / x)
+            lhs = metric_length(g, dx / x)
             rhs = metric_length(g, lstsq_step(jt, r))
             assert abs(lhs - rhs) <= 1e-12 * rhs
 
@@ -311,9 +315,9 @@ class TestCorrectedGd:
         J = rng.standard_normal((10, 2))
         x = np.array([1.0, 4.0])
         r = rng.standard_normal(10)
-        report = corrected_gd_step(make_state(J, r, x))
+        dx, _ = corrected_gd_step(J, r, x)
         dx_star = (J * x).T @ r
-        cross = report.dx[0] / x[0] * dx_star[1] - report.dx[1] / x[1] * dx_star[0]
+        cross = dx[0] / x[0] * dx_star[1] - dx[1] / x[1] * dx_star[0]
         assert abs(cross) <= 1e-12 * np.linalg.norm(dx_star) ** 2
 
 
@@ -323,16 +327,15 @@ def linear_problem(a, y):
     return evaluate
 
 
-def reference_step(state, scaled_gd_only):
+def reference_step(J, r, x, eta, scaled_gd_only):
     """The step on numpy's array path: rescaled Jacobian, BLAS Gram matrix
     and np.linalg.solve (the formulation the closed form replaced)."""
-    jt = state.J * state.x
-    dx_star = jt.T @ state.r
+    jt = J * x
+    dx_star = jt.T @ r
     metric = jt.T @ jt
     lam = np.sqrt((dx_star @ np.linalg.solve(metric, dx_star)) / (dx_star @ metric @ dx_star))
-    eta = np.linalg.norm(state.r) / state.r0_norm
     dxt = lam * dx_star if scaled_gd_only else np.linalg.solve(metric + eta / lam * np.eye(2), dx_star)
-    return state.x * dxt, lam, eta
+    return x * dxt, lam
 
 
 class TestClosedFormStep:
@@ -354,13 +357,14 @@ class TestClosedFormStep:
         x = 10.0 ** np.array(log_x) * rng.choice([-1.0, 1.0], size=2)
         r = rng.standard_normal(rows)
         assume(np.linalg.norm(jt.T @ r) > 1e-6 * np.linalg.norm(r))
-        state = make_state(jt / x, r, x, r0_norm=np.linalg.norm(r) / eta)
+        r_norm = float(np.linalg.norm(r))
+        eta_k = eta_bar(r_norm, r_norm / eta)
+        assert abs(eta_k - eta) <= 1e-12 * eta
         step = corrected_gd_step if scaled_gd_only else modified_lm_step
-        report = step(state)
-        ref_dx, ref_lam, ref_eta = reference_step(state, scaled_gd_only)
-        assert abs(report.lambda_ - ref_lam) <= 1e-12 * ref_lam
-        assert abs(report.eta_bar - ref_eta) <= 1e-12 * ref_eta
-        assert np.linalg.norm((report.dx - ref_dx) / x) <= 1e-12 * np.linalg.norm(ref_dx / x)
+        dx, lam = step(jt / x, r, x, eta_k)
+        ref_dx, ref_lam = reference_step(jt / x, r, x, eta_k, scaled_gd_only)
+        assert abs(lam - ref_lam) <= 1e-12 * ref_lam
+        assert np.linalg.norm((dx - ref_dx) / x) <= 1e-12 * np.linalg.norm(ref_dx / x)
 
     @pytest.mark.parametrize("step", [modified_lm_step, corrected_gd_step, gauss_newton_step])
     @pytest.mark.parametrize("case", ["identical-columns", "tiny", "huge", "orthogonal-residual"])
@@ -393,10 +397,10 @@ class TestClosedFormStep:
         # J * 1e200 overflows the Gram in numpy's dot products, which warn
         with np.errstate(over="ignore", invalid="ignore"):
             if step is gauss_newton_step and case == "orthogonal-residual":
-                assert step(make_state(J / x, r, x)).dx.tolist() == [0.0, 0.0]
+                assert step(J / x, r, x)[0].tolist() == [0.0, 0.0]
             else:
                 with pytest.raises((SingularMatrixError, ValueError)):
-                    step(make_state(J / x, r, x))
+                    step(J / x, r, x)
             trace = optimize(evaluate, x, OptimizeOptions(method=method))
         if step is not gauss_newton_step:
             assert trace.status in ("error", "stalled")
@@ -428,6 +432,34 @@ class TestOptimize:
 
         with pytest.raises(ValueError, match=f"{method} takes two parameters"):
             optimize(evaluate, np.ones(shape), OptimizeOptions(method=method))
+
+    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton", "scaled-gd"])
+    @pytest.mark.parametrize("shape", [(10, 3), (11, 2)])
+    def test_jacobian_of_another_shape_raises(self, method, shape):
+        # a Jacobian that is not (residual rows, 2) is a bug in the callback:
+        # optimize raises instead of ending the run with status error
+        calls = {"n": 0}
+
+        def evaluate(x, need_jacobian):
+            calls["n"] += 1
+            return np.ones(10), np.ones(shape)
+
+        with pytest.raises(ValueError, match=r"Jacobian shape \(%d, %d\)" % shape):
+            optimize(evaluate, np.array([1.0, 2.0]), OptimizeOptions(method=method))
+        assert calls["n"] == 1
+
+    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton", "scaled-gd"])
+    def test_records_carry_eta_bar_and_lambda(self, method):
+        # every record the run went on from took a step: it holds
+        # eta_bar = ||r_k|| / ||r_0|| and the step's lambda (NaN for
+        # Gauss-Newton)
+        a = np.array([[1.0, 0.2], [0.3, 2.0], [0.5, -1.0], [2.0, 0.1]])
+        y = a @ np.array([1.0, 2.0]) + np.array([0.01, -0.02, 0.03, 0.0])
+        trace = optimize(linear_problem(a, y), np.array([3.0, 1.0]), OptimizeOptions(method=method, max_evals=6))
+        r0_norm = np.linalg.norm(y - a @ trace.records[0].x)
+        for rec in trace.records[:-1]:
+            assert rec.eta_bar == np.linalg.norm(y - a @ rec.x) / r0_norm
+            assert np.isnan(rec.lambda_) if method == "gauss-newton" else rec.lambda_ > 0.0
 
     def test_start_at_truth(self):
         rng = np.random.default_rng(12)
@@ -501,7 +533,7 @@ class TestOptimize:
         y = rng.standard_normal(15)
         x0 = np.array([1.1, 0.9])
         raw = x0 + lstsq_step(a, y - a @ x0)
-        rescaled = x0 + gauss_newton_step(make_state(a, y - a @ x0, x0)).dx
+        rescaled = x0 + gauss_newton_step(a, y - a @ x0, x0)[0]
         np.testing.assert_allclose(raw, rescaled, atol=1e-8)
 
     def test_bounds_backtracking(self):
