@@ -28,10 +28,8 @@ from .optim import (
 )
 from .signals import (
     PhaseFeature,
-    PhaseObjectiveConfig,
     PipelineError,
     Signal,
-    analytic_from_spectrum,
     analytic_signal,
     envelope,
     transform_pipeline,

@@ -29,10 +29,9 @@ from .forward import (
 from .optim import METHODS, MODEL_ERRORS, OptimizeOptions, OptTrace, bfgs_baseline, optimize, write_trace_csv
 from .signals import (
     GRID_RTOL,
-    PhaseObjectiveConfig,
     Signal,
     _analytic,
-    analytic_from_spectrum,
+    damping_weights,
     envelope,
     phase_features,
     read_signal_csv,
@@ -184,7 +183,7 @@ class ExperimentConfig:
             raise ConfigError("evaluation budget must be at least 1")
         try:
             fwd = self.forward_config()
-            self.objective_config()
+            damping_weights(1, fwd.b, fwd.duration, self.damping)  # C in [1, 10], on every objective
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # gamma_k = exp(-C k^2 / (bT)^2) must stay positive up to the last lag
@@ -200,9 +199,6 @@ class ExperimentConfig:
 
     def forward_config(self) -> ForwardConfig:
         return ForwardConfig(L=self.L, fbar=self.fbar, tbar=self.tbar, n=self.n, dt=self.dt)
-
-    def objective_config(self) -> PhaseObjectiveConfig:
-        return PhaseObjectiveConfig(bandwidth_hz=self.forward_config().b, damping=self.damping)
 
     def prior(self) -> MaterialPrior:
         """The material's built-in prior, or its prior in ``priors_file`` as
@@ -288,7 +284,7 @@ def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     else:
         unit = lhs_sample(cfg.n_refs, 2, seed=cfg.seed, restarts=cfg.lhs_restarts)
     redraw_rng = np.random.default_rng([cfg.seed, 2])
-    draws = apply_marginals(unit, prior, ("E", "nu"), rng=redraw_rng)
+    draws = apply_marginals(unit, prior, redraw_rng)
     rho = prior.rho_si()
     fwd = cfg.forward_config()
     truths = [MaterialParams(E=1.0e9 * e_gpa, nu=nu, rho=rho) for e_gpa, nu in draws]
@@ -349,6 +345,12 @@ def mean_reference(cfg: ExperimentConfig) -> Reference:
 # ---------------------------------------------------------------------------
 # objective closures
 
+def _phase_weights(cfg: ExperimentConfig) -> np.ndarray:
+    """The phase objective's damping weights on the configured grid."""
+    fwd = cfg.forward_config()
+    return damping_weights(fwd.n // 2, fwd.b, fwd.duration, cfg.damping)
+
+
 def make_objective(cfg: ExperimentConfig, ref: Reference):
     """Build the residual/Jacobian and scalar/gradient callbacks for one
     reference, sharing an evaluation counter.
@@ -368,17 +370,16 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
     rho = ref.truth.rho
 
     if cfg.objective == "autocorr-phase":
-        obj = cfg.objective_config()
-        # on the model's grid, whose damping weights the residual requires
-        ref_feature = transform_pipeline(Signal(ref.signal.samples, fwd.dt), obj)
+        # on the model's grid; the feature carries the weights to the model
+        ref_feature = transform_pipeline(Signal(ref.signal.samples, fwd.dt), _phase_weights(cfg))
         ref_norm = float(np.linalg.norm(ref_feature.values))
 
         def evaluate(x, need_jacobian=True):
             m = Materials(x, rho)
-            return phase_objective_terms(m, fwd, obj, ref_feature, counter=counter, need_jacobian=need_jacobian)
+            return phase_objective_terms(m, fwd, ref_feature, counter=counter, need_jacobian=need_jacobian)
 
         def fg(x):
-            return phase_objective_gradient(Materials(x, rho), fwd, obj, ref_feature, counter)
+            return phase_objective_gradient(Materials(x, rho), fwd, ref_feature, counter)
 
     elif cfg.objective == "signal":
         # r = ref - irfft(Y) and the columns of J in the orthonormal real
@@ -495,12 +496,6 @@ class RunResult:
 class BenchResult:
     cfg: ExperimentConfig
     runs: list[RunResult] = field(default_factory=list)
-
-    @property
-    def success_rate(self) -> float:
-        if not self.runs:
-            return 0.0
-        return sum(r.success for r in self.runs) / len(self.runs)
 
     def evals_to_success(self) -> list[int]:
         return [r.evals_to_success for r in self.runs if r.success]
@@ -684,8 +679,8 @@ def _transformed_outputs(cfg: ExperimentConfig, samples: np.ndarray) -> np.ndarr
         return samples
     coeffs = np.fft.rfft(samples)
     if cfg.objective == "envelope":
-        return np.abs(analytic_from_spectrum(coeffs, cfg.n))
-    values, _ = phase_features(coeffs, cfg.forward_config().duration, cfg.objective_config())
+        return np.abs(_analytic(coeffs, cfg.n))
+    values, _ = phase_features(coeffs, _phase_weights(cfg))
     return values
 
 

@@ -34,16 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (
-    PhaseFeature,
-    PhaseObjectiveConfig,
-    Signal,
-    _phase_forward,
-    _phase_pullback,
-    _scratch,
-    damping_weights,
-    phase_features,
-)
+from .signals import PhaseFeature, Signal, _phase_forward, _phase_pullback, _scratch, phase_features
 
 __all__ = [
     "MaterialParams",
@@ -137,8 +128,8 @@ class ForwardConfig:
     below ~2.5 MHz the ripples are too wide for the standard 41-point scan
     to resolve.
 
-    The bandwidth defaults to b = 0.65 * fbar; the Gaussian excitation width
-    is sigma = 1 / (pi b).  The excitation must end, tbar + 4 sigma, within
+    The bandwidth is b = 0.65 * fbar; the Gaussian excitation width is
+    sigma = 1 / (pi b).  The excitation must end, tbar + 4 sigma, within
     the record of n*dt seconds.  The window must also be long enough for all
     packets to arrive with at least a 4 sigma margin, which is checked per
     material when the response is evaluated.
@@ -147,15 +138,12 @@ class ForwardConfig:
     L: float = 0.02
     fbar: float = 3.0e6
     tbar: float = 3.0e-6
-    b: float | None = None
     n: int = 4096
     dt: float = 1.0 / 48.0e6
     amplitudes: tuple[float, float, float] = (1.0, 0.4, 0.2)
 
     def __post_init__(self) -> None:
-        if self.b is None:
-            object.__setattr__(self, "b", 0.65 * self.fbar)
-        if not (all(0 < v < np.inf for v in (self.L, self.fbar, self.b, self.dt)) and 0 <= self.tbar < np.inf):
+        if not (all(0 < v < np.inf for v in (self.L, self.fbar, self.dt)) and 0 <= self.tbar < np.inf):
             raise ValueError("forward config requires finite L, fbar, b, dt > 0 and a finite tbar >= 0")
         if not self.fbar < 0.5 / self.dt:
             nyquist = 0.5 / self.dt
@@ -169,6 +157,11 @@ class ForwardConfig:
             raise ValueError(
                 f"the excitation must end within the record: tbar + 4 sigma = {end:g} s exceeds n*dt = {self.duration:g} s"
             )
+
+    @property
+    def b(self) -> float:
+        """Excitation bandwidth in hertz."""
+        return 0.65 * self.fbar
 
     @property
     def sigma(self) -> float:
@@ -398,27 +391,27 @@ def forward_jacobian(m: MaterialParams, cfg: ForwardConfig) -> tuple[Signal, Sig
 def phase_objective_terms(
     m: MaterialParams | Materials,
     cfg: ForwardConfig,
-    objective: PhaseObjectiveConfig,
     ref_feature: PhaseFeature,
     counter: EvalCounter | None = None,
     need_jacobian: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual r = ref - sim of phase features and the model Jacobian
-    d(sim feature)/d(E, nu), in one counted forward evaluation per material.
+    d(sim feature)/d(E, nu), in one counted forward evaluation per material;
+    the model's features are damped by the reference's weights
+    ``ref_feature.gamma``.
 
     For a batch of N materials, r has shape (N, M) and the Jacobian
     (N, M, 2); the rows of materials without a model output or with a
     degenerate spectrum are NaN.
     """
     y, dy = response_spectrum(m, cfg, counter, need_jacobian)
-    values, dvalues = phase_features(y, cfg.duration, objective, dy)
-    return _phase_residual(values, cfg, objective, ref_feature), dvalues
+    values, dvalues = phase_features(y, ref_feature.gamma, dy)
+    return ref_feature.values - values, dvalues
 
 
 def phase_objective_gradient(
     m: MaterialParams | Materials,
     cfg: ForwardConfig,
-    objective: PhaseObjectiveConfig,
     ref_feature: PhaseFeature,
     counter: EvalCounter | None = None,
 ) -> tuple[float, np.ndarray]:
@@ -432,15 +425,6 @@ def phase_objective_gradient(
     as :func:`phase_objective_terms` with the Jacobian does.
     """
     y, _, spectrum_tape = _response(m, cfg, counter, need_jacobian=False)
-    values, _, phase_tape = _phase_forward(y, cfg.duration, objective)
-    r = _phase_residual(values, cfg, objective, ref_feature)
+    values, _, phase_tape = _phase_forward(y, ref_feature.gamma)
+    r = ref_feature.values - values
     return 0.5 * float(r @ r), -_response_pullback(spectrum_tape, _phase_pullback(phase_tape, r), cfg)
-
-
-def _phase_residual(
-    values: np.ndarray, cfg: ForwardConfig, objective: PhaseObjectiveConfig, ref_feature: PhaseFeature
-) -> np.ndarray:
-    gamma = damping_weights(values.shape[-1], objective.bandwidth_hz, cfg.duration, objective.damping)
-    if not np.array_equal(gamma, ref_feature.gamma):
-        raise ValueError("reference feature was produced with different damping weights")
-    return ref_feature.values - values

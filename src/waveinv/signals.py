@@ -38,10 +38,8 @@ from .table import data_lines, read_table, write_table
 __all__ = [
     "Signal",
     "PhaseFeature",
-    "PhaseObjectiveConfig",
     "PipelineError",
     "analytic_signal",
-    "analytic_from_spectrum",
     "envelope",
     "unwrap",
     "damping_weights",
@@ -123,14 +121,12 @@ class Signal:
         """Record length T = n * dt."""
         return self.n * self.dt
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n) * self.dt
-
 
 @dataclass(frozen=True)
 class PhaseFeature:
     """Damped, normalized, unwrapped phase angles of an autocorrelation
-    spectrum, together with the damping weights used to produce them."""
+    spectrum, together with the damping weights used to produce them; the
+    phase objective damps the model's features by the same weights."""
 
     values: np.ndarray
     gamma: np.ndarray
@@ -146,34 +142,18 @@ class PhaseFeature:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "gamma", gamma)
 
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class PhaseObjectiveConfig:
-    """Knobs of the phase-residual transform.
-
-    ``bandwidth_hz`` is the excitation bandwidth b entering the damping
-    weights gamma_k = exp(-C k^2 / (bT)^2); ``damping`` is the dimensionless
-    C, which must lie in [1, 10].
-    """
-
-    bandwidth_hz: float
-    damping: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.bandwidth_hz > 0.0):
-            raise ValueError("bandwidth must be positive")
-        if not (1.0 <= self.damping <= 10.0):
-            raise ValueError(f"damping constant must lie in [1, 10], got {self.damping}")
-        object.__setattr__(self, "damping", float(self.damping))
-
 
 def analytic_signal(s: Signal) -> np.ndarray:
     """Complex analytic signal a(t) = u(t) + i*H(u)(t) of the demeaned
-    samples u; see :func:`analytic_from_spectrum`."""
-    return analytic_from_spectrum(np.fft.rfft(s.samples), s.n)
+    samples u.
+
+    In the frequency domain H(U)(w) = -i sgn(w) U(w), so the analytic
+    spectrum is U with positive frequencies doubled and negative ones
+    zeroed: one zero-padded inverse FFT.  The static coefficient gets weight
+    0, which demeans the record; the self-conjugate Nyquist bin keeps unit
+    weight so that Re(a) reproduces the demeaned record exactly.
+    """
+    return _analytic(np.fft.rfft(s.samples), s.n).copy()
 
 
 @functools.lru_cache(maxsize=8)
@@ -187,23 +167,11 @@ def _analytic_weights(n: int) -> np.ndarray:
     return w
 
 
-def analytic_from_spectrum(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Analytic signals of n-sample records from their one-sided spectra.
-
-    ``coeffs`` holds the n/2 + 1 coefficients of one record, as from
-    ``rfft``, or of several stacked along the leading axis.  In the
-    frequency domain H(U)(w) = -i sgn(w) U(w), so the analytic spectrum is U
-    with positive frequencies doubled and negative ones zeroed: one
-    zero-padded inverse FFT.  The static coefficient gets weight 0, which
-    demeans the record; the self-conjugate Nyquist bin keeps unit weight so
-    that Re(a) reproduces the demeaned record exactly.
-    """
-    return _analytic(coeffs, n).copy()
-
-
 def _analytic(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """:func:`analytic_from_spectrum` in this thread's scratch arrays: the
-    result is overwritten by the next call on the same thread."""
+    """Analytic signals (:func:`analytic_signal`) of n-sample records from
+    their n/2 + 1 one-sided coefficients, as from ``rfft``, one record or
+    several stacked along the leading axis, in this thread's scratch arrays:
+    the result is overwritten by the next call on the same thread."""
     weighted = np.multiply(coeffs, _analytic_weights(n), out=_scratch("weighted", coeffs.shape))
     return np.fft.ifft(weighted, n, axis=-1, out=_scratch("analytic", coeffs.shape[:-1] + (n,)))
 
@@ -273,12 +241,16 @@ def unwrap(phases: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def damping_weights(n_coeffs: int, b: float, duration: float, c: float) -> np.ndarray:
-    """Gaussian frequency weights gamma_k = exp(-C k^2 / (b T)^2).
+    """Gaussian frequency weights gamma_k = exp(-C k^2 / (b T)^2), k < n_coeffs,
+    of the phase objective: b is the excitation bandwidth in hertz, T the
+    record duration and C the damping constant, which must lie in [1, 10].
 
     Computed and checked once per argument tuple: gamma starts at 1, stays
     positive (no weight underflows) and does not increase.  The returned
     array is read-only.
     """
+    if not (1.0 <= c <= 10.0):
+        raise ValueError(f"damping constant must lie in [1, 10], got {c}")
     if b <= 0.0 or duration <= 0.0:
         raise ValueError("bandwidth and duration must be positive")
     k = np.arange(n_coeffs, dtype=np.float64)
@@ -321,27 +293,23 @@ def _stable_phase(e: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def phase_features(
-    coeffs: np.ndarray,
-    duration: float,
-    objective: PhaseObjectiveConfig,
-    dcoeffs: np.ndarray | None = None,
+    coeffs: np.ndarray, gamma: np.ndarray, dcoeffs: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Phase feature values of a one-sided spectrum and, on request, their
     derivative columns: the single implementation of the phase transform.
 
-    ``coeffs`` holds the n/2 + 1 one-sided coefficients of a record of
-    length ``duration`` (static term first, as from ``rfft``), or N such
-    records as rows; the static term is dropped, the rest autocorrelated
-    (:func:`_autocorr`) and turned into damped phases, n/2 values
-    per record: each lag is normalized by the pseudo-coefficient
-    Y_k = (-1)^k, the raw angles are unwrapped, the pseudo-phases pi*k are
-    subtracted and the result is damped by gamma_k; a coefficient of
-    exactly zero magnitude contributes phase 0 before unwrapping.
-    ``dcoeffs`` of shape
-    (p, n/2 + 1), or (N, p, n/2 + 1), holds derivatives of ``coeffs`` with
-    respect to p parameters; the result then carries the (n/2, p), or
-    (N, n/2, p), derivative of the feature values, else None.  The damping
-    weights are ``damping_weights(n/2, ...)``.
+    ``coeffs`` holds the n/2 + 1 one-sided coefficients of a record (static
+    term first, as from ``rfft``), or N such records as rows; the static
+    term is dropped, the rest autocorrelated (:func:`_autocorr`) and turned
+    into damped phases, n/2 values per record: each lag is normalized by the
+    pseudo-coefficient Y_k = (-1)^k, the raw angles are unwrapped, the
+    pseudo-phases pi*k are subtracted and the result is damped by the n/2
+    weights ``gamma`` (:func:`damping_weights`; another length raises
+    ``ValueError``); a coefficient of exactly zero magnitude contributes
+    phase 0 before unwrapping.  ``dcoeffs`` of shape (p, n/2 + 1), or
+    (N, p, n/2 + 1), holds derivatives of ``coeffs`` with respect to p
+    parameters; the result then carries the (n/2, p), or (N, n/2, p),
+    derivative of the feature values, else None.
 
     A degenerate record (all-zero autocorrelation, as of a zero spectrum,
     or, with derivatives, a zero autocorrelation coefficient at an undamped
@@ -355,7 +323,7 @@ def phase_features(
     derivatives untouched away from branch crossings; the argument
     differentiates as d arg(z) = Im(conj(z) dz) / |z|^2.
     """
-    values, fault, (e, fv, zero, gamma) = _phase_forward(coeffs, duration, objective)
+    values, fault, (e, fv, zero, gamma) = _phase_forward(coeffs, gamma)
     dvalues = None
     if dcoeffs is not None:
         fault |= _singular(zero, gamma)
@@ -378,14 +346,16 @@ def phase_features(
 
 
 def _phase_forward(
-    coeffs: np.ndarray, duration: float, objective: PhaseObjectiveConfig
+    coeffs: np.ndarray, gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The feature values of :func:`phase_features`, the mask of rows that
     have none, and the tape its derivatives read: the autocorrelation E, the
     zero-padded fft(V) it came from (both this thread's scratch arrays),
     the mask of E's zero coefficients and the damping weights."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if gamma.shape != (coeffs.shape[-1] - 1,):
+        raise ValueError(f"expected {coeffs.shape[-1] - 1} damping weights, one per lag, got shape {gamma.shape}")
     e, fv = _autocorr(coeffs[..., 1:])
-    gamma = damping_weights(e.shape[-1], objective.bandwidth_hz, duration, objective.damping)
     values, zero, fault = _stable_phase(e, gamma)
     return values, fault, (e, fv, zero, gamma)
 
@@ -434,14 +404,14 @@ def _phase_pullback(tape: tuple[np.ndarray, ...], u: np.ndarray) -> np.ndarray:
     return w
 
 
-def transform_pipeline(s: Signal, cfg: PhaseObjectiveConfig) -> PhaseFeature:
+def transform_pipeline(s: Signal, gamma: np.ndarray) -> PhaseFeature:
     """Full objective transform: one-sided DFT, static-coefficient removal,
-    positive-frequency autocorrelation, stable argument.
+    positive-frequency autocorrelation, stable argument damped by the s.n/2
+    weights ``gamma``, which the feature carries.
 
     Deterministic: identical inputs give bitwise-identical outputs.
     """
-    values, _ = phase_features(np.fft.rfft(s.samples), s.duration, cfg)
-    gamma = damping_weights(values.size, cfg.bandwidth_hz, s.duration, cfg.damping)
+    values, _ = phase_features(np.fft.rfft(s.samples), gamma)
     return PhaseFeature(values=values, gamma=gamma)
 
 

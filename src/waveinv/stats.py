@@ -458,34 +458,25 @@ def lhs_sample(n: int, m: int, seed: int, restarts: int = 100) -> np.ndarray:
     return best
 
 
-def apply_marginals(
-    unit: np.ndarray,
-    prior: MaterialPrior,
-    which: tuple[str, ...] = ("E", "nu"),
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Map unit-cube samples through the inverse marginal CDFs: one column
-    of physical draws per name in ``which``.
+def apply_marginals(unit: np.ndarray, prior: MaterialPrior, rng: np.random.Generator) -> np.ndarray:
+    """Map (n, 2) unit-cube samples through the inverse marginal CDFs of E
+    and nu: one column of physical draws each.
 
     Poisson's-ratio draws at or above 0.5 (unit sample beyond the 0.99974
-    quantile for the shipped priors) are redrawn uniformly and logged; all
-    returned rows satisfy the physical parameter constraints.
+    quantile for the shipped priors) are redrawn uniformly from ``rng`` and
+    logged; all returned rows satisfy the physical parameter constraints.
     """
     unit = np.asarray(unit, dtype=float)
-    if unit.ndim != 2 or unit.shape[1] != len(which):
-        raise ValueError(f"expected a (n, {len(which)}) unit matrix, got {unit.shape}")
+    if unit.ndim != 2 or unit.shape[1] != 2:
+        raise ValueError(f"expected a (n, 2) unit matrix, got {unit.shape}")
     values = np.empty_like(unit)
     redraws = 0
-    for j, name in enumerate(which):
+    for j, name in enumerate(("E", "nu")):
         dist = prior.marginals[name]
         column = gamma_inv_cdf(dist, unit[:, j])
         if name == "nu":
             for i in range(column.size):
                 while column[i] >= 0.5:
-                    if rng is None:
-                        raise ValueError(
-                            "nu draw >= 0.5 requires an explicit generator for the redraw"
-                        )
                     u = rng.uniform()
                     column[i] = gamma_inv_cdf(dist, u)
                     redraws += 1

@@ -21,7 +21,6 @@ from waveinv.forward import (
     response_spectrum,
 )
 from waveinv.signals import (
-    PhaseObjectiveConfig,
     PipelineError,
     damping_weights,
     envelope,
@@ -33,18 +32,17 @@ from waveinv.stats import BUILTIN_PRIORS, MATERIALS
 PEEK = MaterialParams(E=3.9559e9, nu=0.40079, rho=1400.3)
 
 
-def objective_for(cfg):
-    return PhaseObjectiveConfig(bandwidth_hz=cfg.b, damping=1.0)
+def weights_for(cfg, c=1.0):
+    """The phase objective's damping weights on the grid of ``cfg``."""
+    return damping_weights(cfg.n // 2, cfg.b, cfg.duration, c)
 
 
 class TestConfig:
     def test_bandwidth_default(self):
         cfg = ForwardConfig(fbar=2.0e6)
         assert cfg.b == pytest.approx(0.65 * 2.0e6)
-
-    def test_explicit_bandwidth_kept(self):
-        cfg = ForwardConfig(fbar=2.0e6, b=1.0e6)
-        assert cfg.b == 1.0e6
+        with pytest.raises(TypeError):  # b follows fbar; it is not a field
+            ForwardConfig(fbar=2.0e6, b=1.0e6)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -65,7 +63,7 @@ class TestExcitation:
 
     def test_gaussian_factor_is_one_at_center(self):
         cfg = ForwardConfig()
-        t = excitation(cfg).times()
+        t = np.arange(cfg.n) * cfg.dt
         gauss = np.exp(-((t - cfg.tbar) ** 2) / (2 * cfg.sigma**2))
         assert gauss[int(round(cfg.tbar / cfg.dt))] == pytest.approx(1.0, abs=1e-6)
 
@@ -170,7 +168,7 @@ class TestForwardResponse:
         cfg = ForwardConfig()
         out = forward_response(PEEK, cfg)
         env = envelope(out).samples
-        t = out.times()
+        t = np.arange(out.n) * out.dt
         tau, _, _ = packet_delays(PEEK, cfg)
         peaks = []
         for tj in tau:
@@ -243,15 +241,15 @@ class TestForwardJacobian:
 class TestResidualJacobian:
     def setup_method(self):
         self.cfg = ForwardConfig()
-        self.obj = objective_for(self.cfg)
+        self.gamma = weights_for(self.cfg)
         truth = MaterialParams(PEEK.E * 1.02, PEEK.nu * 0.995, PEEK.rho)
-        self.ref = transform_pipeline(forward_response(truth, self.cfg), self.obj)
+        self.ref = transform_pipeline(forward_response(truth, self.cfg), self.gamma)
 
     def feature_at(self, m):
-        return transform_pipeline(forward_response(m, self.cfg), self.obj).values
+        return transform_pipeline(forward_response(m, self.cfg), self.gamma).values
 
     def test_matches_pipeline_finite_differences(self):
-        jac = -phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)[1]
+        jac = -phase_objective_terms(PEEK, self.cfg, self.ref)[1]
         fd = []
         for i in range(2):
             x = [PEEK.E, PEEK.nu]
@@ -281,34 +279,34 @@ class TestResidualJacobian:
         # the largest usable damping puts gamma at the last lag near exp(-745)
         cfg = ForwardConfig(n=n, **self.EDGE_GRIDS[n])
         damping = 745.0 * (cfg.b * cfg.duration) ** 2 / (n // 2 - 1) ** 2 if largest_damping else 1.0
-        obj = PhaseObjectiveConfig(bandwidth_hz=cfg.b, damping=damping)
+        gamma = weights_for(cfg, damping)
         x = np.array([PEEK.E * scale[0], PEEK.nu * scale[1]])
         truth = MaterialParams(x[0] * 1.01, x[1] * 0.995, PEEK.rho)
-        ref = transform_pipeline(forward_response(truth, cfg), obj)
-        _, dsim = phase_objective_terms(MaterialParams(x[0], x[1], PEEK.rho), cfg, obj, ref)
+        ref = transform_pipeline(forward_response(truth, cfg), gamma)
+        _, dsim = phase_objective_terms(MaterialParams(x[0], x[1], PEEK.rho), cfg, ref)
         for i in range(2):
             h = np.zeros(2)
             h[i] = 1e-6 * x[i]
-            rp, _ = phase_objective_terms(MaterialParams(*(x + h), PEEK.rho), cfg, obj, ref, need_jacobian=False)
-            rm, _ = phase_objective_terms(MaterialParams(*(x - h), PEEK.rho), cfg, obj, ref, need_jacobian=False)
+            rp, _ = phase_objective_terms(MaterialParams(*(x + h), PEEK.rho), cfg, ref, need_jacobian=False)
+            rm, _ = phase_objective_terms(MaterialParams(*(x - h), PEEK.rho), cfg, ref, need_jacobian=False)
             fd = -(rp - rm) / (2 * h[i])  # residual = ref - sim
             assert np.max(np.abs(dsim[:, i] - fd)) <= 1e-5 * np.max(np.abs(fd))
 
     def test_amplitude_scaling_leaves_jacobian_unchanged(self):
         cfg2 = ForwardConfig(amplitudes=tuple(2.0 * a for a in self.cfg.amplitudes))
-        ref2 = transform_pipeline(forward_response(PEEK, cfg2), self.obj)
-        j1 = -phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)[1]
-        j2 = -phase_objective_terms(PEEK, cfg2, self.obj, ref2)[1]
+        ref2 = transform_pipeline(forward_response(PEEK, cfg2), self.gamma)
+        j1 = -phase_objective_terms(PEEK, self.cfg, self.ref)[1]
+        j2 = -phase_objective_terms(PEEK, cfg2, ref2)[1]
         assert np.max(np.abs(j1 - j2)) <= 1e-9 * np.max(np.abs(j1))
 
     def test_deterministic(self):
-        j1 = -phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)[1]
-        j2 = -phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)[1]
+        j1 = -phase_objective_terms(PEEK, self.cfg, self.ref)[1]
+        j2 = -phase_objective_terms(PEEK, self.cfg, self.ref)[1]
         assert np.array_equal(j1, j2)
 
     def test_counts_one_evaluation(self):
         counter = EvalCounter()
-        phase_objective_terms(PEEK, self.cfg, self.obj, self.ref, counter=counter)
+        phase_objective_terms(PEEK, self.cfg, self.ref, counter=counter)
         assert counter.count == 1
 
     def test_zero_coefficient_at_undamped_index_flagged(self):
@@ -317,10 +315,10 @@ class TestResidualJacobian:
         y[3] = 1.0 + 0.5j
         dy = np.ones_like(y)
         with pytest.raises(PipelineError):
-            phase_features(y, 1.0, PhaseObjectiveConfig(bandwidth_hz=1e6), dy[None, :])
+            phase_features(y, damping_weights(8, 1e6, 1.0, 1.0), dy[None, :])
 
     def test_residual_against_reference_feature(self):
-        r, jac = phase_objective_terms(PEEK, self.cfg, self.obj, self.ref)
+        r, jac = phase_objective_terms(PEEK, self.cfg, self.ref)
         sim = self.feature_at(PEEK)
         np.testing.assert_allclose(r, self.ref.values - sim, atol=1e-12)
         assert jac.shape == (r.size, 2)
@@ -331,8 +329,8 @@ class TestPhaseKernelCost:
 
     def test_fft_and_excitation_calls_per_evaluation(self, monkeypatch):
         cfg = ForwardConfig()
-        obj = objective_for(cfg)
-        ref = transform_pipeline(forward_response(PEEK, cfg), obj)
+        gamma = weights_for(cfg)
+        ref = transform_pipeline(forward_response(PEEK, cfg), gamma)
         calls = {"fft": 0, "excitation": 0}
 
         def counted(fn, key):
@@ -347,10 +345,10 @@ class TestPhaseKernelCost:
         monkeypatch.setattr(forward, "excitation", counted(forward.excitation, "excitation"))
         forward._excitation_spectrum.cache_clear()
 
-        phase_objective_terms(PEEK, cfg, obj, ref)
+        phase_objective_terms(PEEK, cfg, ref)
         assert calls["excitation"] == 1
         calls["fft"] = 0
-        _, jac = phase_objective_terms(PEEK, cfg, obj, ref)
+        _, jac = phase_objective_terms(PEEK, cfg, ref)
         assert jac.shape == (cfg.n // 2, 2)
         assert calls["fft"] <= 4
         assert calls["excitation"] == 1  # served from the cache
@@ -359,8 +357,8 @@ class TestPhaseKernelCost:
         # the forward pass's fft(V) and rfft(|fft(V)|^2), then the reverse
         # pass's irfft and fft, each on one row; no dY is built
         cfg = ForwardConfig()
-        obj = objective_for(cfg)
-        ref = transform_pipeline(forward_response(PEEK, cfg), obj)
+        gamma = weights_for(cfg)
+        ref = transform_pipeline(forward_response(PEEK, cfg), gamma)
         rows = []
 
         def counted(fn):
@@ -379,7 +377,7 @@ class TestPhaseKernelCost:
             return response(m, cfg, counter, need_jacobian)
 
         monkeypatch.setattr(forward, "_response", recorded)
-        phase_objective_gradient(PEEK, cfg, obj, ref)
+        phase_objective_gradient(PEEK, cfg, ref)
         assert rows == [1, 1, 1, 1]
         assert asked == [False]
 
@@ -387,9 +385,8 @@ class TestPhaseKernelCost:
         cfg = ForwardConfig()
         cached = forward._excitation_spectrum(cfg)
         assert forward._excitation_spectrum(ForwardConfig()) is cached
-        obj = objective_for(cfg)
-        gamma = damping_weights(cfg.n // 2, obj.bandwidth_hz, cfg.duration, obj.damping)
-        assert damping_weights(cfg.n // 2, obj.bandwidth_hz, cfg.duration, obj.damping) is gamma
+        gamma = weights_for(cfg)
+        assert weights_for(cfg) is gamma
         for array in (*cached, gamma):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -445,14 +442,14 @@ class TestPullbacks:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(dy)) * np.sum(np.abs(w))
 
     def test_phase_pullback_pairs_with_the_feature_derivatives(self):
-        obj = PhaseObjectiveConfig(bandwidth_hz=700.0)
+        gamma = damping_weights(1024, 700.0, 1.0, 1.0)
         rng = np.random.default_rng(3)
         for _ in range(5):
             coeffs = rng.standard_normal(1025) + 1j * rng.standard_normal(1025)
             dcoeffs = rng.standard_normal((2, 1025)) + 1j * rng.standard_normal((2, 1025))
             u = rng.standard_normal(1024)
-            _, dvalues = phase_features(coeffs, 1.0, obj, dcoeffs)
-            _, _, tape = signals._phase_forward(coeffs, 1.0, obj)
+            _, dvalues = phase_features(coeffs, gamma, dcoeffs)
+            _, _, tape = signals._phase_forward(coeffs, gamma)
             w = signals._phase_pullback(tape, u)
             np.testing.assert_allclose((dcoeffs @ w).real, u @ dvalues, rtol=1e-10)
 
@@ -540,29 +537,29 @@ class TestBatch:
 
     def test_phase_terms_are_the_single_rows(self):
         cfg = ForwardConfig()
-        obj = objective_for(cfg)
-        ref = transform_pipeline(forward_response(PEEK, cfg), obj)
+        gamma = weights_for(cfg)
+        ref = transform_pipeline(forward_response(PEEK, cfg), gamma)
         x = self.rows()
-        r, jac = phase_objective_terms(Materials(x, PEEK.rho), cfg, obj, ref)
+        r, jac = phase_objective_terms(Materials(x, PEEK.rho), cfg, ref)
         assert r.shape == (len(x), cfg.n // 2) and jac.shape == (len(x), cfg.n // 2, 2)
         for i, row in enumerate(x):
-            r1, jac1 = phase_objective_terms(MaterialParams(*row, PEEK.rho), cfg, obj, ref)
+            r1, jac1 = phase_objective_terms(MaterialParams(*row, PEEK.rho), cfg, ref)
             assert r[i].tobytes() == r1.tobytes()
             assert jac[i].tobytes() == jac1.tobytes()
 
     def test_degenerate_rows_are_nan(self):
         # a zero spectrum row, and a row whose only nonzero coefficient makes
         # every lag > 0 zero: singular phase derivative at undamped lags
-        obj = PhaseObjectiveConfig(bandwidth_hz=1e6)
+        gamma = damping_weights(8, 1e6, 1.0, 1.0)
         rng = np.random.default_rng(4)
         y = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
         y[0] = 0.0
         y[1] = 0.0
         y[1, 3] = 1.0 + 0.5j
         dy = np.ones((3, 2, 9), dtype=complex)
-        values, dvalues = phase_features(y, 1.0, obj, dy)
+        values, dvalues = phase_features(y, gamma, dy)
         assert np.isnan(values[:2]).all() and np.isnan(dvalues[:2]).all()
-        v2, dv2 = phase_features(y[2], 1.0, obj, dy[2])
+        v2, dv2 = phase_features(y[2], gamma, dy[2])
         assert values[2].tobytes() == v2.tobytes() and dvalues[2].tobytes() == dv2.tobytes()
-        plain, _ = phase_features(y, 1.0, obj)
+        plain, _ = phase_features(y, gamma)
         assert np.isnan(plain[0]).all() and np.isfinite(plain[1:]).all()

@@ -11,10 +11,8 @@ from hypothesis.extra.numpy import arrays
 from waveinv import bench, signals
 from waveinv.forward import ForwardConfig, MaterialParams, phase_objective_terms, response_spectrum
 from waveinv.signals import (
-    PhaseObjectiveConfig,
     PipelineError,
     Signal,
-    analytic_from_spectrum,
     analytic_signal,
     damping_weights,
     envelope,
@@ -32,6 +30,11 @@ def packet_signal(n=4096, fbar=1e6, tbar=3e-6, b=0.65e6, oversample=16):
     t = np.arange(n) * dt
     sigma = 1.0 / (np.pi * b)
     return Signal(np.sin(2 * np.pi * fbar * t) * np.exp(-((t - tbar) ** 2) / (2 * sigma**2)), dt=dt)
+
+
+def packet_weights(s, b=0.65e6, c=1.0):
+    """The phase objective's damping weights on the grid of signal s."""
+    return damping_weights(s.n // 2, b, s.duration, c)
 
 
 def bandlimited_noise(n, rng):
@@ -130,7 +133,7 @@ class TestAnalyticFromSpectrum:
         w[1 : n // 2] = 2.0
         w[n // 2] = 1.0
         want = np.fft.ifft(np.fft.fft(u - u.mean()) * w)
-        got = analytic_from_spectrum(np.fft.rfft(u), n)
+        got = analytic_signal(Signal(u, dt=1.0))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         demeaned = u - u.mean()
         assert np.max(np.abs(got.real - demeaned)) <= 1e-13 * np.max(np.abs(demeaned))
@@ -138,9 +141,9 @@ class TestAnalyticFromSpectrum:
     def test_rows_are_transformed_independently(self):
         rng = np.random.default_rng(3)
         u = rng.standard_normal((3, 64))
-        stacked = analytic_from_spectrum(np.fft.rfft(u, axis=-1), 64)
+        stacked = signals._analytic(np.fft.rfft(u, axis=-1), 64).copy()
         for row, samples in zip(stacked, u):
-            np.testing.assert_array_equal(row, analytic_from_spectrum(np.fft.rfft(samples), 64))
+            np.testing.assert_array_equal(row, analytic_signal(Signal(samples, dt=1.0)))
 
     def test_weights_are_cached_and_read_only(self):
         from waveinv.signals import _analytic_weights
@@ -154,7 +157,7 @@ class TestAnalyticFromSpectrum:
     def test_analytic_signal_is_the_spectrum_form(self):
         u = np.random.default_rng(5).standard_normal(128)
         np.testing.assert_array_equal(
-            analytic_signal(Signal(u, dt=1.0)), analytic_from_spectrum(np.fft.rfft(u), 128)
+            analytic_signal(Signal(u, dt=1.0)), signals._analytic(np.fft.rfft(u), 128)
         )
 
 
@@ -170,7 +173,7 @@ class TestEnvelope:
         # closed-form Gaussian as oracle, within 2% of peak on |t - tbar| <= 2 sigma
         s = packet_signal()
         sigma = 1.0 / (np.pi * 0.65e6)
-        t = s.times()
+        t = np.arange(s.n) * s.dt
         gauss = np.exp(-((t - 3e-6) ** 2) / (2 * sigma**2))
         mask = np.abs(t - 3e-6) <= 2 * sigma
         dev = np.abs(envelope(s).samples[mask] - gauss[mask])
@@ -282,7 +285,9 @@ class TestStableArg:
     """The stable-argument stage of phase_features: pseudo-coefficient
     normalization, unwrap, pseudo-phase subtraction and damping."""
 
-    wide = PhaseObjectiveConfig(bandwidth_hz=1e6)  # gamma ~ 1 over a few lags at T = 1
+    @staticmethod
+    def wide(m):
+        return damping_weights(m, 1e6, 1.0, 1.0)  # gamma ~ 1 over a few lags at T = 1
 
     def test_alternating_spectrum_gives_pure_normalization(self):
         # V_i = (-1)^i autocorrelates to E_k = (-1)^k (m - k), a positive
@@ -290,9 +295,8 @@ class TestStableArg:
         m = 32
         k = np.arange(m)
         coeffs = np.concatenate([[0.0], np.where(k % 2 == 0, 1.0, -1.0)]).astype(complex)
-        obj = PhaseObjectiveConfig(bandwidth_hz=2.0 / 3.0)  # bT = 2 with T = 3
-        values, _ = phase_features(coeffs, 3.0, obj)
-        gamma = damping_weights(m, obj.bandwidth_hz, 3.0, obj.damping)
+        gamma = damping_weights(m, 2.0 / 3.0, 3.0, 1.0)  # bT = 2 with T = 3
+        values, _ = phase_features(coeffs, gamma)
         np.testing.assert_allclose(values, -gamma * np.pi * k, atol=1e-12)
 
     def test_gamma_head_and_monotonicity(self):
@@ -309,22 +313,22 @@ class TestStableArg:
         # Y_k for k = 0..3 must be [1, -1, 1, -1]; probe it through a
         # constant V, whose autocorrelation E = [4, 3, 2, 1] is real and
         # positive: arg(E_k * Y_k) alternates 0, pi
-        values, _ = phase_features(np.array([0.0, 1.0, 1.0, 1.0, 1.0], dtype=complex), 1.0, self.wide)
-        gamma = damping_weights(4, self.wide.bandwidth_hz, 1.0, self.wide.damping)
+        gamma = self.wide(4)
+        values, _ = phase_features(np.array([0.0, 1.0, 1.0, 1.0, 1.0], dtype=complex), gamma)
         raw = np.array([0.0, np.pi, 0.0, np.pi])
         want = unwrap(raw) - np.pi * np.arange(4)
         np.testing.assert_allclose(values, gamma * want, atol=1e-9)
 
     def test_zero_coefficient_maps_to_zero_phase(self):
         # a single nonzero coefficient autocorrelates to E = [1, 0, 0]
-        values, _ = phase_features(np.array([0.0, 1.0, 0.0, 0.0], dtype=complex), 1.0, self.wide)
-        gamma = damping_weights(3, self.wide.bandwidth_hz, 1.0, self.wide.damping)
+        gamma = self.wide(3)
+        values, _ = phase_features(np.array([0.0, 1.0, 0.0, 0.0], dtype=complex), gamma)
         # raw phases [0, 0, 0] -> values = -gamma * pi * k
         np.testing.assert_allclose(values, -gamma * np.pi * np.arange(3), atol=1e-9)
 
     def test_all_zero_spectrum_rejected(self):
         with pytest.raises(PipelineError):
-            phase_features(np.zeros(5, dtype=complex), 1.0, PhaseObjectiveConfig(bandwidth_hz=1.0))
+            phase_features(np.zeros(5, dtype=complex), damping_weights(4, 1.0, 1.0, 1.0))
 
     def test_damping_constant_range_enforced(self):
         # a configured C reaches phase_features only through the experiment
@@ -333,10 +337,11 @@ class TestStableArg:
             bench.ExperimentConfig(damping=0.5)
 
     def test_config_rejects_out_of_range_damping(self):
-        for c in (0.2, 50.0):
-            with pytest.raises(ValueError):
-                PhaseObjectiveConfig(bandwidth_hz=1.0, damping=c)
-        assert PhaseObjectiveConfig(bandwidth_hz=1.0, damping=10).damping == 10.0
+        # damping_weights holds the rule; the experiment config applies it
+        for c in (0.2, 50.0, float("nan")):
+            with pytest.raises(ValueError, match=r"damping constant must lie in \[1, 10\]"):
+                damping_weights(4, 1.0, 1.0, c)
+        np.testing.assert_array_equal(damping_weights(4, 1.0, 1.0, 10), damping_weights(4, 1.0, 1.0, 10.0))
 
 
 def direct_phase_terms(coeffs, dcoeffs, gamma):
@@ -366,38 +371,46 @@ class TestPhaseFeatures:
 
     def test_matches_direct_sum_reference(self):
         coeffs, dcoeffs = self.crafted()
-        obj = PhaseObjectiveConfig(bandwidth_hz=16.0, damping=1.0)  # bT = 16 over 32 lags
-        got, jac = phase_features(coeffs, 1.0, obj, dcoeffs)
-        values, dvalues = direct_phase_terms(coeffs, dcoeffs, damping_weights(32, 16.0, 1.0, 1.0))
+        gamma = damping_weights(32, 16.0, 1.0, 1.0)  # bT = 16 over 32 lags
+        got, jac = phase_features(coeffs, gamma, dcoeffs)
+        values, dvalues = direct_phase_terms(coeffs, dcoeffs, gamma)
         assert jac.shape == (32, 2)
         assert np.max(np.abs(got - values)) <= 1e-12
         assert np.max(np.abs(jac - dvalues)) <= 1e-12 * np.max(np.abs(dvalues))
 
     def test_features_without_jacobian_are_identical(self):
         coeffs, dcoeffs = self.crafted()
-        obj = PhaseObjectiveConfig(bandwidth_hz=16.0)
-        plain, none = phase_features(coeffs, 1.0, obj)
-        with_jac, _ = phase_features(coeffs, 1.0, obj, dcoeffs)
+        gamma = damping_weights(32, 16.0, 1.0, 1.0)
+        plain, none = phase_features(coeffs, gamma)
+        with_jac, _ = phase_features(coeffs, gamma, dcoeffs)
         assert none is None
         assert np.array_equal(plain, with_jac)
+
+    @pytest.mark.parametrize("gamma", [[1.0], np.ones(31), np.ones(33), np.ones((1, 32))], ids=["one", "31", "33", "2d"])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_weights_of_another_length_rejected(self, gamma, batch):
+        # one weight per lag, n/2 = 32 here; a single weight would broadcast
+        coeffs, dcoeffs = self.crafted()
+        if batch:
+            coeffs, dcoeffs = np.stack([coeffs, coeffs]), np.stack([dcoeffs, dcoeffs])
+        for args in ((coeffs, gamma), (coeffs, gamma, dcoeffs)):
+            with pytest.raises(ValueError, match="expected 32 damping weights"):
+                phase_features(*args)
 
     def test_autocorr_wrapper_agrees_with_kernel(self):
         # the phases of the kernel's autocorrelation stage, taken stage by
         # stage, are the kernel's feature values
         coeffs, _ = self.crafted()
-        b, duration = 16.0, 1.0
         e = autocorr(coeffs[1:])
         k = np.arange(e.size)
-        gamma = damping_weights(e.size, b, duration, 1.0)
+        gamma = damping_weights(e.size, 16.0, 1.0, 1.0)
         staged = gamma * (unwrap(np.angle(e * (-1.0) ** k)) - np.pi * k)
-        values, _ = phase_features(coeffs, duration, PhaseObjectiveConfig(bandwidth_hz=b))
+        values, _ = phase_features(coeffs, gamma)
         assert np.array_equal(staged, values)
 
 
 class TestPhaseProperties:
     """The structural claims behind the phase objective, as properties."""
-
-    cfg = PhaseObjectiveConfig(bandwidth_hz=0.65e6, damping=1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -406,8 +419,8 @@ class TestPhaseProperties:
     )
     def test_amplitude_scaling_leaves_features_unchanged(self, alpha, tbar):
         s = packet_signal(tbar=tbar)
-        a = transform_pipeline(s, self.cfg)
-        b = transform_pipeline(Signal(alpha * s.samples, dt=s.dt), self.cfg)
+        a = transform_pipeline(s, packet_weights(s))
+        b = transform_pipeline(Signal(alpha * s.samples, dt=s.dt), packet_weights(s))
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
 
     @settings(max_examples=25, deadline=None)
@@ -420,8 +433,8 @@ class TestPhaseProperties:
         # 2 pi gamma_k jumps near k = 660).
         s = packet_signal(tbar=tbar)
         sim = Signal(np.roll(s.samples, -shift), dt=s.dt)
-        ref = transform_pipeline(s, self.cfg)
-        r = ref.values - transform_pipeline(sim, self.cfg).values
+        ref = transform_pipeline(s, packet_weights(s))
+        r = ref.values - transform_pipeline(sim, packet_weights(s)).values
         omega = 2 * np.pi * np.arange(r.size) / s.duration
         want = -ref.gamma * omega * shift * s.dt
         interior = slice(1, r.size // 2)
@@ -429,40 +442,45 @@ class TestPhaseProperties:
 
 
 class TestPhaseResidual:
-    def cfg(self):
-        return PhaseObjectiveConfig(bandwidth_hz=0.65e6, damping=1.0)
-
     def test_identical_inputs(self):
         s = packet_signal()
-        a = transform_pipeline(s, self.cfg())
-        b = transform_pipeline(Signal(s.samples.copy(), dt=s.dt), self.cfg())
+        a = transform_pipeline(s, packet_weights(s))
+        b = transform_pipeline(Signal(s.samples.copy(), dt=s.dt), packet_weights(s))
         assert np.all(a.values - b.values == 0.0)
 
     def test_amplitude_invariance(self):
         s = packet_signal()
-        ref = transform_pipeline(s, self.cfg())
+        ref = transform_pipeline(s, packet_weights(s))
         for alpha in (0.1, 3.0, 250.0):
             scaled = Signal(alpha * s.samples, dt=s.dt)
-            r = ref.values - transform_pipeline(scaled, self.cfg()).values
+            r = ref.values - transform_pipeline(scaled, packet_weights(s)).values
             assert np.max(np.abs(r)) <= 1e-9
 
     def test_antisymmetry(self):
-        a = transform_pipeline(packet_signal(), self.cfg()).values
-        b = transform_pipeline(packet_signal(tbar=3.4e-6), self.cfg()).values
+        s = packet_signal()
+        a = transform_pipeline(s, packet_weights(s)).values
+        b = transform_pipeline(packet_signal(tbar=3.4e-6), packet_weights(s)).values
         np.testing.assert_allclose(a - b, -(b - a), atol=1e-15)
 
-    def test_gamma_mismatch_rejected(self):
-        # the phase residual is formed by phase_objective_terms, which refuses
-        # a reference feature damped differently from its own objective
+    def test_model_is_damped_by_the_reference_weights(self):
+        # phase_objective_terms damps the model's features by the weights the
+        # reference feature carries, and refuses weights of another grid
         cfg = ForwardConfig(n=1024, dt=2.4e-5 / 1024)
         truth = MaterialParams(E=3.9559e9, nu=0.40079, rho=1400.3)
-        y, _ = response_spectrum(truth, cfg)
-        ref = transform_pipeline(
-            Signal(np.fft.irfft(y, cfg.n), dt=cfg.dt), PhaseObjectiveConfig(bandwidth_hz=cfg.b, damping=2.0)
-        )
-        objective = PhaseObjectiveConfig(bandwidth_hz=cfg.b, damping=1.0)
-        with pytest.raises(ValueError, match="different damping weights"):
-            phase_objective_terms(truth, cfg, objective, ref)
+        y, dy = response_spectrum(truth, cfg, need_jacobian=True)
+        s = Signal(np.fft.irfft(y, cfg.n), dt=cfg.dt)
+        residuals = []
+        for c in (1.0, 2.0):
+            ref = transform_pipeline(s, damping_weights(cfg.n // 2, cfg.b, cfg.duration, c))
+            r, jac = phase_objective_terms(truth, cfg, ref)
+            values, dvalues = phase_features(y, ref.gamma, dy)
+            assert np.array_equal(r, ref.values - values) and np.array_equal(jac, dvalues)
+            residuals.append(r)
+        assert not np.array_equal(*residuals)
+        half = Signal(s.samples[: cfg.n // 2], dt=cfg.dt)
+        coarse = transform_pipeline(half, damping_weights(cfg.n // 4, cfg.b, half.duration, 1.0))
+        with pytest.raises(ValueError, match=f"expected {cfg.n // 2} damping weights"):
+            phase_objective_terms(truth, cfg, coarse)
 
 
 class TestPlainResiduals:
@@ -482,32 +500,37 @@ class TestPlainResiduals:
 
 
 class TestTransformPipeline:
-    def cfg(self):
-        return PhaseObjectiveConfig(bandwidth_hz=0.65e6, damping=1.0)
-
     def test_zero_signal_rejected(self):
+        s = Signal(np.zeros(64), dt=1.0)
         with pytest.raises(PipelineError):
-            transform_pipeline(Signal(np.zeros(64), dt=1.0), self.cfg())
+            transform_pipeline(s, packet_weights(s))
+
+    def test_weights_of_another_length_rejected(self):
+        # n/2 = 32 weights for a 64-sample record; a single weight would broadcast
+        s = packet_signal(n=64)
+        for gamma in ([1.0], packet_weights(packet_signal(n=32)), damping_weights(33, 0.65e6, s.duration, 1.0)):
+            with pytest.raises(ValueError, match="expected 32 damping weights"):
+                transform_pipeline(s, gamma)
 
     def test_packet_features_finite_and_bounded(self):
         s = packet_signal()
-        feat = transform_pipeline(s, self.cfg())
+        feat = transform_pipeline(s, packet_weights(s))
         nplus = s.n // 2
-        assert len(feat) == nplus
+        assert feat.values.size == feat.gamma.size == nplus
         assert np.all(np.isfinite(feat.values))
         assert np.all(np.abs(feat.values) <= feat.gamma * (np.pi * nplus + np.pi))
 
     def test_time_reversal_changes_features(self):
         s = packet_signal()
         reversed_ = Signal(s.samples[::-1].copy(), dt=s.dt)
-        a = transform_pipeline(s, self.cfg())
-        b = transform_pipeline(reversed_, self.cfg())
+        a = transform_pipeline(s, packet_weights(s))
+        b = transform_pipeline(reversed_, packet_weights(s))
         assert np.max(np.abs(a.values - b.values)) > 1e-3
 
     def test_deterministic(self):
         s = packet_signal()
-        a = transform_pipeline(s, self.cfg())
-        b = transform_pipeline(s, self.cfg())
+        a = transform_pipeline(s, packet_weights(s))
+        b = transform_pipeline(s, packet_weights(s))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.gamma, b.gamma)
 
@@ -529,11 +552,11 @@ class TestScratchArrays:
     @pytest.mark.parametrize("rows", [0, 16])
     @pytest.mark.parametrize("with_jacobian", [False, True])
     def test_second_phase_call_leaves_first_results_unchanged(self, rows, with_jacobian):
-        obj = PhaseObjectiveConfig(bandwidth_hz=700.0)
+        gamma = damping_weights(2048, 700.0, 1.0, 1.0)
 
         def call(seed):
             coeffs, dcoeffs = self.spectra(seed, rows)
-            return phase_features(coeffs, 1.0, obj, dcoeffs if with_jacobian else None)
+            return phase_features(coeffs, gamma, dcoeffs if with_jacobian else None)
 
         first = call(1)
         kept = [None if out is None else out.copy() for out in first]
@@ -548,13 +571,13 @@ class TestScratchArrays:
         # the autocorrelation stage runs in scratch arrays; the kernel's
         # values were copied out of them before it returned
         (a, _), (b, _) = self.spectra(1, 3), self.spectra(2, 3)
-        first, _ = phase_features(a, 1.0, PhaseObjectiveConfig(bandwidth_hz=700.0))
+        first, _ = phase_features(a, damping_weights(2048, 700.0, 1.0, 1.0))
         kept = first.copy()
         signals._autocorr(b[:, 1:])
         assert np.array_equal(first, kept)
-        analytic = analytic_from_spectrum(a, 4096)
+        analytic = analytic_signal(Signal(np.fft.irfft(a[0], 4096), dt=1.0))
         kept = analytic.copy()
-        analytic_from_spectrum(b, 4096)
+        analytic_signal(Signal(np.fft.irfft(b[0], 4096), dt=1.0))
         assert np.array_equal(analytic, kept)
         assert not np.shares_memory(analytic, signals._analytic(b, 4096))
 

@@ -254,7 +254,7 @@ class TestApplyMarginals:
     def test_median_maps_to_median(self):
         prior = BUILTIN_PRIORS["PEEK"]
         unit = np.array([[0.5, 0.5]])
-        draws = apply_marginals(unit, prior, ("E", "nu"))
+        draws = apply_marginals(unit, prior, np.random.default_rng(9))
         assert draws.shape == (1, 2)
         assert draws[0, 0] == pytest.approx(gamma_inv_cdf(prior.marginals["E"], 0.5))
 
@@ -262,7 +262,7 @@ class TestApplyMarginals:
         rng = np.random.default_rng(10)
         unit = rng.uniform(size=(10000, 2))
         prior = BUILTIN_PRIORS["PEEK"]
-        draws = apply_marginals(unit, prior, ("E", "nu"), rng=rng)
+        draws = apply_marginals(unit, prior, rng)
         assert draws[:, 0].mean() == pytest.approx(prior.marginals["E"].mean, rel=0.01)
         assert draws[:, 1].mean() == pytest.approx(prior.marginals["nu"].mean, rel=0.01)
 
@@ -273,7 +273,7 @@ class TestApplyMarginals:
         unit = np.array([[0.5, 0.99999]])
         rng = np.random.default_rng(11)
         with caplog.at_level(logging.INFO, logger="waveinv.stats"):
-            draws = apply_marginals(unit, prior, ("E", "nu"), rng=rng)
+            draws = apply_marginals(unit, prior, rng)
         assert re.search(r"redrew [1-9]\d* Poisson's-ratio samples >= 0.5 for prior PA6", caplog.text)
         assert draws[0, 1] < 0.5
 
@@ -281,7 +281,7 @@ class TestApplyMarginals:
         rng = np.random.default_rng(12)
         for mat in MATERIALS:
             unit = rng.uniform(size=(500, 2))
-            e, nu = apply_marginals(unit, BUILTIN_PRIORS[mat], ("E", "nu"), rng=rng).T
+            e, nu = apply_marginals(unit, BUILTIN_PRIORS[mat], rng).T
             assert np.all(e > 0.0)
             assert np.all((nu > 0.0) & (nu < 0.5))
 
