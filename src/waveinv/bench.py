@@ -33,7 +33,6 @@ from .signals import (
     _analytic,
     damping_weights,
     envelope,
-    phase_features,
     read_signal_csv,
     transform_pipeline,
     write_signal_csv,
@@ -345,12 +344,6 @@ def mean_reference(cfg: ExperimentConfig) -> Reference:
 # ---------------------------------------------------------------------------
 # objective closures
 
-def _phase_weights(cfg: ExperimentConfig) -> np.ndarray:
-    """The phase objective's damping weights on the configured grid."""
-    fwd = cfg.forward_config()
-    return damping_weights(fwd.n // 2, fwd.b, fwd.duration, cfg.damping)
-
-
 def make_objective(cfg: ExperimentConfig, ref: Reference):
     """Build the residual/Jacobian and scalar/gradient callbacks for one
     reference, sharing an evaluation counter.
@@ -371,7 +364,8 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
 
     if cfg.objective == "autocorr-phase":
         # on the model's grid; the feature carries the weights to the model
-        ref_feature = transform_pipeline(Signal(ref.signal.samples, fwd.dt), _phase_weights(cfg))
+        gamma = damping_weights(fwd.n // 2, fwd.b, fwd.duration, cfg.damping)
+        ref_feature = transform_pipeline(Signal(ref.signal.samples, fwd.dt), gamma)
         ref_norm = float(np.linalg.norm(ref_feature.values))
 
         def evaluate(x, need_jacobian=True):
@@ -673,20 +667,9 @@ def write_surface(result: SurfaceResult, cfg: ExperimentConfig, path: str | Path
 # ---------------------------------------------------------------------------
 # manifold export
 
-def _transformed_outputs(cfg: ExperimentConfig, samples: np.ndarray) -> np.ndarray:
-    """The objective's transform of time-domain records, one per row."""
-    if cfg.objective == "signal":
-        return samples
-    coeffs = np.fft.rfft(samples)
-    if cfg.objective == "envelope":
-        return np.abs(_analytic(coeffs, cfg.n))
-    values, _ = phase_features(coeffs, _phase_weights(cfg))
-    return values
-
-
 def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Model outputs over a coordinate-line grid, centered and projected on
-    the leading principal directions.
+    """Model outputs over a coordinate-line grid, as the objective transforms
+    them, centered and projected on the leading principal directions.
 
     Returns (params, projected, explained_variance, rank): params rows are
     (E, nu, i_E, i_nu) coordinate-line labels; rank < manifold_dim flags a
@@ -694,13 +677,10 @@ def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.n
     """
     g = cfg.manifold_grid_n
     _, _, nodes = _grid_nodes(cfg, g)
-    fwd = cfg.forward_config()
-    rho = cfg.prior().rho_si()
-    chunks = []
-    for start in range(0, len(nodes), _CHUNK):
-        y, _ = response_spectrum(Materials(nodes[start : start + _CHUNK], rho), fwd)
-        chunks.append(_transformed_outputs(cfg, np.fft.irfft(y, fwd.n)))
-    matrix = np.concatenate(chunks)
+    evaluate, _, _, _ = make_objective(cfg, mean_reference(cfg))
+    chunks = [evaluate(nodes[start : start + _CHUNK], False)[0] for start in range(0, len(nodes), _CHUNK)]
+    # the rows -r = f(x) - ref are the model outputs once centered
+    matrix = -np.concatenate(chunks)
     failed = np.flatnonzero(np.isnan(matrix).any(axis=1))
     if failed.size:
         raise ValueError(f"manifold node (E, nu) = {nodes[failed[0]]} has no model output")

@@ -3,11 +3,11 @@
 The iteration x_{k+1} = x_k + dx_k minimizes 0.5 ||r(x)||^2 for a residual
 r = ref - f(x) with model Jacobian J = df/dx.  Steps are computed on the
 rescaled Jacobian Jt = J diag(x) so both parameter columns are of order one,
-and mapped back through dx = diag(x) dxt.  Available step rules:
+and mapped back through dx = diag(x) dxt.  The residual methods share one
+step rule, the damped 2x2 system (Jt' Jt + mu I) dxt = Jt' r:
 
-  gauss-newton   dxt = (Jt' Jt)^-1 Jt' r        (projection onto the tangent basis)
-  scaled-gd      dxt = lambda * Jt' r           (gradient step, metric-rescaled)
-  modified-lm    dxt = (Jt' Jt + eta_bar / lambda * I)^-1 Jt' r
+  modified-lm    mu = eta_bar / lambda
+  gauss-newton   mu = 0                 (projection onto the tangent basis)
 
 lambda is the ratio of the metric lengths of the Gauss-Newton and gradient
 steps, computable from the gradient step alone,
@@ -19,25 +19,22 @@ scaled-gradient regime far from the minimizer to pure Gauss-Newton near it.
 eta_bar is deliberately not clamped above one: uphill excursions raise the
 damping instead of triggering a line search.
 
-The three step rules are one damped 2x2 system, (G + mu I) dxt = Jt' r:
-Gauss-Newton is mu = 0 and modified-lm mu = eta_bar / lambda; scaled-gd
-steps along Jt' r, the direction the solution turns to as mu grows, with
-the length lambda gives it.  There are two unknowns, (E, nu), so every
-step is worked out on Python floats without forming Jt.  The driver takes
-three dot products of J's columns and two with r, c_ij = J_i' J_j and
-b_i = J_i' r, and hands them with x and eta_bar to one step function,
-which returns (dx0, dx1, lambda) from
+There are two unknowns, (E, nu), so the step is worked out on Python
+floats without forming Jt.  The driver takes three dot products of J's
+columns and two with r, c_ij = J_i' J_j and b_i = J_i' r, and hands them
+with x and eta_bar to the step function, which returns (dx0, dx1, lambda)
+from
 
   G = [[x0^2 c00, x0 x1 c01], [x0 x1 c01, x1^2 c11]],   dxt* = (x0 b0, x1 b1).
 
 Both 2x2 systems are solved in closed form: G^-1 = [[g11, -g01], [-g10,
-g00]] / det G for lambda, and (G + mu I)^-1 the same way.  All three rules
-share one singularity test: a Gram with det G < RCOND_LIMIT g00 g11, whose
-columns are parallel to within rounding, is singular.  ||r|| is computed
-once per evaluation and reused by the stopping tests and eta_bar.
+g00]] / det G for lambda, and (G + mu I)^-1 the same way.  A Gram with
+det G < RCOND_LIMIT g00 g11, whose columns are parallel to within
+rounding, is singular.  ||r|| is computed once per evaluation and reused by
+the stopping tests and eta_bar.
 
 A BFGS baseline with a strong-Wolfe backtracking line search is provided for
-comparisons.  It owns its parameter scaling as the step rules do: it runs in
+comparisons.  It owns its parameter scaling as the step does: it runs in
 start-rescaled coordinates u = x / x0 (a zero start component is left
 unscaled) and returns its records in physical units.  Its line search and
 its 2x2 inverse-Hessian update run on floats as well.  Both drivers spend
@@ -46,7 +43,7 @@ that checks the budget and appends one record, so evaluation counts
 between methods are directly comparable.
 
 A run ends on a stopping test or when the evaluation budget, its only cost
-limit, is spent (status ``max-iters``).  The stopping tolerances are fixed
+limit, is spent (status ``budget``).  The stopping tolerances are fixed
 module constants beside BFGS's line-search constants, not options.
 """
 
@@ -80,7 +77,7 @@ __all__ = [
 #: treated as singular.
 RCOND_LIMIT = 1e-14
 
-METHODS = ("modified-lm", "gauss-newton", "scaled-gd", "bfgs")
+METHODS = ("modified-lm", "gauss-newton", "bfgs")
 
 #: Model-domain failures, which end a run with status ``error``: invalid
 #: parameters, a truncated window and degenerate spectra raise ValueErrors,
@@ -99,8 +96,8 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 def _gram_rcond(g00: float, g01: float, g10: float, g11: float) -> float:
     """det G / (g00 g11) for a 2x2 Gram matrix G: 1 for orthogonal columns
-    of Jt, 0 for parallel or zero ones.  Every step rule checks its Gram
-    here: below RCOND_LIMIT it is singular, and it must be positive
+    of Jt, 0 for parallel or zero ones.  The step and lambda check their
+    Gram here: below RCOND_LIMIT it is singular, and it must be positive
     definite."""
     if not (g00 >= 0.0 and g11 >= 0.0):
         raise SingularMatrixError("metric tensor is not positive definite", 0.0)
@@ -141,11 +138,14 @@ def eta_bar(r_norm: float, r0_norm: float) -> float:
     return r_norm / r0_norm
 
 
-def _lm_core(method: str, x: list[float], dots: tuple[float, ...], eta: float) -> tuple[float, float, float]:
-    """The step (dx0, dx1, lambda) of ``method`` (modified-lm, gauss-newton
-    or scaled-gd) at x = (x0, x1), from the dot products
-    dots = (c00, c01, c11, b0, b1) of J's columns, c_ij = J_i' J_j and
-    b_i = J_i' r, and eta = eta_bar; lambda is NaN for Gauss-Newton."""
+def modified_lm_step(x: list[float], dots: tuple[float, ...], eta: float) -> tuple[float, float, float]:
+    """Step-size-adapted Levenberg-Marquardt increment
+    dxt = (Jt' Jt + eta_bar / lambda * I)^-1 Jt' r, mapped back to physical
+    units, as (dx0, dx1, lambda) from x = (x0, x1), the dot products
+    dots = (c00, c01, c11, b0, b1) of J's columns with each other and with
+    r, and eta = eta_bar.  At eta = 0 it is the Gauss-Newton step.  A zero
+    gradient step Jt' r = 0 has no lambda: once the Gram has passed the
+    singularity test, the step is (0.0, 0.0, NaN)."""
     x0, x1 = x
     if x0 == 0.0 or x1 == 0.0:
         raise ValueError("rescaling is undefined for zero parameter components")
@@ -155,31 +155,16 @@ def _lm_core(method: str, x: list[float], dots: tuple[float, ...], eta: float) -
     g11 = x1 * x1 * c11
     p = x0 * b0
     q = x1 * b1
-    if method == "gauss-newton":
+    if p == 0.0 and q == 0.0:
         _gram_rcond(g00, g01, g01, g11)
-        lam = math.nan
-    else:
-        lam = lambda_k(((g00, g01), (g01, g11)), (p, q))
-    if method == "scaled-gd":
-        dxt0, dxt1 = lam * p, lam * q
-    else:
-        mu = 0.0 if method == "gauss-newton" else eta / lam
-        a, d = g00 + mu, g11 + mu
-        det = a * d - g01 * g01
-        if not 0.0 < det < math.inf:
-            raise SingularMatrixError("damped normal equations are singular", 0.0)
-        dxt0 = (d * p - g01 * q) / det
-        dxt1 = (a * q - g01 * p) / det
-    return x0 * dxt0, x1 * dxt1, lam
-
-
-def modified_lm_step(x: list[float], dots: tuple[float, ...], eta: float) -> tuple[float, float, float]:
-    """Step-size-adapted Levenberg-Marquardt increment
-    dxt = (Jt' Jt + eta_bar / lambda * I)^-1 Jt' r, mapped back to physical
-    units, as (dx0, dx1, lambda) from x = (x0, x1), the dot products
-    dots = (c00, c01, c11, b0, b1) of J's columns with each other and with
-    r, and eta = eta_bar."""
-    return _lm_core("modified-lm", x, dots, eta)
+        return 0.0, 0.0, math.nan
+    lam = lambda_k(((g00, g01), (g01, g11)), (p, q))
+    mu = eta / lam
+    a, d = g00 + mu, g11 + mu
+    det = a * d - g01 * g01
+    if not 0.0 < det < math.inf:
+        raise SingularMatrixError("damped normal equations are singular", 0.0)
+    return x0 * ((d * p - g01 * q) / det), x1 * ((a * q - g01 * p) / det), lam
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +233,7 @@ class OptimizeOptions:
 
     ``max_evals`` (at least 1), the only cost limit, caps cumulative model
     evaluations, line-search trials included; a run that spends it ends
-    with status ``max-iters``.  ``bounds`` is one (lo, hi) pair per
+    with status ``budget``.  ``bounds`` is one (lo, hi) pair per
     parameter, enforced by halving the step at most ten times.  When
     ``ground_truth`` is given, per-record relative parameter errors are
     filled in; ``ref_norm`` is the Euclidean norm of the reference feature
@@ -288,13 +273,13 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
     0.5 ||r||^2 and its gradient.  Returns that pair, as a float array (a
     float for the objective) and a float array, followed by ||r||, or None
     once the run has ended at its last record: the budget was spent
-    (``max-iters``), the model raised one of MODEL_ERRORS (``error``), or
+    (``budget``), the model raised one of MODEL_ERRORS (``error``), or
     the pair holds NaN or inf (``non-finite``: no stopping test can hold on
     such values).  A Jacobian that is not (r.size, 2) is a programming
     error of the callback and raises ValueError without a record.
     """
     if trace.eval_count >= opts.max_evals:
-        _end(trace, "max-iters", "evaluation budget exhausted")
+        _end(trace, "budget", "evaluation budget exhausted")
         return None
     try:
         value, deriv = call(u)
@@ -345,8 +330,8 @@ def optimize(
     x0: np.ndarray,
     opts: OptimizeOptions = OptimizeOptions(),
 ) -> OptTrace:
-    """Drive a residual-based method (modified-lm, gauss-newton, scaled-gd)
-    on two parameters; all three share one closed-form step solver.
+    """Drive a residual-based method (modified-lm, or gauss-newton, its step
+    at eta_bar = 0) on two parameters.
 
     ``evaluate(x, need_jacobian)`` runs the forward model once and returns
     the residual r = ref - f(x) and, on request, the model Jacobian df/dx.
@@ -389,18 +374,15 @@ def optimize(
         eta = eta_bar(r_norm, r0_norm)
         xs = x.tolist()
         try:
-            # modified-lm is called through the module global, which
-            # perfbench/tracing.py rebinds to time every LM step
-            if opts.method == "modified-lm":
-                dx0, dx1, lam = modified_lm_step(xs, dots, eta)
-            else:
-                dx0, dx1, lam = _lm_core(opts.method, xs, dots, eta)
+            # called through the module global, which perfbench/tracing.py
+            # rebinds to time every step
+            dx0, dx1, lam = modified_lm_step(xs, dots, 0.0 if opts.method == "gauss-newton" else eta)
         except MODEL_ERRORS as exc:
             return _end(trace, "error", str(exc))
         trace.records[-1].lambda_ = lam
         trace.records[-1].eta_bar = eta
 
-        # every step rule has already rejected a zero component of x
+        # the step has already rejected a zero component of x
         if math.hypot(dx0 / xs[0], dx1 / xs[1]) < _STEP_TOL:
             return _end(trace, "converged", "rescaled step below tolerance")
         x_next = _apply_bounds(xs, [dx0, dx1], opts.bounds)
@@ -467,7 +449,9 @@ def bfgs_baseline(
     identity = True
 
     for k in itertools.count(1):
-        if math.hypot(g0, g1) <= _GRADIENT_TOL * g_scale or f <= _OBJECTIVE_TOL**2 * max(f0, 1e-300):
+        if f <= _OBJECTIVE_TOL**2 * max(f0, 1e-300):
+            return _end(trace, "converged", "relative residual below tolerance")
+        if math.hypot(g0, g1) <= _GRADIENT_TOL * g_scale:
             return _end(trace, "converged", "gradient vanished")
 
         accepted = False

@@ -181,13 +181,13 @@ class TestOptimizeBatch:
         assert not any(run.success for run in result.runs)
 
     def test_run_spends_the_whole_budget(self):
-        # scaled-GD neither converges nor stalls within 150 evaluations here;
-        # the evaluation budget is the run's only cost limit
-        cfg = small_cfg(n_refs=1, optimizer="scaled-gd", eval_budget=150)
+        # modified-LM neither converges nor stalls within 5 evaluations from
+        # a drawn start; the evaluation budget is the run's only cost limit
+        cfg = small_cfg(n_refs=1, eval_budget=5)
         refs = gen_refs(cfg)
         trace, counter = run_single(cfg, refs[0], draw_starts(cfg, 1)[0])
-        assert trace.eval_count == counter.count == 150
-        assert (trace.status, trace.message) == ("max-iters", "evaluation budget exhausted")
+        assert trace.eval_count == counter.count == 5
+        assert (trace.status, trace.message) == ("budget", "evaluation budget exhausted")
 
     def test_reference_within_grid_tolerance_inverts_like_an_exact_one(self):
         # optimize_batch accepts a dt within GRID_RTOL of the configured one;
@@ -805,6 +805,7 @@ class TestCli:
             ("n = 1000", "power of two"),
             ("max_iters = 0", "max_iters"),
             ("max_iters = 5", "unknown key 'max_iters'"),
+            ("optimizer = scaled-gd", "unknown optimizer 'scaled-gd'; expected one of ('modified-lm', 'gauss-newton', 'bfgs')"),
             ("grid_n = 0", "grid_n must be at least 3"),
             ("seed = -1", "seed must be non-negative"),
             ("lhs_restarts = 0", "lhs_restarts must be at least 1"),

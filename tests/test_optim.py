@@ -30,32 +30,20 @@ def metric_length(g, dx):
     return float(np.sqrt(dx @ (g @ dx)))
 
 
-def step_of(method, J, r, x, eta):
-    """The step (dx as an array, lambda) of ``method`` for the model
-    Jacobian J and residual r at x, from the five dot products the driver
-    takes (J's columns with each other and with r) and eta_bar."""
+def modified_lm_step(J, r, x, eta=1.0):
+    """The step (dx as an array, lambda) for the model Jacobian J and
+    residual r at x, from the five dot products the driver takes (J's
+    columns with each other and with r) and eta_bar."""
     c0, c1 = np.asarray(J, float).T
     r = np.asarray(r, float)
     dots = (float(c0.dot(c0)), float(c0.dot(c1)), float(c1.dot(c1)), float(c0.dot(r)), float(c1.dot(r)))
-    xs = np.asarray(x, float).tolist()
-    if method == "modified-lm":
-        dx0, dx1, lam = optim.modified_lm_step(xs, dots, eta)
-    else:
-        dx0, dx1, lam = optim._lm_core(method, xs, dots, eta)
+    dx0, dx1, lam = optim.modified_lm_step(np.asarray(x, float).tolist(), dots, eta)
     return np.array([dx0, dx1]), lam
 
 
-def modified_lm_step(J, r, x, eta=1.0):
-    return step_of("modified-lm", J, r, x, eta)
-
-
-def corrected_gd_step(J, r, x, eta=1.0):
-    """The scaled-gd step, lambda * Jt' r."""
-    return step_of("scaled-gd", J, r, x, eta)
-
-
-def gauss_newton_step(J, r, x, eta=1.0):
-    return step_of("gauss-newton", J, r, x, eta)
+def gauss_newton_step(J, r, x):
+    """The Gauss-Newton step: the modified-LM step at eta_bar = 0."""
+    return modified_lm_step(J, r, x, eta=0.0)
 
 
 def lstsq_step(jt, r):
@@ -65,28 +53,28 @@ def lstsq_step(jt, r):
 
 
 class TestRescale:
-    """Every step rule works on the rescaled Jacobian Jt = J diag(x)."""
+    """The step works on the rescaled Jacobian Jt = J diag(x)."""
 
     def test_unit_parameters_leave_jacobian_alone(self):
         # at x = (1, 1), Jt is J: the steps are those of J itself
         rng = np.random.default_rng(19)
         J = rng.standard_normal((6, 2))
         r = rng.standard_normal(6)
-        np.testing.assert_allclose(gauss_newton_step(J, r, np.ones(2))[0], lstsq_step(J, r), rtol=1e-12)
-        dx, lam = corrected_gd_step(J, r, np.ones(2))
+        dx, lam = gauss_newton_step(J, r, np.ones(2))
+        np.testing.assert_allclose(dx, lstsq_step(J, r), rtol=1e-12)
         assert lam == pytest.approx(lambda_k(J.T @ J, J.T @ r), rel=1e-14)
-        np.testing.assert_allclose(dx, lam * (J.T @ r), rtol=1e-15)
 
     def test_identity_jacobian(self):
         # J = I at x = (2, 3): Jt = diag(2, 3), so G = diag(4, 9) and
         # dxt* = (2 r0, 3 r1); the Gauss-Newton step solves J dx = r
         r = np.array([0.5, -1.5])
         x = np.array([2.0, 3.0])
-        assert corrected_gd_step(np.eye(2), r, x)[1] == lambda_k(np.diag([4.0, 9.0]), [1.0, -4.5])
-        np.testing.assert_allclose(gauss_newton_step(np.eye(2), r, x)[0], r, rtol=1e-15)
+        dx, lam = gauss_newton_step(np.eye(2), r, x)
+        assert lam == lambda_k(np.diag([4.0, 9.0]), [1.0, -4.5])
+        np.testing.assert_allclose(dx, r, rtol=1e-15)
 
     def test_zero_parameter_rejected(self):
-        for step in (modified_lm_step, corrected_gd_step, gauss_newton_step):
+        for step in (modified_lm_step, gauss_newton_step):
             with pytest.raises(ValueError, match="zero parameter components"):
                 step(np.eye(2), np.ones(2), np.array([1.0, 0.0]))
 
@@ -107,7 +95,7 @@ class TestRescale:
 
 
 class TestGnStep:
-    """The Gauss-Newton step: the closed-form core at zero damping."""
+    """The Gauss-Newton step: the modified-LM step at zero damping."""
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(0)
@@ -116,9 +104,8 @@ class TestGnStep:
         x = np.array([2.0, -3.0])
         dx, lam = gauss_newton_step(q / x, r, x)
         np.testing.assert_allclose(dx / x, q.T @ r, atol=1e-12)
-        assert np.isnan(lam)
-        # no damping, whatever eta_bar
-        assert gauss_newton_step(q / x, r, x, eta=1e6)[0].tolist() == dx.tolist()
+        # an orthonormal Jt has the unit Gram, on which lambda is 1
+        assert lam == pytest.approx(1.0, rel=1e-14)
 
     def test_hand_example(self):
         # rows (1, 0), (1, 0), (0, 1): dx0 is the mean of r0 and r1
@@ -286,56 +273,20 @@ class TestModifiedLm:
         assert prev <= 1e-6 * gn_norm
 
 
-class TestCorrectedGd:
-    def test_unit_metric_matches_gn(self):
-        rng = np.random.default_rng(8)
-        x = np.array([2.0, 5.0])
-        q, _ = np.linalg.qr(rng.standard_normal((8, 2)))
-        J = q / x[None, :]
-        r = rng.standard_normal(8)
-        dx, _ = corrected_gd_step(J, r, x)
-        gn = x * lstsq_step(J * x, r)
-        np.testing.assert_allclose(dx, gn, atol=1e-12)
-
-    def test_metric_length_matches_gn_step(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            J = rng.standard_normal((10, 2))
-            x = np.abs(rng.standard_normal(2)) + 0.5
-            r = rng.standard_normal(10)
-            dx, _ = corrected_gd_step(J, r, x)
-            jt = J * x
-            g = jt.T @ jt
-            lhs = metric_length(g, dx / x)
-            rhs = metric_length(g, lstsq_step(jt, r))
-            assert abs(lhs - rhs) <= 1e-12 * rhs
-
-    def test_parallel_to_gradient(self):
-        rng = np.random.default_rng(10)
-        J = rng.standard_normal((10, 2))
-        x = np.array([1.0, 4.0])
-        r = rng.standard_normal(10)
-        dx, _ = corrected_gd_step(J, r, x)
-        dx_star = (J * x).T @ r
-        cross = dx[0] / x[0] * dx_star[1] - dx[1] / x[1] * dx_star[0]
-        assert abs(cross) <= 1e-12 * np.linalg.norm(dx_star) ** 2
-
-
 def linear_problem(a, y):
     def evaluate(x, need_jacobian):
         return y - a @ x, a
     return evaluate
 
 
-def reference_step(J, r, x, eta, scaled_gd_only):
+def reference_step(J, r, x, eta):
     """The step on numpy's array path: rescaled Jacobian, BLAS Gram matrix
     and np.linalg.solve (the formulation the closed form replaced)."""
     jt = J * x
     dx_star = jt.T @ r
     metric = jt.T @ jt
     lam = np.sqrt((dx_star @ np.linalg.solve(metric, dx_star)) / (dx_star @ metric @ dx_star))
-    dxt = lam * dx_star if scaled_gd_only else np.linalg.solve(metric + eta / lam * np.eye(2), dx_star)
-    return x * dxt, lam
+    return x * np.linalg.solve(metric + eta / lam * np.eye(2), dx_star), lam
 
 
 class TestClosedFormStep:
@@ -345,9 +296,8 @@ class TestClosedFormStep:
         rows=st.integers(2, 64),
         log_x=st.tuples(st.floats(-3.0, 10.0), st.floats(-3.0, 10.0)),
         eta=st.floats(1e-6, 1e3),
-        scaled_gd_only=st.booleans(),
     )
-    def test_matches_the_array_formulation(self, seed, rows, log_x, eta, scaled_gd_only):
+    def test_matches_the_array_formulation(self, seed, rows, log_x, eta):
         # Gram eigenvalues in [0.1, 10] in rescaled units, any parameter scale
         rng = np.random.default_rng(seed)
         basis, _ = np.linalg.qr(rng.standard_normal((rows, 2)))
@@ -360,19 +310,18 @@ class TestClosedFormStep:
         r_norm = float(np.linalg.norm(r))
         eta_k = eta_bar(r_norm, r_norm / eta)
         assert abs(eta_k - eta) <= 1e-12 * eta
-        step = corrected_gd_step if scaled_gd_only else modified_lm_step
-        dx, lam = step(jt / x, r, x, eta_k)
-        ref_dx, ref_lam = reference_step(jt / x, r, x, eta_k, scaled_gd_only)
+        dx, lam = modified_lm_step(jt / x, r, x, eta_k)
+        ref_dx, ref_lam = reference_step(jt / x, r, x, eta_k)
         assert abs(lam - ref_lam) <= 1e-12 * ref_lam
         assert np.linalg.norm((dx - ref_dx) / x) <= 1e-12 * np.linalg.norm(ref_dx / x)
 
-    @pytest.mark.parametrize("step", [modified_lm_step, corrected_gd_step, gauss_newton_step])
+    @pytest.mark.parametrize("step", [modified_lm_step, gauss_newton_step])
     @pytest.mark.parametrize("case", ["identical-columns", "tiny", "huge", "orthogonal-residual"])
     def test_degenerate_systems_are_model_errors(self, step, case):
-        # a model error (SingularMatrixError or ValueError) for the step and
-        # status error or stalled for the run; never a ZeroDivisionError or
-        # OverflowError from the float arithmetic.  Gauss-Newton needs no
-        # lambda: a residual orthogonal to J is a zero step, which converges
+        # a singular Gram is a model error for the step and status error for
+        # the run, never a ZeroDivisionError or OverflowError from the float
+        # arithmetic.  A residual orthogonal to J has no lambda: it is a
+        # zero step, which converges at any damping
         rng = np.random.default_rng(18)
         col = rng.standard_normal(12)
         J = rng.standard_normal((12, 2))
@@ -393,18 +342,17 @@ class TestClosedFormStep:
         def evaluate(x, need_jacobian):
             return r, J / np.array([3.9e9, 0.4])
 
-        method = {modified_lm_step: "modified-lm", corrected_gd_step: "scaled-gd", gauss_newton_step: "gauss-newton"}[step]
+        method = "gauss-newton" if step is gauss_newton_step else "modified-lm"
         # J * 1e200 overflows the Gram in numpy's dot products, which warn
         with np.errstate(over="ignore", invalid="ignore"):
-            if step is gauss_newton_step and case == "orthogonal-residual":
-                assert step(J / x, r, x)[0].tolist() == [0.0, 0.0]
+            if case == "orthogonal-residual":
+                dx, lam = step(J / x, r, x)
+                assert dx.tolist() == [0.0, 0.0] and np.isnan(lam)
             else:
-                with pytest.raises((SingularMatrixError, ValueError)):
+                with pytest.raises(SingularMatrixError):
                     step(J / x, r, x)
             trace = optimize(evaluate, x, OptimizeOptions(method=method))
-        if step is not gauss_newton_step:
-            assert trace.status in ("error", "stalled")
-        elif case == "orthogonal-residual":
+        if case == "orthogonal-residual":
             assert (trace.status, trace.message, trace.eval_count) == ("converged", "rescaled step below tolerance", 1)
         else:
             # the Gram of parallel, underflowing or overflowing columns is
@@ -424,7 +372,7 @@ class TestOptimize:
         assert len(trace.records) <= 3
         np.testing.assert_allclose(trace.final_x, truth, rtol=1e-8)
 
-    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton", "scaled-gd"])
+    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton"])
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
     def test_two_parameters_required(self, method, shape):
         def evaluate(x, need_jacobian):
@@ -433,7 +381,7 @@ class TestOptimize:
         with pytest.raises(ValueError, match=f"{method} takes two parameters"):
             optimize(evaluate, np.ones(shape), OptimizeOptions(method=method))
 
-    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton", "scaled-gd"])
+    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton"])
     @pytest.mark.parametrize("shape", [(10, 3), (11, 2)])
     def test_jacobian_of_another_shape_raises(self, method, shape):
         # a Jacobian that is not (residual rows, 2) is a bug in the callback:
@@ -448,18 +396,17 @@ class TestOptimize:
             optimize(evaluate, np.array([1.0, 2.0]), OptimizeOptions(method=method))
         assert calls["n"] == 1
 
-    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton", "scaled-gd"])
+    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton"])
     def test_records_carry_eta_bar_and_lambda(self, method):
         # every record the run went on from took a step: it holds
-        # eta_bar = ||r_k|| / ||r_0|| and the step's lambda (NaN for
-        # Gauss-Newton)
+        # eta_bar = ||r_k|| / ||r_0|| and the step's lambda
         a = np.array([[1.0, 0.2], [0.3, 2.0], [0.5, -1.0], [2.0, 0.1]])
         y = a @ np.array([1.0, 2.0]) + np.array([0.01, -0.02, 0.03, 0.0])
         trace = optimize(linear_problem(a, y), np.array([3.0, 1.0]), OptimizeOptions(method=method, max_evals=6))
         r0_norm = np.linalg.norm(y - a @ trace.records[0].x)
         for rec in trace.records[:-1]:
             assert rec.eta_bar == np.linalg.norm(y - a @ rec.x) / r0_norm
-            assert np.isnan(rec.lambda_) if method == "gauss-newton" else rec.lambda_ > 0.0
+            assert rec.lambda_ > 0.0
 
     def test_start_at_truth(self):
         rng = np.random.default_rng(12)
@@ -546,7 +493,7 @@ class TestOptimize:
             np.array([0.45, 0.45]),
             OptimizeOptions(method="gauss-newton", bounds=((0.0, np.inf), (0.0, 0.5))),
         )
-        assert trace.status in ("converged", "max-iters")
+        assert trace.status in ("converged", "budget")
         for rec in trace.records:
             assert 0.0 < rec.x[1] < 0.5
 
@@ -565,7 +512,7 @@ class TestOptimize:
             linear_problem(a, y), np.array([20.0, 30.0]), OptimizeOptions(method="gauss-newton", max_evals=1)
         )
         assert trace.eval_count == 1
-        assert trace.status in ("max-iters", "converged")
+        assert trace.status in ("budget", "converged")
 
     @pytest.mark.parametrize("max_evals", [0, -1])
     def test_budget_below_one_rejected(self, max_evals):
@@ -626,7 +573,7 @@ class TestOptimize:
                     r = r * (np.nan if bad == "nan-residual" else np.inf)
             return r, jac
 
-        trace = optimize(evaluate, np.array([5.0, 5.0]), OptimizeOptions(method="scaled-gd"))
+        trace = optimize(evaluate, np.array([5.0, 5.0]), OptimizeOptions(method="modified-lm"))
         assert trace.status == "non-finite"
         assert trace.eval_count == 3 == calls["n"]
         assert "evaluation 3" in trace.message
@@ -657,6 +604,22 @@ class TestBfgs:
             iters[rec.k] = min(iters.get(rec.k, np.inf), np.linalg.norm(rec.x))
         first_good = min(k for k, v in iters.items() if v < 1e-8)
         assert first_good <= 4
+
+    @pytest.mark.parametrize(
+        "offset, message", [(0.0, "relative residual below tolerance"), (1.0, "gradient vanished")]
+    )
+    def test_convergence_message_names_the_test(self, offset, message):
+        # offset + 0.5 x'Ax: at offset 0 the objective falls below 1e-24 of
+        # its start with the gradient, and its test is checked first; at
+        # offset 1 it never does, and only the gradient test can fire
+        a = np.diag([0.5, 2.0])
+
+        def fg(x):
+            f, g = self.quad(a)(x)
+            return offset + f, g
+
+        trace = bfgs_baseline(fg, np.ones(2), OptimizeOptions(method="bfgs"))
+        assert (trace.status, trace.message) == ("converged", message)
 
     def test_start_at_optimum(self):
         trace = bfgs_baseline(self.quad(np.eye(2)), np.zeros(2), OptimizeOptions(method="bfgs"))
@@ -734,7 +697,7 @@ class TestBfgs:
 
         trace = bfgs_baseline(fg, np.array([1.0, 2.0]), OptimizeOptions(method="bfgs", max_evals=2000))
         assert trace.eval_count == 2000
-        assert (trace.status, trace.message) == ("max-iters", "evaluation budget exhausted")
+        assert (trace.status, trace.message) == ("budget", "evaluation budget exhausted")
         assert max(rec.k for rec in trace.records) > 100
 
     def test_stall_without_repeating_the_identity_search(self):

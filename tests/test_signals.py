@@ -688,7 +688,7 @@ _REFS = (
 _RUNS = (
     "runs_index.csv",
     "# seed=1\nref_id,status,success,evals_to_success,E_final,nu_final,E_true,nu_true\n",
-    "0,converged,1,8,4e9,0.4,4e9,0.4\n1,max-iters,0,,nan,nan,3.5e9,0.35\n2,converged,1,12,3e9,0.3,3e9,0.3\n",
+    "0,converged,1,8,4e9,0.4,4e9,0.4\n1,budget,0,,nan,nan,3.5e9,0.35\n2,converged,1,12,3e9,0.3,3e9,0.3\n",
     bench._read_runs_index,
 )
 # (name, text from (head, rows)): text that every reader reads as its clean
