@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,7 +145,7 @@ class ForwardConfig:
 
     def __post_init__(self) -> None:
         if not (all(0 < v < np.inf for v in (self.L, self.fbar, self.dt)) and 0 <= self.tbar < np.inf):
-            raise ValueError("forward config requires finite L, fbar, b, dt > 0 and a finite tbar >= 0")
+            raise ValueError("forward config requires finite L, fbar, dt > 0 and a finite tbar >= 0")
         if not self.fbar < 0.5 / self.dt:
             nyquist = 0.5 / self.dt
             raise ValueError(f"carrier fbar = {self.fbar:g} Hz must lie below the Nyquist frequency {nyquist:g} Hz")
@@ -238,19 +239,39 @@ def _row_delays(e: float, nu: float, rho: float, length: float) -> tuple[float, 
     )
 
 
+class _Grid(NamedTuple):
+    """The constants of every evaluation on one configuration's grid: the
+    one-sided excitation spectrum P and its time derivative -i omega P, the
+    frequency steps B dw and dw of the coarse and fine carrier tables with
+    their index grids q and r (B = _CARRIER_BLOCK), the packet amplitudes,
+    and the 4 sigma arrival margin.  The arrays are read-only."""
+
+    p_spec: np.ndarray
+    p_rate: np.ndarray
+    coarse_step: float
+    fine_step: float
+    coarse_index: np.ndarray
+    fine_index: np.ndarray
+    amplitudes: np.ndarray
+    margin: float
+
+
 @functools.lru_cache(maxsize=16)
-def _excitation_spectrum(cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided excitation spectrum P and its time derivative -i omega P,
-    computed once per configuration; both arrays are read-only."""
+def _grid(cfg: ForwardConfig) -> _Grid:
+    """The :class:`_Grid` of ``cfg``, built once per configuration."""
     p_spec = np.fft.rfft(excitation(cfg).samples)
     omega = 2 * np.pi * np.arange(p_spec.size) / cfg.duration
     p_rate = -1j * omega * p_spec
-    p_spec.flags.writeable = False
-    p_rate.flags.writeable = False
-    return p_spec, p_rate
+    dw = 2 * np.pi / cfg.duration
+    n_blocks = -(-(cfg.n // 2 + 1) // _CARRIER_BLOCK)
+    coarse_index, fine_index = np.arange(n_blocks, dtype=np.float64), np.arange(_CARRIER_BLOCK, dtype=np.float64)
+    amplitudes = np.array(cfg.amplitudes, dtype=np.float64)
+    for array in (p_spec, p_rate, coarse_index, fine_index, amplitudes):
+        array.flags.writeable = False
+    return _Grid(p_spec, p_rate, _CARRIER_BLOCK * dw, dw, coarse_index, fine_index, amplitudes, 4.0 * cfg.sigma)
 
 
-def _carrier_tables(tau: np.ndarray, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray]:
+def _carrier_tables(tau: np.ndarray, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
     """Coarse and fine factors of the carriers exp(-i tau_j omega_k), for
     delays tau of shape (..., 3).
 
@@ -259,21 +280,12 @@ def _carrier_tables(tau: np.ndarray, cfg: ForwardConfig) -> tuple[np.ndarray, np
     fine = exp(-i tau dw r): about 3 (n/2 / B + B) complex exponentials
     instead of 3 (n/2 + 1).
     """
-    dw, coarse_index, fine_index = _carrier_grid(cfg)
-    coarse = np.exp(-1j * ((tau * (_CARRIER_BLOCK * dw))[..., None] * coarse_index))
-    fine = np.exp(-1j * ((tau * dw)[..., None] * fine_index))
-    return coarse, fine
-
-
-@functools.lru_cache(maxsize=16)
-def _carrier_grid(cfg: ForwardConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """The frequency step dw and the index grids q and r of the carrier
-    tables, built once per configuration; the grids are read-only."""
-    n_blocks = -(-(cfg.n // 2 + 1) // _CARRIER_BLOCK)
-    grids = np.arange(n_blocks, dtype=np.float64), np.arange(_CARRIER_BLOCK, dtype=np.float64)
-    for grid in grids:
-        grid.flags.writeable = False
-    return 2 * np.pi / cfg.duration, *grids
+    q = grid.coarse_index.size
+    phases = np.empty(tau.shape + (q + grid.fine_index.size,))
+    np.multiply((tau * grid.coarse_step)[..., None], grid.coarse_index, out=phases[..., :q])
+    np.multiply((tau * grid.fine_step)[..., None], grid.fine_index, out=phases[..., q:])
+    carriers = np.exp(-1j * phases)  # both tables in one call
+    return carriers[..., :q], carriers[..., q:]
 
 
 def response_spectrum(
@@ -297,60 +309,71 @@ def response_spectrum(
     raises ``ValueError`` (``TruncationError`` for the window); in a batch,
     the row of each such material is NaN and is not counted.
     """
-    y, dy, _ = _response(m, cfg, counter, need_jacobian)
+    y, dy, _ = _response(m, cfg, counter, need_jacobian, fresh=True)
     return y, dy
 
 
 def _response(
-    m: MaterialParams | Materials, cfg: ForwardConfig, counter: EvalCounter | None, need_jacobian: bool
-) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, ...]]:
-    """:func:`response_spectrum`, and the forward pass's tape for
-    :func:`_response_pullback`: the carrier tables and the delay
-    derivatives d tau / dE and d tau / dnu."""
+    m: MaterialParams | Materials,
+    cfg: ForwardConfig,
+    counter: EvalCounter | None,
+    need_jacobian: bool,
+    fresh: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None, tuple]:
+    """:func:`response_spectrum`, as views of this thread's scratch array
+    for the phase kernel, or of a new array when ``fresh``, and the forward
+    pass's tape for :func:`_response_pullback`: the grid, the carrier tables
+    and the delay derivatives d tau / dE and d tau / dnu."""
+    grid = _grid(cfg)
     tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
     batch = tau.ndim == 2
     # the validity predicate, one row per material: a single material raises
-    # where it fails, a batch masks the rows that fail.  NaN delays mark a
-    # row outside the domain
-    latest = cfg.tbar + tau.max(axis=-1) + 4.0 * cfg.sigma
+    # where it fails, checked on the Python floats of its delays, and a batch
+    # masks the rows that fail.  NaN delays mark a row outside the domain
     if not batch:
-        if np.isnan(latest):
+        latest = cfg.tbar + max(tau.tolist()) + grid.margin
+        if math.isnan(latest):
             x, _ = _rows(m)
             raise ValueError(f"(E, nu) = ({x[0]!r}, {x[1]!r}) lies outside E > 0, 0 < nu < 0.5")
         if latest > cfg.duration:
             raise TruncationError(f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window")
-    ok = latest <= cfg.duration
-    p_spec, p_rate = _excitation_spectrum(cfg)
-    a = np.asarray(cfg.amplitudes)
+    else:
+        ok = cfg.tbar + tau.max(axis=-1) + grid.margin <= cfg.duration
+    a = grid.amplitudes
     if need_jacobian:
         weights = np.empty(tau.shape[:-1] + (3, 3))
         weights[..., 0, :] = a
-        weights[..., 1, :] = a * dtau_de
-        weights[..., 2, :] = a * dtau_dnu
+        np.multiply(a, dtau_de, out=weights[..., 1, :])
+        np.multiply(a, dtau_dnu, out=weights[..., 2, :])
     else:
         weights = a[None, :]
-    coarse, fine = _carrier_tables(tau, cfg)
+    coarse, fine = _carrier_tables(tau, grid)
     # sums[..., i, q, r] = sum_j weights[..., i, j] coarse[..., j, q] fine[..., j, r]
-    sums = (weights[..., None] * coarse[..., None, :, :]).swapaxes(-1, -2) @ fine[..., None, :, :]
-    sums = sums.reshape(sums.shape[:-2] + (-1,))[..., : p_spec.size]
-    y = p_spec * sums[..., 0, :]
-    dy = p_rate * sums[..., 1:, :] if need_jacobian else None
-    ok &= np.isfinite(y).all(axis=-1)
-    if dy is not None:
-        ok &= np.isfinite(dy).all(axis=(-2, -1))
+    terms = (weights[..., None] * coarse[..., None, :, :]).swapaxes(-1, -2)
+    sums = np.matmul(terms, fine[..., None, :, :], out=_scratch("sums", terms.shape[:-1] + fine.shape[-1:]))
+    size = grid.p_spec.size
+    sums = sums.reshape(sums.shape[:-2] + (-1,))[..., :size]
+    # rows [Y; dY/dE; dY/dnu] = [P; -i omega P; -i omega P] sums, one row at a
+    # time: numpy buffers a factor broadcast over the rows in a fresh array
+    spectra = np.empty(sums.shape, complex) if fresh else _scratch("spectra", sums.shape)
+    for i in range(sums.shape[-2]):
+        np.multiply(grid.p_rate if i else grid.p_spec, sums[..., i, :], out=spectra[..., i, :])
+    parts = spectra.view(np.float64)  # a complex value is finite when both parts are
+    finite = np.isfinite(parts, out=_scratch("finite", parts.shape, np.bool_)).all(axis=(-2, -1))
     if not batch:
-        if not ok:
+        if not finite:
             raise ValueError("simulated response is not finite")
-    elif not ok.all():
-        y[~ok] = np.nan
-        if dy is not None:
-            dy[~ok] = np.nan
+    else:
+        ok &= finite
+        if not ok.all():
+            spectra[~ok] = np.nan
     if counter is not None:
         counter.add(int(np.count_nonzero(ok)) if batch else 1)
-    return y, dy, (coarse, fine, dtau_de, dtau_dnu)
+    y, dy = spectra[..., 0, :], spectra[..., 1:, :] if need_jacobian else None
+    return y, dy, (grid, coarse, fine, dtau_de, dtau_dnu)
 
 
-def _response_pullback(tape: tuple[np.ndarray, ...], w: np.ndarray, cfg: ForwardConfig) -> np.ndarray:
+def _response_pullback(tape: tuple, w: np.ndarray) -> np.ndarray:
     """Re sum_k w_k dY_k/d(E, nu) for one material, without building dY.
 
     ``tape`` comes from the :func:`_response` call that made Y and ``w``
@@ -360,15 +383,19 @@ def _response_pullback(tape: tuple[np.ndarray, ...], w: np.ndarray, cfg: Forward
     S_j = sum_k h_k exp(-i tau_j omega_k), h = w (-i omega P), which the
     coarse and fine tables give as one small matrix product.
     """
-    coarse, fine, dtau_de, dtau_dnu = tape
-    _, p_rate = _excitation_spectrum(cfg)
+    grid, coarse, fine, dtau_de, dtau_dnu = tape
     h = _scratch("pullback-h", (coarse.shape[-1], fine.shape[-1]))
     flat = h.reshape(-1)
-    np.multiply(w, p_rate, out=flat[: p_rate.size])
-    flat[p_rate.size :] = 0.0
+    size = grid.p_rate.size
+    np.multiply(w, grid.p_rate, out=flat[:size])
+    flat[size:] = 0.0
     # S_j = sum_q coarse[j, q] sum_r h[q, r] fine[j, r]
-    sums = np.einsum("jq,qj->j", coarse, h @ fine.T)
-    return ((np.array([dtau_de, dtau_dnu]) * cfg.amplitudes) @ sums).real
+    s = [z.real for z in np.einsum("jq,qj->j", coarse, h @ fine.T).tolist()]
+    a = grid.amplitudes.tolist()
+    # sum_j (d tau_j / dp a_j) Re S_j on Python floats, left to right
+    return np.array(
+        [(dtau[0] * a[0] * s[0] + dtau[1] * a[1] * s[1]) + dtau[2] * a[2] * s[2] for dtau in (dtau_de.tolist(), dtau_dnu.tolist())]
+    )
 
 
 def forward_response(m: MaterialParams, cfg: ForwardConfig, counter: EvalCounter | None = None) -> Signal:
@@ -404,9 +431,9 @@ def phase_objective_terms(
     (N, M, 2); the rows of materials without a model output or with a
     degenerate spectrum are NaN.
     """
-    y, dy = response_spectrum(m, cfg, counter, need_jacobian)
+    y, dy, _ = _response(m, cfg, counter, need_jacobian)
     values, dvalues = phase_features(y, ref_feature.gamma, dy)
-    return ref_feature.values - values, dvalues
+    return np.subtract(ref_feature.values, values, out=values), dvalues
 
 
 def phase_objective_gradient(
@@ -426,5 +453,5 @@ def phase_objective_gradient(
     """
     y, _, spectrum_tape = _response(m, cfg, counter, need_jacobian=False)
     values, _, phase_tape = _phase_forward(y, ref_feature.gamma)
-    r = ref_feature.values - values
-    return 0.5 * float(r @ r), -_response_pullback(spectrum_tape, _phase_pullback(phase_tape, r), cfg)
+    r = np.subtract(ref_feature.values, values, out=values)
+    return 0.5 * float(r @ r), -_response_pullback(spectrum_tape, _phase_pullback(phase_tape, r))

@@ -17,11 +17,17 @@ which is what makes phases of E a robust comparison measure: amplitude
 scaling drops out entirely, and time shifts enter linearly.
 
 All operations are pure functions on immutable inputs and are safe to call
-concurrently.  The phase and analytic kernels write their FFTs and products
-into scratch arrays that each thread keeps for itself (one per named
-temporary, reallocated only when its shape changes), so repeated evaluations
-at one shape allocate no large temporaries; every public function returns
-fresh arrays, never one of these.
+concurrently.  The phase and analytic kernels write every FFT, product and
+mask as long as the record into scratch arrays that each thread keeps for
+itself (one per named temporary, reallocated only when its shape changes),
+with ``out=``, so a repeated single-record evaluation allocates nothing of
+that length beyond the arrays it returns.  Two numpy behaviours would
+allocate behind an ``out=``: a real operand of a complex product is cast
+in a fresh buffer, so the pseudo-coefficients Y_k and the adjoint's real
+factors c and q are held in complex arrays; and an operand broadcast over
+the rows of a 2-d operation is buffered in a fresh array of up to 8192
+elements, so derivative rows are multiplied one at a time.  Every public
+function returns fresh arrays, never one of these.
 """
 
 from __future__ import annotations
@@ -60,9 +66,10 @@ _SCRATCH = threading.local()
 
 
 def _scratch(role: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-    """This thread's uninitialized scratch array for ``role``, a named
-    temporary of the kernels below, reallocated when the shape or dtype
-    changes.
+    """This thread's scratch array for ``role``, a named temporary of the
+    kernels below, reallocated when the shape or dtype changes.  It is
+    zero-filled when allocated, so a complex role written only through its
+    real part stays real.
 
     A large temporary freed after every evaluation lets glibc return the
     heap top to the system and fault it back in on the next evaluation (about
@@ -74,7 +81,7 @@ def _scratch(role: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarr
     buffers = _SCRATCH.__dict__
     buf = buffers.get(role)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = buffers[role] = np.empty(shape, dtype)
+        buf = buffers[role] = np.zeros(shape, dtype)
     return buf
 
 
@@ -202,7 +209,7 @@ def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = v.shape[-1]
     if m == 0:
         raise ValueError("autocorrelation of an empty spectrum is undefined")
-    shape = v.shape[:-1] + (1 << int(np.ceil(np.log2(2 * m))),)
+    shape = v.shape[:-1] + (1 << (2 * m - 1).bit_length(),)
     fv = np.fft.fft(v, shape[-1], axis=-1, out=_scratch("fv", shape))
     power = np.square(fv.real, out=_scratch("power", shape, np.float64))
     power += np.square(fv.imag, out=_scratch("power-imag", shape, np.float64))
@@ -231,11 +238,18 @@ def unwrap(phases: np.ndarray) -> np.ndarray:
     phases = np.asarray(phases, dtype=np.float64)
     if phases.shape[-1:] in ((), (0,), (1,)):
         return phases.copy()
-    d = np.diff(phases, axis=-1)
-    principal = d - _TWO_PI * np.ceil((d - np.pi) / _TWO_PI)
+    # the differences and their turns in this thread's scratch arrays
+    shape = phases.shape[:-1] + (phases.shape[-1] - 1,)
+    d = np.subtract(phases[..., 1:], phases[..., :-1], out=_scratch("unwrap-d", shape, np.float64))
+    # principal value d - 2 pi ceil((d - pi) / 2 pi), in (-pi, pi]
+    turns = np.subtract(d, np.pi, out=_scratch("unwrap-turns", shape, np.float64))
+    np.divide(turns, _TWO_PI, out=turns)
+    np.ceil(turns, out=turns)
+    np.subtract(d, np.multiply(_TWO_PI, turns, out=turns), out=d)
     out = np.empty_like(phases)
     out[..., 0] = phases[..., 0]
-    out[..., 1:] = phases[..., :1] + np.cumsum(principal, axis=-1)
+    np.add.accumulate(d, axis=-1, out=out[..., 1:])
+    out[..., 1:] += phases[..., :1]
     return out
 
 
@@ -267,10 +281,11 @@ def _check_gamma(gamma: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=32)
 def _pseudo_phases(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-coefficients Y_k = (-1)^k and pseudo-phases pi*k, k < m;
+    """Pseudo-coefficients Y_k = (-1)^k, complex so that they multiply a
+    complex array without a cast, and pseudo-phases pi*k, k < m;
     read-only."""
     k = np.arange(m)
-    y = np.where(k % 2 == 0, 1.0, -1.0)
+    y = np.where(k % 2 == 0, 1.0 + 0j, -1.0 + 0j)
     phi = np.pi * k
     y.flags.writeable = False
     phi.flags.writeable = False
@@ -281,15 +296,18 @@ def _stable_phase(e: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Damped, normalized, unwrapped phases of autocorrelations E along the
     last axis, the mask of their exactly-zero coefficients, and the mask of
     all-zero rows (no phases at all), which a single row raises for."""
-    zero = e == 0.0
+    zero = np.logical_not(e, out=_scratch("zero", e.shape, np.bool_))  # E_k == 0
     empty = zero.all(axis=-1)
     if e.ndim == 1 and empty:
         raise PipelineError("all-zero spectrum has no well-defined phases")
     y, phi = _pseudo_phases(e.shape[-1])
-    z = e * y  # E_k / Y_k = E_k * Y_k
-    raw = np.arctan2(z.imag, z.real)
-    raw[zero] = 0.0
-    return gamma * (unwrap(raw) - phi), zero, empty
+    z = np.multiply(e, y, out=_scratch("z", e.shape))  # E_k / Y_k = E_k * Y_k
+    raw = np.arctan2(z.imag, z.real, out=_scratch("raw", e.shape, np.float64))
+    np.copyto(raw, 0.0, where=zero)
+    # the fresh array of unwrap becomes the values
+    values = unwrap(raw)
+    np.subtract(values, phi, out=values)
+    return np.multiply(gamma, values, out=values), zero, empty
 
 
 def phase_features(
@@ -329,15 +347,24 @@ def phase_features(
         fault |= _singular(zero, gamma)
         m, size = e.shape[-1], fv.shape[-1]
         x = np.fft.fft(dcoeffs[..., 1:], size, axis=-1, out=_scratch("x", dcoeffs.shape[:-1] + (size,)))
-        x *= np.conj(fv, out=fv)[..., None, :]
+        # one parameter column at a time, so that no operand is broadcast
+        # over the columns (see the module docstring)
+        np.conj(fv, out=fv)
+        for i in range(x.shape[-2]):
+            np.multiply(x[..., i, :], fv, out=x[..., i, :])
         de = _real_ifft_head(np.multiply(x.real, 2.0, out=_scratch("2re-x", x.shape, np.float64)), m, "de")
-        e, zero = e[..., None, :], zero[..., None, :]  # broadcast over the p columns
-        mag2 = np.where(zero, 1.0, e.real**2 + e.imag**2)
-        dtheta = np.divide(
-            np.multiply(np.conj(e), de, out=de).imag, mag2, out=_scratch("dtheta", de.shape, np.float64)
-        )
-        np.copyto(dtheta, 0.0, where=zero)
-        dvalues = np.swapaxes(gamma * dtheta, -1, -2)
+        mag2 = np.square(e.real, out=_scratch("mag2", e.shape, np.float64))
+        mag2 += np.square(e.imag, out=_scratch("mag2-imag", e.shape, np.float64))
+        np.copyto(mag2, 1.0, where=zero)
+        np.conj(e, out=e)
+        dtheta = _scratch("dtheta", e.shape, np.float64)
+        columns = np.empty(de.shape)
+        for i in range(de.shape[-2]):
+            de_p = np.multiply(e, de[..., i, :], out=de[..., i, :])
+            np.divide(de_p.imag, mag2, out=dtheta)
+            np.copyto(dtheta, 0.0, where=zero)
+            np.multiply(gamma, dtheta, out=columns[..., i, :])
+        dvalues = columns.swapaxes(-1, -2)
     if fault.any():
         values[fault] = np.nan
         if dvalues is not None:
@@ -363,7 +390,8 @@ def _phase_forward(
 def _singular(zero: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Rows with a zero autocorrelation coefficient at an undamped lag, where
     the phase derivative is singular; a single row raises instead."""
-    singular = np.any(zero & (gamma > _UNDAMPED_TOL), axis=-1)
+    undamped = np.greater(gamma, _UNDAMPED_TOL, out=_scratch("undamped", zero.shape, np.bool_))
+    singular = np.logical_and(zero, undamped, out=undamped).any(axis=-1)
     if zero.ndim == 1 and singular:
         raise PipelineError(
             "zero-magnitude autocorrelation coefficient at an undamped index; phase derivative is singular there"
@@ -386,17 +414,21 @@ def _phase_pullback(tape: tuple[np.ndarray, ...], u: np.ndarray) -> np.ndarray:
     e, fv, zero, gamma = tape
     _singular(zero, gamma)
     m, size = e.size, fv.size
-    c, tmp = _scratch("c", (m,), np.float64), _scratch("c-tmp", (m,), np.float64)
-    np.square(e.real, out=c)
-    c += np.square(e.imag, out=tmp)
-    np.copyto(c, 1.0, where=zero)
-    np.divide(np.multiply(u, gamma, out=tmp), c, out=c)
-    np.copyto(c, 0.0, where=zero)
+    # c and q are written through the real parts of complex roles that stay
+    # real, so they multiply the complex arrays without a cast
+    mag2, tmp = _scratch("c-mag2", (m,), np.float64), _scratch("c-tmp", (m,), np.float64)
+    c = _scratch("c", (m,))
+    np.square(e.real, out=mag2)
+    mag2 += np.square(e.imag, out=tmp)
+    np.copyto(mag2, 1.0, where=zero)
+    np.divide(np.multiply(u, gamma, out=tmp), mag2, out=c.real)
+    np.copyto(c.real, 0.0, where=zero)
     w = _scratch("w", (m + 1,))
     np.multiply(np.conj(e, out=w[:m]), c, out=w[:m])
     w[:m] *= -1j
     w[m] = 0.0
-    q = np.fft.irfft(w, size, out=_scratch("q", (size,), np.float64))
+    q = _scratch("q", (size,))
+    np.fft.irfft(w, size, out=q.real)
     np.multiply(np.conj(fv, out=fv), q, out=fv)
     back = np.fft.fft(fv, out=_scratch("w-full", (size,)))
     w[0] = 0.0  # the static coefficient is dropped before the autocorrelation

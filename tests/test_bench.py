@@ -484,6 +484,10 @@ class TestPhaseGradient:
         assert worst <= 1e-8
 
     @staticmethod
+    def zero_excitation(cfg):
+        return (np.zeros(cfg.n // 2 + 1, dtype=complex),) * 2
+
+    @staticmethod
     def single_line_excitation(cfg):
         # one nonzero coefficient: every lag > 0 of the autocorrelation is zero
         p_spec = np.zeros(cfg.n // 2 + 1, dtype=complex)
@@ -507,10 +511,10 @@ class TestPhaseGradient:
             x = np.array([x[0], 0.6])
         elif case == "truncated-window":
             x = np.array([1e-3 * x[0], x[1]])
-        elif case == "all-zero-spectrum":
-            monkeypatch.setattr(forward, "_excitation_spectrum", lambda c: (np.zeros(c.n // 2 + 1, dtype=complex),) * 2)
         else:
-            monkeypatch.setattr(forward, "_excitation_spectrum", self.single_line_excitation)
+            excite = self.zero_excitation if case == "all-zero-spectrum" else self.single_line_excitation
+            grid = forward._grid
+            monkeypatch.setattr(forward, "_grid", lambda c: grid(c)._replace(**dict(zip(("p_spec", "p_rate"), excite(c)))))
         evaluate, fg, _, _ = make_objective(cfg, ref)
         with pytest.raises(error) as jacobian:
             evaluate(x, True)
@@ -528,15 +532,30 @@ class TestPhaseGradient:
 
     def test_exact_zero_lags_raise_no_floating_point_error(self):
         # PEEK, seed 1, reference 1 at 1.03 x truth: its autocorrelation has
-        # lags that are exactly zero, which the adjoint weights skip
+        # lags that are exactly zero, which the masked fix-ups of the phase,
+        # its derivative and the adjoint weights skip, on the gradient, on
+        # the residual with and without the Jacobian, and on every row of a
+        # 16-row batch that holds the point
         cfg = load_config(None, {"material": "PEEK", "seed": 1})
         ref = gen_refs(cfg)[1]
         x = 1.03 * ref.truth.as_vector()
         y, _ = forward.response_spectrum(MaterialParams(*x, ref.truth.rho), cfg.forward_config())
         assert (signals._autocorr(y[1:])[0] == 0.0).any()
-        _, fg, _, _ = make_objective(cfg, ref)
+        rows = x * (1.0 + 0.01 * np.random.default_rng(4).standard_normal((16, 2)))
+        rows[5] = x
+        evaluate, fg, _, _ = make_objective(cfg, ref)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             value, grad = fg(x)
+            for need_jacobian in (True, False):
+                r, jac = evaluate(rows, need_jacobian)
+                assert np.isfinite(r).all()
+                if need_jacobian:
+                    assert np.isfinite(jac).all()
+                for i, row in enumerate(rows):
+                    r1, jac1 = evaluate(row, need_jacobian)
+                    assert r[i].tobytes() == r1.tobytes()
+                    if need_jacobian:
+                        assert np.ascontiguousarray(jac[i]).tobytes() == np.ascontiguousarray(jac1).tobytes()
         assert np.isfinite(value) and np.isfinite(grad).all()
 
 
@@ -811,9 +830,9 @@ class TestCli:
             ("lhs_restarts = 0", "lhs_restarts must be at least 1"),
             ("n_refs = 4097", "n_refs must be at most 4096, got 4097"),
             ("n_refs = 100000000000", "n_refs must be at most 4096, got 100000000000"),
-            ("fbar = inf", "finite L, fbar, b, dt > 0"),
-            ("L = inf", "finite L, fbar, b, dt > 0"),
-            ("dt = inf", "finite L, fbar, b, dt > 0"),
+            ("fbar = inf", "finite L, fbar, dt > 0"),
+            ("L = inf", "finite L, fbar, dt > 0"),
+            ("dt = inf", "finite L, fbar, dt > 0"),
             ("tbar = inf", "finite tbar >= 0"),
             ("grid_sigmas = nan", "grid_sigmas must be finite and positive"),
             ("start_sigma = -1", "start_sigma must be finite and positive"),

@@ -1,5 +1,7 @@
 """Tests for the surrogate waveguide model and its analytic derivatives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,7 +345,7 @@ class TestPhaseKernelCost:
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
         monkeypatch.setattr(forward, "excitation", counted(forward.excitation, "excitation"))
-        forward._excitation_spectrum.cache_clear()
+        forward._grid.cache_clear()
 
         phase_objective_terms(PEEK, cfg, ref)
         assert calls["excitation"] == 1
@@ -381,13 +383,43 @@ class TestPhaseKernelCost:
         assert rows == [1, 1, 1, 1]
         assert asked == [False]
 
+    @pytest.mark.parametrize("call", ["terms-with-jacobian", "terms", "gradient"])
+    def test_warm_evaluations_allocate_at_most_64_kib_beyond_their_outputs(self, call):
+        # every long temporary of a warmed-up single-material evaluation at
+        # n = 4096 lives in this thread's scratch arrays; a 2048-sample float
+        # array is 16 KiB, so 64 KiB leaves room for the small ones only
+        cfg = ForwardConfig()
+        assert cfg.n == 4096
+        ref = transform_pipeline(forward_response(PEEK, cfg), weights_for(cfg))
+        m = MaterialParams(1.03 * PEEK.E, PEEK.nu, PEEK.rho)
+        evaluate = {
+            "terms-with-jacobian": lambda: phase_objective_terms(m, cfg, ref, need_jacobian=True),
+            "terms": lambda: phase_objective_terms(m, cfg, ref, need_jacobian=False),
+            "gradient": lambda: phase_objective_gradient(m, cfg, ref),
+        }[call]
+        evaluate()
+        evaluate()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = evaluate()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        returned = sum(part.nbytes for part in out if isinstance(part, np.ndarray))
+        assert peak <= returned + 64 * 1024, (peak, returned)
+
     def test_cached_arrays_are_read_only(self):
         cfg = ForwardConfig()
-        cached = forward._excitation_spectrum(cfg)
-        assert forward._excitation_spectrum(ForwardConfig()) is cached
+        grid = forward._grid(cfg)
+        assert forward._grid(ForwardConfig()) is grid
         gamma = weights_for(cfg)
         assert weights_for(cfg) is gamma
-        for array in (*cached, gamma):
+        for array in (grid.p_spec, grid.p_rate, grid.coarse_index, grid.fine_index, grid.amplitudes, gamma):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -405,7 +437,7 @@ class TestCarrierTables:
         for e in np.linspace(e_mean - 2 * e_std, e_mean + 2 * e_std, 5):
             for nu in np.linspace(nu_mean - 2 * nu_std, nu_mean + 2 * nu_std, 5):
                 tau, _, _ = packet_delays(MaterialParams(e, nu, prior.rho_si()), cfg)
-                coarse, fine = forward._carrier_tables(tau, cfg)
+                coarse, fine = forward._carrier_tables(tau, forward._grid(cfg))
                 table = (coarse[:, :, None] * fine[:, None, :]).reshape(3, -1)[:, : omega.size]
                 direct = np.exp(-1j * np.outer(tau, omega))
                 assert np.max(np.abs(np.angle(table * np.conj(direct)))) <= 1e-11
@@ -438,7 +470,7 @@ class TestPullbacks:
         for _ in range(5):
             w = rng.standard_normal(dy.shape[-1]) + 1j * rng.standard_normal(dy.shape[-1])
             want = (dy @ w).real
-            got = forward._response_pullback(tape, w, cfg)
+            got = forward._response_pullback(tape, w)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(dy)) * np.sum(np.abs(w))
 
     def test_phase_pullback_pairs_with_the_feature_derivatives(self):
