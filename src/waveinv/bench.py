@@ -22,6 +22,7 @@ from .forward import (
     ForwardConfig,
     MaterialParams,
     Materials,
+    _response,
     phase_objective_gradient,
     phase_objective_terms,
     response_spectrum,
@@ -31,6 +32,7 @@ from .signals import (
     GRID_RTOL,
     Signal,
     _analytic,
+    _scratch,
     damping_weights,
     envelope,
     read_signal_csv,
@@ -384,28 +386,38 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
         scale[[0, -1]] = np.sqrt(1.0 / fwd.n)
 
         def evaluate(x, need_jacobian=True):
-            y, dy = response_spectrum(Materials(x, rho), fwd, counter, need_jacobian)
-            r = _real_fourier(ref_coeffs - y, scale)
-            return r, (None if dy is None else np.swapaxes(_real_fourier(dy, scale), -1, -2))
+            # the stacked rows [Y; dY] are this thread's scratch array, so Y
+            # turns into ref - Y in place, one material at a time
+            spectra, _ = _response(Materials(x, rho), fwd, counter, need_jacobian)
+            for y in spectra.reshape(-1, *spectra.shape[-2:])[:, 0]:
+                np.subtract(ref_coeffs, y, out=y)
+            coords = _real_fourier(spectra, scale)
+            return coords[..., 0, :], (np.swapaxes(coords[..., 1:, :], -1, -2) if need_jacobian else None)
 
     else:  # envelope
         ref_vec = envelope(ref.signal).samples
         ref_norm = float(np.linalg.norm(ref_vec))
 
         def evaluate(x, need_jacobian=True):
-            y, dy = response_spectrum(Materials(x, rho), fwd, counter, need_jacobian)
-            if not need_jacobian:
-                return ref_vec - np.abs(_analytic(y, fwd.n)), None
-            # d|a| = Re(conj(a) da) / |a|, with |a| floored where it vanishes;
-            # a and da are this thread's scratch arrays, overwritten in place
-            # and never returned
-            a = _analytic(np.concatenate([y[..., None, :], dy], axis=-2), fwd.n)
-            env = np.abs(a[..., 0, :])
-            floor = 1e-12 * np.maximum(env.max(axis=-1, keepdims=True), 1e-300)
-            a0, da = a[..., :1, :], a[..., 1:, :]
-            np.multiply(np.conj(a0, out=a0), da, out=da)
-            jac = da.real / np.maximum(env, floor)[..., None, :]
-            return ref_vec - env, np.swapaxes(jac, -1, -2)
+            # the analytic rows [a; da] of the stacked spectra [Y; dY] and
+            # the envelope |a| are this thread's scratch arrays, overwritten
+            # in place one material and one row at a time, as in the signals
+            # kernels; the rows [r; dr] are new
+            spectra, _ = _response(Materials(x, rho), fwd, counter, need_jacobian)
+            a = _analytic(spectra, fwd.n)
+            out = np.empty(a.shape)
+            env = _scratch("envelope", (fwd.n,), np.float64)
+            stack = a.shape[-2:]  # the rows [a; da] of one material
+            for rows, dest in zip(a.reshape(-1, *stack), out.reshape(-1, *stack)):
+                a0 = rows[0]
+                np.subtract(ref_vec, np.abs(a0, out=env), out=dest[0])
+                if need_jacobian:
+                    # d|a| = Re(conj(a) da) / |a|, with |a| floored where it vanishes
+                    np.maximum(env, 1e-12 * max(float(env.max()), 1e-300), out=env)
+                    np.conj(a0, out=a0)
+                    for da, column in zip(rows[1:], dest[1:]):
+                        np.divide(np.multiply(a0, da, out=da).real, env, out=column)
+            return out[..., 0, :], (np.swapaxes(out[..., 1:, :], -1, -2) if need_jacobian else None)
 
     if cfg.objective != "autocorr-phase":
 
@@ -421,9 +433,14 @@ def _real_fourier(coeffs: np.ndarray, scale: np.ndarray) -> np.ndarray:
     basis, along the last axis: [Re c_0, Re c_1, Im c_1, ..., Im c_{n/2-1},
     Re c_{n/2}] times ``scale``, sqrt(1/n) at the two real bins and sqrt(2/n)
     elsewhere.  irfft drops the imaginary parts of the zero and Nyquist
-    bins, and so does this map; by Parseval it preserves inner products."""
+    bins, and so does this map; by Parseval it preserves inner products.
+    Rows are scaled one at a time, as the signals kernels write them: numpy
+    can buffer a factor broadcast over several rows in a fresh array of up
+    to 8192 elements."""
     parts = coeffs.view(np.float64)
-    out = parts[..., 1:-1] * scale
+    out = np.empty(parts.shape[:-1] + scale.shape)
+    for row, dest in zip(parts.reshape(-1, parts.shape[-1])[:, 1:-1], out.reshape(-1, scale.size)):
+        np.multiply(row, scale, out=dest)
     out[..., 0] = parts[..., 0] * scale[0]
     return out
 

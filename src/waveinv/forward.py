@@ -309,8 +309,8 @@ def response_spectrum(
     raises ``ValueError`` (``TruncationError`` for the window); in a batch,
     the row of each such material is NaN and is not counted.
     """
-    y, dy, _ = _response(m, cfg, counter, need_jacobian, fresh=True)
-    return y, dy
+    spectra, _ = _response(m, cfg, counter, need_jacobian, fresh=True)
+    return spectra[..., 0, :], spectra[..., 1:, :] if need_jacobian else None
 
 
 def _response(
@@ -319,11 +319,13 @@ def _response(
     counter: EvalCounter | None,
     need_jacobian: bool,
     fresh: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None, tuple]:
-    """:func:`response_spectrum`, as views of this thread's scratch array
-    for the phase kernel, or of a new array when ``fresh``, and the forward
-    pass's tape for :func:`_response_pullback`: the grid, the carrier tables
-    and the delay derivatives d tau / dE and d tau / dnu."""
+) -> tuple[np.ndarray, tuple]:
+    """:func:`response_spectrum` as the stacked rows [Y; dY/dE; dY/dnu]
+    along the second-to-last axis (the row Y alone without the Jacobian),
+    in this thread's scratch array for the kernels, or in a new array when
+    ``fresh``, and the forward pass's tape for :func:`_response_pullback`:
+    the grid, the carrier tables and the delay derivatives d tau / dE and
+    d tau / dnu."""
     grid = _grid(cfg)
     tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
     batch = tau.ndim == 2
@@ -369,8 +371,7 @@ def _response(
             spectra[~ok] = np.nan
     if counter is not None:
         counter.add(int(np.count_nonzero(ok)) if batch else 1)
-    y, dy = spectra[..., 0, :], spectra[..., 1:, :] if need_jacobian else None
-    return y, dy, (grid, coarse, fine, dtau_de, dtau_dnu)
+    return spectra, (grid, coarse, fine, dtau_de, dtau_dnu)
 
 
 def _response_pullback(tape: tuple, w: np.ndarray) -> np.ndarray:
@@ -431,8 +432,9 @@ def phase_objective_terms(
     (N, M, 2); the rows of materials without a model output or with a
     degenerate spectrum are NaN.
     """
-    y, dy, _ = _response(m, cfg, counter, need_jacobian)
-    values, dvalues = phase_features(y, ref_feature.gamma, dy)
+    spectra, _ = _response(m, cfg, counter, need_jacobian)
+    dy = spectra[..., 1:, :] if need_jacobian else None
+    values, dvalues = phase_features(spectra[..., 0, :], ref_feature.gamma, dy)
     return np.subtract(ref_feature.values, values, out=values), dvalues
 
 
@@ -451,7 +453,7 @@ def phase_objective_gradient(
     kernel, then of the response spectrum), without the Jacobian.  It fails
     as :func:`phase_objective_terms` with the Jacobian does.
     """
-    y, _, spectrum_tape = _response(m, cfg, counter, need_jacobian=False)
-    values, _, phase_tape = _phase_forward(y, ref_feature.gamma)
+    spectra, spectrum_tape = _response(m, cfg, counter, need_jacobian=False)
+    values, _, phase_tape = _phase_forward(spectra[..., 0, :], ref_feature.gamma)
     r = np.subtract(ref_feature.values, values, out=values)
     return 0.5 * float(r @ r), -_response_pullback(spectrum_tape, _phase_pullback(phase_tape, r))

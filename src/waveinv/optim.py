@@ -30,8 +30,13 @@ from
 Both 2x2 systems are solved in closed form: G^-1 = [[g11, -g01], [-g10,
 g00]] / det G for lambda, and (G + mu I)^-1 the same way.  A Gram with
 det G < RCOND_LIMIT g00 g11, whose columns are parallel to within
-rounding, is singular.  ||r|| is computed once per evaluation and reused by
-the stopping tests and eta_bar.
+rounding, is singular.  The recorder computes ||r|| and the five dot
+products once per evaluation, on Python floats, for the stopping tests,
+eta_bar and the step.  They also tell it whether the evaluation is
+finite: a NaN or inf in r makes ||r|| NaN or inf, and one in J makes c00
+or c11 so.  A finite J can overflow c00 or c11 as well; only then are J's
+entries checked one by one, and such a run ends with status ``error``
+from the step.  The check comes before every stopping test.
 
 A BFGS baseline with a strong-Wolfe backtracking line search is provided for
 comparisons.  It owns its parameter scaling as the step does: it runs in
@@ -112,8 +117,9 @@ def lambda_k(G, dx_star) -> float:
     """Scalar making the gradient step as long, in the metric, as the
     Gauss-Newton step: lambda = sqrt((dx*' G^-1 dx*) / (dx*' G dx*)), for a
     2x2 metric G (any nested pair of rows) and a 2-vector dx*."""
-    (g00, g01), (g10, g11) = ((float(a), float(b)) for a, b in G)
-    p, q = (float(v) for v in dx_star)
+    (g00, g01), (g10, g11) = G
+    p, q = dx_star
+    g00, g01, g10, g11, p, q = float(g00), float(g01), float(g10), float(g11), float(p), float(q)
     if p == 0.0 and q == 0.0:
         raise ValueError("lambda is undefined for a zero gradient step")
     rcond = _gram_rcond(g00, g01, g10, g11)
@@ -265,18 +271,21 @@ def _inside(x: list[float], bounds) -> bool:
     return bounds is None or all(lo < t < hi for t, (lo, hi) in zip(x, bounds))
 
 
-def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: OptimizeOptions, scale=1.0):
+def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: OptimizeOptions, truth, scale=1.0):
     """Spend one model evaluation ``call(u)`` at the physical point
-    ``u * scale`` and append its record to the trace.
+    ``u * scale`` and append its record to the trace; ``truth`` is the
+    ground truth in the coordinates of u, as a list of floats, or None.
 
-    ``call`` returns a residual vector and its Jacobian, or the objective
-    0.5 ||r||^2 and its gradient.  Returns that pair, as a float array (a
-    float for the objective) and a float array, followed by ||r||, or None
-    once the run has ended at its last record: the budget was spent
-    (``budget``), the model raised one of MODEL_ERRORS (``error``), or
-    the pair holds NaN or inf (``non-finite``: no stopping test can hold on
-    such values).  A Jacobian that is not (r.size, 2) is a programming
-    error of the callback and raises ValueError without a record.
+    ``call`` returns a residual vector r and its Jacobian J, or the
+    objective 0.5 ||r||^2 and its gradient.  Returns, on Python floats,
+    ||r|| and the dot products (c00, c01, c11, b0, b1) of J's columns with
+    each other and with r, or the objective and the gradient's two
+    components; or None once the run has ended at its last record: the
+    budget was spent (``budget``), the model raised one of MODEL_ERRORS
+    (``error``), or the pair holds NaN or inf (``non-finite``: no stopping
+    test can hold on such values).  A Jacobian that is not (r.size, 2) is a
+    programming error of the callback and raises ValueError without a
+    record.
     """
     if trace.eval_count >= opts.max_evals:
         _end(trace, "budget", "evaluation budget exhausted")
@@ -288,14 +297,28 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
         return None
     deriv = np.asarray(deriv, dtype=float)
     if np.ndim(value):
-        value = np.asarray(value, dtype=float)
-        if deriv.shape != (value.size, 2):
-            raise ValueError(f"Jacobian shape {deriv.shape} does not match {value.size} residuals and two parameters")
-        r_norm = float(np.linalg.norm(value))
+        r = np.asarray(value, dtype=float)
+        if deriv.shape != (r.size, 2):
+            raise ValueError(f"Jacobian shape {deriv.shape} does not match {r.size} residuals and two parameters")
+        # the square root of r.dot(r) is np.linalg.norm of a 1-d float array
+        r_norm = math.sqrt(r.dot(r))
         objective = 0.5 * (r_norm * r_norm)
+        # NaN or inf in r makes ||r|| NaN or inf, and in J c00 or c11; a
+        # finite J can overflow c00 or c11 too, and is left to the step.  The
+        # cross products are taken only on finite values, where inf * 0
+        # cannot turn up
+        c0, c1 = deriv.T
+        finite = math.isfinite(r_norm)
+        if finite:
+            c00, c11 = float(c0.dot(c0)), float(c1.dot(c1))
+            finite = (math.isfinite(c00) and math.isfinite(c11)) or bool(np.isfinite(deriv).all())
+        result = (r_norm, (c00, float(c0.dot(c1)), c11, float(c0.dot(r)), float(c1.dot(r)))) if finite else None
     else:
-        value = objective = float(value)
+        objective = float(value)
         r_norm = math.sqrt(max(2.0 * objective, 0.0))
+        g0, g1 = deriv.tolist()
+        finite = math.isfinite(objective) and math.isfinite(g0) and math.isfinite(g1)
+        result = objective, (g0, g1)
     ref_norm = opts.ref_norm
     trace.records.append(
         OptRecord(
@@ -303,14 +326,14 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
             eval_count=trace.eval_count + 1,
             x=u * scale,
             objective=objective,
-            rel1=np.nan if opts.ground_truth is None else relative_1(opts.ground_truth / scale, u),
-            rel2=float(r_norm / ref_norm) if ref_norm is not None and ref_norm > 0.0 else np.nan,
+            rel1=math.nan if truth is None else relative_1(truth, u.tolist()),
+            rel2=float(r_norm / ref_norm) if ref_norm is not None and ref_norm > 0.0 else math.nan,
         )
     )
-    if not (math.isfinite(objective) and np.isfinite(deriv).all()):
+    if not finite:
         _end(trace, "non-finite", f"evaluation {trace.eval_count} returned NaN or inf")
         return None
-    return value, deriv, r_norm
+    return result
 
 
 def _apply_bounds(x: list[float], dx: list[float], bounds) -> list[float] | None:
@@ -345,6 +368,7 @@ def optimize(
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (2,):
         raise ValueError(f"{opts.method} takes two parameters, got shape {x.shape}")
+    truth = None if opts.ground_truth is None else np.asarray(opts.ground_truth, dtype=float).tolist()
     trace = OptTrace()
     r0_norm = 0.0
     stall_count = 0
@@ -354,10 +378,10 @@ def optimize(
         return evaluate(x, True)
 
     for k in itertools.count():
-        evaluated = _evaluate(trace, residual_and_jacobian, x, k, opts)
+        evaluated = _evaluate(trace, residual_and_jacobian, x, k, opts, truth)
         if evaluated is None:
             return trace
-        r, jac, r_norm = evaluated
+        r_norm, dots = evaluated
         if k == 0:
             r0_norm = r_norm
         if r0_norm == 0.0 or r_norm / r0_norm < _OBJECTIVE_TOL:
@@ -369,8 +393,6 @@ def optimize(
                 return _end(trace, "stalled", f"no relative decrease above {_STALL_TOL} for {_STALL_ITERS} iterations")
         prev_norm = r_norm
 
-        c0, c1 = jac.T
-        dots = (float(c0.dot(c0)), float(c0.dot(c1)), float(c1.dot(c1)), float(c0.dot(r)), float(c1.dot(r)))
         eta = eta_bar(r_norm, r0_norm)
         xs = x.tolist()
         try:
@@ -435,12 +457,13 @@ def bfgs_baseline(
         value, grad = fg(scale * u)
         return value, scale * grad
 
+    truth = None if opts.ground_truth is None else (opts.ground_truth / scale).tolist()
     trace = OptTrace()
-    evaluated = _evaluate(trace, fg_u, x0 / scale, 0, opts, scale)
+    evaluated = _evaluate(trace, fg_u, x0 / scale, 0, opts, truth, scale)
     if evaluated is None:
         return trace
-    f, g, _ = evaluated
-    (u0, u1), (g0, g1) = (x0 / scale).tolist(), g.tolist()
+    f, (g0, g1) = evaluated
+    u0, u1 = (x0 / scale).tolist()
     f0 = f
     g_scale = max(math.hypot(g0, g1), 1e-300)
     # the symmetric inverse Hessian (h00, h01, h11); ``identity`` holds until
@@ -475,11 +498,10 @@ def bfgs_baseline(
                 if not _inside(u_trial, bounds):
                     alpha *= 0.5
                     continue
-                evaluated = _evaluate(trace, fg_u, np.array(u_trial), k, opts, scale)
+                evaluated = _evaluate(trace, fg_u, np.array(u_trial), k, opts, truth, scale)
                 if evaluated is None:
                     return trace
-                f_new, g_new, _ = evaluated
-                gn0, gn1 = g_new.tolist()
+                f_new, (gn0, gn1) = evaluated
                 slope_trial = gn0 * p0 + gn1 * p1
                 armijo = f_new <= f + _WOLFE_C1 * alpha * slope
                 curvature = abs(slope_trial) <= _WOLFE_C2 * abs(slope)

@@ -23,10 +23,11 @@ itself (one per named temporary, reallocated only when its shape changes),
 with ``out=``, so a repeated single-record evaluation allocates nothing of
 that length beyond the arrays it returns.  Two numpy behaviours would
 allocate behind an ``out=``: a real operand of a complex product is cast
-in a fresh buffer, so the pseudo-coefficients Y_k and the adjoint's real
-factors c and q are held in complex arrays; and an operand broadcast over
-the rows of a 2-d operation is buffered in a fresh array of up to 8192
-elements, so derivative rows are multiplied one at a time.  Every public
+in a fresh buffer, so the pseudo-coefficients Y_k, the adjoint's real
+factors c and q and the analytic weights are held in complex arrays; and
+an operand broadcast over the rows of a 2-d operation is buffered in a
+fresh array of up to 8192 elements, so derivative rows, and the rows the
+analytic weights multiply, are written one at a time.  Every public
 function returns fresh arrays, never one of these.
 """
 
@@ -165,9 +166,10 @@ def analytic_signal(s: Signal) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _analytic_weights(n: int) -> np.ndarray:
-    """One-sided analytic-signal weights [0, 2, ..., 2, 1] for n samples;
+    """One-sided analytic-signal weights [0, 2, ..., 2, 1] for n samples,
+    complex, as numpy would cast them for the product with the coefficients;
     read-only."""
-    w = np.full(n // 2 + 1, 2.0)
+    w = np.full(n // 2 + 1, 2.0 + 0.0j)
     w[0] = 0.0
     w[-1] = 1.0
     w.flags.writeable = False
@@ -179,7 +181,10 @@ def _analytic(coeffs: np.ndarray, n: int) -> np.ndarray:
     their n/2 + 1 one-sided coefficients, as from ``rfft``, one record or
     several stacked along the leading axis, in this thread's scratch arrays:
     the result is overwritten by the next call on the same thread."""
-    weighted = np.multiply(coeffs, _analytic_weights(n), out=_scratch("weighted", coeffs.shape))
+    weights, size = _analytic_weights(n), coeffs.shape[-1]
+    weighted = _scratch("weighted", coeffs.shape)
+    for row, out in zip(coeffs.reshape(-1, size), weighted.reshape(-1, size)):
+        np.multiply(row, weights, out=out)
     return np.fft.ifft(weighted, n, axis=-1, out=_scratch("analytic", coeffs.shape[:-1] + (n,)))
 
 

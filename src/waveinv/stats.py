@@ -492,9 +492,13 @@ def apply_marginals(unit: np.ndarray, prior: MaterialPrior, rng: np.random.Gener
 def relative_1(x_hat, x) -> float:
     """Elementwise relative Manhattan error ||1 - diag(x_hat)^-1 x||_1 of
     two vectors of equal length, summed left to right on floats (for two
-    parameters the same bits as numpy's sum)."""
-    x_hat = np.asarray(x_hat, dtype=float).tolist()
-    x = np.asarray(x, dtype=float).tolist()
+    parameters the same bits as numpy's sum).  A list is taken to hold
+    Python floats already, as the optimizers' records pass them; any other
+    vector is converted."""
+    if not isinstance(x_hat, list):
+        x_hat = np.asarray(x_hat, dtype=float).tolist()
+    if not isinstance(x, list):
+        x = np.asarray(x, dtype=float).tolist()
     if 0.0 in x_hat:
         raise ValueError("reference parameters must be nonzero")
     total = 0.0

@@ -4,6 +4,7 @@ batches, surfaces, manifold export, reports, and the CLI."""
 import importlib.util
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,26 @@ class TestRawObjectives:
         assert jac.shape == (self.fwd.n, 2)
         assert calls == {"fft": transforms, "analytic_signal": 0}
 
+    @pytest.mark.parametrize("need_jacobian", [True, False])
+    @pytest.mark.parametrize("objective", ["signal", "envelope"])
+    def test_evaluation_allocates_little_beyond_its_outputs(self, objective, need_jacobian):
+        # after a warm-up call, every temporary as long as the record lives
+        # in this thread's scratch arrays: the peak traced allocation of an
+        # evaluation is the arrays it returns plus 32 KiB, one 4096-sample
+        # float row.  Fresh [Y; dY] spectra or a cast buffer for the
+        # analytic weights would each exceed it
+        evaluate = self.evaluate(objective)
+        evaluate(self.x, need_jacobian)
+        tracemalloc.start()
+        try:
+            out = evaluate(self.x, need_jacobian)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.fwd.n == 4096
+        returned = sum(a.nbytes for a in out if a is not None)
+        assert peak <= returned + 32 * 1024, (peak - returned) / 1024
+
 
 class TestPhaseGradient:
     """The phase objective's ``fg``: 0.5 ||r||^2 and its gradient from one
@@ -565,10 +586,12 @@ class TestBatchedEvaluation:
 
     @pytest.mark.parametrize("objective", ["autocorr-phase", "signal", "envelope"])
     def test_rows_equal_single_evaluations(self, objective):
+        # 16 rows, a surface chunk (bench._CHUNK): the kernels write a batch
+        # one row at a time, into the same scratch arrays as a single row
         cfg = small_cfg(n_refs=1, objective=objective)
         ref = gen_refs(cfg)[0]
         rng = np.random.default_rng(8)
-        x = ref.truth.as_vector() * (1.0 + 0.03 * rng.standard_normal((5, 2)))
+        x = ref.truth.as_vector() * (1.0 + 0.03 * rng.standard_normal((16, 2)))
         for need_jacobian in (True, False):
             evaluate, _, counter, _ = make_objective(cfg, ref)
             r, jac = evaluate(x, need_jacobian)

@@ -465,7 +465,7 @@ class TestPullbacks:
     def test_response_pullback_pairs_with_the_jacobian_rows(self):
         cfg = ForwardConfig()
         _, dy = response_spectrum(PEEK, cfg, need_jacobian=True)
-        _, _, tape = forward._response(PEEK, cfg, None, need_jacobian=False)
+        _, tape = forward._response(PEEK, cfg, None, need_jacobian=False)
         rng = np.random.default_rng(2)
         for _ in range(5):
             w = rng.standard_normal(dy.shape[-1]) + 1j * rng.standard_normal(dy.shape[-1])

@@ -578,6 +578,26 @@ class TestOptimize:
         assert trace.eval_count == 3 == calls["n"]
         assert "evaluation 3" in trace.message
 
+    @pytest.mark.parametrize("method", ["modified-lm", "gauss-newton"])
+    def test_non_finite_jacobian_outranks_a_converged_residual(self, method):
+        # the second evaluation's residual meets the relative-residual test
+        # (1e-13 of the first), but its Jacobian holds NaN: the finiteness
+        # check runs before every stopping test
+        calls = {"n": 0}
+        a = np.array([[1.0, 0.0], [0.0, 0.05], [0.3, 0.1]])
+
+        def evaluate(x, need_jacobian):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return np.ones(3), a
+            jac = a.copy()
+            jac[1, 1] = np.nan
+            return np.full(3, 1e-13), jac
+
+        trace = optimize(evaluate, np.array([5.0, 5.0]), OptimizeOptions(method=method))
+        assert (trace.status, trace.eval_count) == ("non-finite", 2)
+        assert "evaluation 2" in trace.message
+
     def test_eval_counts_strictly_increasing(self):
         rng = np.random.default_rng(16)
         a = rng.standard_normal((10, 2))
