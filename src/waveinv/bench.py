@@ -23,9 +23,9 @@ from .forward import (
     MaterialParams,
     Materials,
     _response,
+    forward_response,
     phase_objective_gradient,
     phase_objective_terms,
-    response_spectrum,
 )
 from .optim import METHODS, MODEL_ERRORS, OptimizeOptions, OptTrace, bfgs_baseline, optimize, write_trace_csv
 from .signals import (
@@ -87,21 +87,6 @@ _LOG_FLOOR = 1e-16
 #: is 16 x 4096 x 16 B = 1 MiB; larger chunks (a whole 41-node grid row)
 #: fall out of cache and are slower per node.
 _CHUNK = 16
-
-#: Truths per batched evaluation in gen_refs, whose references are usually
-#: inverted next in the same process.  At n = 4096 the largest temporary of
-#: a 3-row chunk (the carrier sums) is 99 KiB, under glibc's default
-#: 128 KiB mmap threshold.  Freeing a larger mapped block raises that
-#: threshold and the heap trim threshold for the rest of the process: with
-#: 16-row chunks, perfbench's invert-phase workload ran its LM and BFGS
-#: evaluations at about 0.7x the host-normalized rate of the serial loop.
-#: With the phase kernel on per-thread scratch arrays, 16-row chunks still
-#: read 666-953 host-normalized evaluations/s against 1039-1126 (4 pairs),
-#: while raw thread CPU per iteration was no higher (1.7-2.4 s against
-#: 1.9-2.5 s): the loss is in perfbench's host-speed normalization, whose
-#: kernel runs faster once the mmap threshold has risen.
-_REF_CHUNK = 3
-
 
 #: Upper bound on n_refs.  lhs_sample scores each candidate design through
 #: the n x n x 2 float64 array of pairwise differences of its n draws;
@@ -273,10 +258,12 @@ class Reference:
 
 def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     """Draw ground truths through the optimized LHS and the marginal inverse
-    CDFs, then simulate one response per truth, in chunks of truths.
+    CDFs, then simulate one response per truth with
+    :func:`~waveinv.forward.forward_response`.
 
-    A truth without a model output (its packets do not fit the window) is
-    logged and skipped; the batch never aborts.
+    A truth without a model output (its packets do not fit the window, or
+    its spectrum is not finite) is logged and skipped; the batch never
+    aborts.
     """
     prior = cfg.prior()
     if cfg.n_refs == 1:
@@ -289,15 +276,14 @@ def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     rho = prior.rho_si()
     fwd = cfg.forward_config()
     truths = [MaterialParams(E=1.0e9 * e_gpa, nu=nu, rho=rho) for e_gpa, nu in draws]
-    x = np.array([truth.as_vector() for truth in truths])
     refs = []
-    for start in range(0, len(truths), _REF_CHUNK):
-        y, _ = response_spectrum(Materials(x[start : start + _REF_CHUNK], rho), fwd)
-        for i, samples in enumerate(np.fft.irfft(y, fwd.n), start=start):
-            if np.isnan(samples).any():
-                log.warning("reference %d failed: truth %s has no model output", i, truths[i])
-                continue
-            refs.append(Reference(ref_id=i, truth=truths[i], signal=Signal(samples, dt=fwd.dt)))
+    for i, truth in enumerate(truths):
+        try:
+            signal = forward_response(truth, fwd)
+        except ValueError:
+            log.warning("reference %d failed: truth %s has no model output", i, truth)
+            continue
+        refs.append(Reference(ref_id=i, truth=truth, signal=signal))
     return refs
 
 
@@ -338,9 +324,7 @@ def mean_reference(cfg: ExperimentConfig) -> Reference:
     e_values, nu_values, _ = _grid_nodes(cfg, cfg.grid_n)
     center = cfg.grid_n // 2
     truth = MaterialParams(E=float(e_values[center]), nu=float(nu_values[center]), rho=cfg.prior().rho_si())
-    fwd = cfg.forward_config()
-    y, _ = response_spectrum(truth, fwd)
-    return Reference(ref_id=0, truth=truth, signal=Signal(np.fft.irfft(y, fwd.n), dt=fwd.dt))
+    return Reference(ref_id=0, truth=truth, signal=forward_response(truth, cfg.forward_config()))
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +349,9 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
     rho = ref.truth.rho
 
     if cfg.objective == "autocorr-phase":
-        # on the model's grid; the feature carries the weights to the model
+        # weights on the model's grid; the feature carries them to the model
         gamma = damping_weights(fwd.n // 2, fwd.b, fwd.duration, cfg.damping)
-        ref_feature = transform_pipeline(Signal(ref.signal.samples, fwd.dt), gamma)
+        ref_feature = transform_pipeline(ref.signal, gamma)
         ref_norm = float(np.linalg.norm(ref_feature.values))
 
         def evaluate(x, need_jacobian=True):

@@ -301,7 +301,8 @@ def response_spectrum(
     for a batch of N.  Y = P sum_j a_j c_j and
     dY/dp = -i omega P sum_j a_j (d tau_j / dp) c_j over the carriers
     c_j = exp(-i tau_j omega), so one small product of weight rows with the
-    carrier tables gives every sum.  Every objective starts here.
+    carrier tables gives every sum.  Every objective starts here; Y and dY
+    are copies of the kernels' scratch rows.
 
     A material has no model output when (E, nu) lies outside E > 0,
     0 < nu < 0.5, when a packet arrives less than 4 sigma before the end of
@@ -309,8 +310,8 @@ def response_spectrum(
     raises ``ValueError`` (``TruncationError`` for the window); in a batch,
     the row of each such material is NaN and is not counted.
     """
-    spectra, _ = _response(m, cfg, counter, need_jacobian, fresh=True)
-    return spectra[..., 0, :], spectra[..., 1:, :] if need_jacobian else None
+    spectra, _ = _response(m, cfg, counter, need_jacobian)
+    return spectra[..., 0, :].copy(), spectra[..., 1:, :].copy() if need_jacobian else None
 
 
 def _response(
@@ -318,14 +319,12 @@ def _response(
     cfg: ForwardConfig,
     counter: EvalCounter | None,
     need_jacobian: bool,
-    fresh: bool = False,
 ) -> tuple[np.ndarray, tuple]:
     """:func:`response_spectrum` as the stacked rows [Y; dY/dE; dY/dnu]
     along the second-to-last axis (the row Y alone without the Jacobian),
-    in this thread's scratch array for the kernels, or in a new array when
-    ``fresh``, and the forward pass's tape for :func:`_response_pullback`:
-    the grid, the carrier tables and the delay derivatives d tau / dE and
-    d tau / dnu."""
+    in this thread's scratch array, and the forward pass's tape for
+    :func:`_response_pullback`: the grid, the carrier tables and the delay
+    derivatives d tau / dE and d tau / dnu."""
     grid = _grid(cfg)
     tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
     batch = tau.ndim == 2
@@ -357,7 +356,7 @@ def _response(
     sums = sums.reshape(sums.shape[:-2] + (-1,))[..., :size]
     # rows [Y; dY/dE; dY/dnu] = [P; -i omega P; -i omega P] sums, one row at a
     # time: numpy buffers a factor broadcast over the rows in a fresh array
-    spectra = np.empty(sums.shape, complex) if fresh else _scratch("spectra", sums.shape)
+    spectra = _scratch("spectra", sums.shape)
     for i in range(sums.shape[-2]):
         np.multiply(grid.p_rate if i else grid.p_spec, sums[..., i, :], out=spectra[..., i, :])
     parts = spectra.view(np.float64)  # a complex value is finite when both parts are
@@ -401,9 +400,10 @@ def _response_pullback(tape: tuple, w: np.ndarray) -> np.ndarray:
 
 def forward_response(m: MaterialParams, cfg: ForwardConfig, counter: EvalCounter | None = None) -> Signal:
     """Simulated transmission response for one material; one model
-    evaluation.  The package evaluates through :func:`response_spectrum`;
-    this stays public because perfbench/tracing.py's ``TRACED`` table
-    names it."""
+    evaluation.  The reference simulator: every virtual measurement
+    (:func:`~waveinv.bench.gen_refs`, :func:`~waveinv.bench.mean_reference`)
+    is this record.  It raises as :func:`response_spectrum` does for one
+    material."""
     y, _ = response_spectrum(m, cfg, counter)
     return Signal(np.fft.irfft(y, n=cfg.n), dt=cfg.dt)
 

@@ -141,6 +141,19 @@ class TestGenRefs:
             assert rb.truth.nu == ra.truth.nu
             np.testing.assert_array_equal(rb.signal.samples, ra.signal.samples)
 
+    @pytest.mark.parametrize("material", ["PEEK", "PA6", "PP"])
+    def test_references_are_forward_response_records(self, material):
+        # one reference simulator: every record gen_refs and mean_reference
+        # emit is forward_response's, bit for bit
+        cfg = small_cfg(material=material, n_refs=5)
+        fwd = cfg.forward_config()
+        refs = gen_refs(cfg) + [mean_reference(cfg)]
+        assert len(refs) == 6
+        for ref in refs:
+            want = forward_response(ref.truth, fwd)
+            assert ref.signal.dt == want.dt
+            assert ref.signal.samples.tobytes() == want.samples.tobytes()
+
     def test_impossible_window_yields_no_refs(self):
         # 256 samples at the default rate: every packet is truncated
         cfg = small_cfg(n=256)
@@ -647,18 +660,22 @@ class TestBatchedEvaluation:
             f"(E, nu) = {np.array([result.e_values[first[0]], result.nu_values[first[1]]])}"
         ]
 
-    def test_gen_refs_skips_truncated_truths(self):
+    def test_gen_refs_skips_truncated_truths(self, caplog):
         cfg = small_cfg(n_refs=8, n=1024, dt=2.4e-5 / 1024)
-        refs = gen_refs(cfg)
-        kept = []
+        with caplog.at_level("WARNING", logger="waveinv.bench"):
+            refs = gen_refs(cfg)
+        kept, skipped = [], []
         for ref_id, truth in enumerate(gen_refs(replace(cfg, n=4096, dt=1.0 / 48.0e6))):
             try:
                 forward_response(truth.truth, cfg.forward_config())
             except ValueError:
+                skipped.append(f"reference {ref_id} failed: truth {truth.truth} has no model output")
                 continue
             kept.append(ref_id)
         assert 0 < len(kept) < 8
         assert [ref.ref_id for ref in refs] == kept
+        # one warning per skipped truth, in order
+        assert [rec.getMessage() for rec in caplog.records if rec.name == "waveinv.bench"] == skipped
 
     def test_phase_surface_fft_calls_scale_with_chunks(self, monkeypatch):
         # 1681 nodes in chunks of bench._CHUNK: two FFT calls per chunk

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from waveinv import bench, signals
-from waveinv.forward import ForwardConfig, MaterialParams, phase_objective_terms, response_spectrum
+from waveinv.forward import ForwardConfig, MaterialParams, Materials, phase_objective_terms, response_spectrum
 from waveinv.signals import (
     PipelineError,
     Signal,
@@ -566,6 +566,38 @@ class TestScratchArrays:
             if want is not None:
                 assert np.array_equal(got, want)
                 assert not np.shares_memory(got, other)
+
+    @pytest.mark.parametrize("rows", [0, 1, 16])
+    @pytest.mark.parametrize("with_jacobian", [False, True])
+    def test_second_response_spectrum_call_leaves_first_results_unchanged(self, rows, with_jacobian):
+        # response_spectrum copies Y and dY out of the model's scratch rows,
+        # which an objective evaluation of the same shape then overwrites
+        cfg = bench.load_config(None, {"n_refs": 2, "seed": 3})
+        ref = bench.gen_refs(cfg)[0]
+        fwd, rho = cfg.forward_config(), ref.truth.rho
+        spread = 1.0 + 0.02 * np.linspace(-1.0, 1.0, max(rows, 1))[:, None]
+
+        def points(scale):
+            x = ref.truth.as_vector() * scale * spread
+            return x if rows else x[0]
+
+        def call(scale):
+            return response_spectrum(Materials(points(scale), rho), fwd, need_jacobian=with_jacobian)
+
+        def shares_scratch(out):
+            return any(np.shares_memory(out, buf) for buf in vars(signals._SCRATCH).values())
+
+        first = call(1.01)
+        assert (first[1] is None) is not with_jacobian
+        assert not any(out is not None and shares_scratch(out) for out in first)
+        kept = [None if out is None else out.copy() for out in first]
+        bench.make_objective(cfg, ref)[0](points(0.98), with_jacobian)
+        second = call(0.99)
+        for got, want, other in zip(first, kept, second):
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, other)
+                assert not shares_scratch(got) and not shares_scratch(other)
 
     def test_second_autocorr_and_analytic_calls_leave_first_results_unchanged(self):
         # the autocorrelation stage runs in scratch arrays; the kernel's
