@@ -10,7 +10,6 @@ from .forward import (
     EvalCounter,
     ForwardConfig,
     MaterialParams,
-    Materials,
     TruncationError,
     excitation,
     forward_jacobian,

@@ -21,7 +21,6 @@ from .forward import (
     EvalCounter,
     ForwardConfig,
     MaterialParams,
-    Materials,
     _response,
     forward_response,
     phase_objective_gradient,
@@ -355,11 +354,10 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
         ref_norm = float(np.linalg.norm(ref_feature.values))
 
         def evaluate(x, need_jacobian=True):
-            m = Materials(x, rho)
-            return phase_objective_terms(m, fwd, ref_feature, counter=counter, need_jacobian=need_jacobian)
+            return phase_objective_terms(x, rho, fwd, ref_feature, counter=counter, need_jacobian=need_jacobian)
 
         def fg(x):
-            return phase_objective_gradient(Materials(x, rho), fwd, ref_feature, counter)
+            return phase_objective_gradient(x, rho, fwd, ref_feature, counter)
 
     elif cfg.objective == "signal":
         # r = ref - irfft(Y) and the columns of J in the orthonormal real
@@ -372,7 +370,7 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
         def evaluate(x, need_jacobian=True):
             # the stacked rows [Y; dY] are this thread's scratch array, so Y
             # turns into ref - Y in place, one material at a time
-            spectra, _ = _response(Materials(x, rho), fwd, counter, need_jacobian)
+            spectra, _ = _response(x, rho, fwd, counter, need_jacobian)
             for y in spectra.reshape(-1, *spectra.shape[-2:])[:, 0]:
                 np.subtract(ref_coeffs, y, out=y)
             coords = _real_fourier(spectra, scale)
@@ -387,7 +385,7 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
             # the envelope |a| are this thread's scratch arrays, overwritten
             # in place one material and one row at a time, as in the signals
             # kernels; the rows [r; dr] are new
-            spectra, _ = _response(Materials(x, rho), fwd, counter, need_jacobian)
+            spectra, _ = _response(x, rho, fwd, counter, need_jacobian)
             a = _analytic(spectra, fwd.n)
             out = np.empty(a.shape)
             env = _scratch("envelope", (fwd.n,), np.float64)
@@ -483,8 +481,11 @@ class RunResult:
     truth: MaterialParams
     trace: OptTrace
     x0: np.ndarray
-    success: bool
     evals_to_success: int | None
+
+    @property
+    def success(self) -> bool:
+        return self.evals_to_success is not None
 
 
 @dataclass
@@ -543,9 +544,7 @@ def optimize_batch(cfg: ExperimentConfig, refs: list[Reference]) -> BenchResult:
             trace, counter = run_single(cfg, ref, x0)
         except MODEL_ERRORS as exc:
             log.warning("run %d failed outright: %s", ref.ref_id, exc)
-            result.runs.append(
-                RunResult(ref.ref_id, ref.truth, OptTrace(status="error", message=str(exc)), x0, False, None)
-            )
+            result.runs.append(RunResult(ref.ref_id, ref.truth, OptTrace(status="error", message=str(exc)), x0, None))
             continue
         # every counted evaluation is in the trace, except one that raised
         unrecorded = counter.count - trace.eval_count
@@ -555,9 +554,7 @@ def optimize_batch(cfg: ExperimentConfig, refs: list[Reference]) -> BenchResult:
                 f"model counted {counter.count}"
             )
         evals = trace.evals_to(lambda rec: rec.rel1 < cfg.cutoff)
-        result.runs.append(
-            RunResult(ref.ref_id, ref.truth, trace, x0, evals is not None, evals)
-        )
+        result.runs.append(RunResult(ref.ref_id, ref.truth, trace, x0, evals))
     return result
 
 

@@ -15,8 +15,9 @@ Jacobian with respect to (E, nu) analytic, which the optimizer relies on.
 Speeds are frequency independent; the nonlinearity of the inverse problem
 enters through tau_j(E, nu).
 
-Every function from the delays to the phase objective takes one material
-or a batch of them (:class:`Materials`) along a leading axis, and the
+Every function from the delays to the phase objective takes the rows
+(E, nu) of ``x`` and the density ``rho`` of the materials: shape (2,) is
+one material, shape (N, 2) a batch of N along a leading axis, and the
 single material is the batch of one: the same operations on one row.  Model
 evaluations are counted per optimization run through an explicit
 :class:`EvalCounter`, one per row; a Jacobian, or the gradient of the
@@ -39,7 +40,6 @@ from .signals import PhaseFeature, Signal, _phase_forward, _phase_pullback, _scr
 
 __all__ = [
     "MaterialParams",
-    "Materials",
     "ForwardConfig",
     "EvalCounter",
     "TruncationError",
@@ -84,37 +84,6 @@ class MaterialParams:
     def as_vector(self) -> np.ndarray:
         """Optimization unknowns [E, nu]."""
         return np.array([self.E, self.nu])
-
-
-@dataclass(frozen=True)
-class Materials:
-    """Materials of one density rho as rows (E, nu) of ``x``: shape (2,) is
-    one material, shape (N, 2) a batch of N.
-
-    The density must be positive and finite; rows are not validated here.
-    The model raises for a single material outside its domain, as for a
-    :class:`MaterialParams`, and turns the rows of a batch that fail the
-    same checks into NaN.
-    """
-
-    x: np.ndarray
-    rho: float
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[-1] != 2:
-            raise ValueError(f"materials are rows (E, nu) of shape (2,) or (N, 2), got {x.shape}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "rho", float(self.rho))
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-
-
-def _rows(m: MaterialParams | Materials) -> tuple[np.ndarray, float]:
-    """(E, nu) of shape (2,) or (N, 2), and the density."""
-    if isinstance(m, MaterialParams):
-        return np.array([m.E, m.nu]), m.rho
-    return m.x, m.rho
 
 
 @dataclass(frozen=True)
@@ -191,17 +160,24 @@ def excitation(cfg: ForwardConfig) -> Signal:
     return Signal(p, dt=cfg.dt)
 
 
-def packet_delays(
-    m: MaterialParams | Materials, cfg: ForwardConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def packet_delays(x: np.ndarray, rho: float, cfg: ForwardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrival delays tau = [tau_1, tau_2, tau_3] and their derivatives
-    with respect to E and nu, each of shape (3,), or (N, 3) for a batch.
+    with respect to E and nu, each of shape (3,) for the row (E, nu) of
+    ``x`` of shape (2,), or (N, 3) for the N rows of shape (N, 2).
 
     All delays scale as E^(-1/2), so d tau_j / dE = -tau_j / (2 E).  Only
     the shear-borne path segments respond to nu.  A row outside the model
     domain (E > 0, 0 < nu < 0.5) is NaN.
+    Every model path starts here, so ``x`` of another shape, or a density
+    ``rho`` that is not positive and finite, raises ``ValueError`` before
+    any evaluation is counted.
     """
-    x, rho = _rows(m)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != 2:
+        raise ValueError(f"materials are rows (E, nu) of shape (2,) or (N, 2), got {x.shape}")
+    rho = float(rho)
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive, got {rho}")
     # one Python-float row at a time: a row costs far less than the numpy
     # calls of a vectorized formula, and a batch row is the single row
     table = np.array([_row_delays(e, nu, rho, cfg.L) for e, nu in x.reshape(-1, 2).tolist()])
@@ -289,7 +265,8 @@ def _carrier_tables(tau: np.ndarray, grid: _Grid) -> tuple[np.ndarray, np.ndarra
 
 
 def response_spectrum(
-    m: MaterialParams | Materials,
+    x: np.ndarray,
+    rho: float,
     cfg: ForwardConfig,
     counter: EvalCounter | None = None,
     need_jacobian: bool = False,
@@ -297,8 +274,9 @@ def response_spectrum(
     """One-sided response spectrum Y and, on request, its derivatives
     stacked as rows [dY/dE, dY/dnu]; one model evaluation per material.
 
-    Y has shape (K,) and dY (2, K) for one material, (N, K) and (N, 2, K)
-    for a batch of N.  Y = P sum_j a_j c_j and
+    Y has shape (K,) and dY (2, K) for one material, the row (E, nu) of
+    ``x`` of shape (2,), and (N, K) and (N, 2, K) for the N rows of shape
+    (N, 2); ``rho`` is their density.  Y = P sum_j a_j c_j and
     dY/dp = -i omega P sum_j a_j (d tau_j / dp) c_j over the carriers
     c_j = exp(-i tau_j omega), so one small product of weight rows with the
     carrier tables gives every sum.  Every objective starts here; Y and dY
@@ -310,15 +288,12 @@ def response_spectrum(
     raises ``ValueError`` (``TruncationError`` for the window); in a batch,
     the row of each such material is NaN and is not counted.
     """
-    spectra, _ = _response(m, cfg, counter, need_jacobian)
+    spectra, _ = _response(x, rho, cfg, counter, need_jacobian)
     return spectra[..., 0, :].copy(), spectra[..., 1:, :].copy() if need_jacobian else None
 
 
 def _response(
-    m: MaterialParams | Materials,
-    cfg: ForwardConfig,
-    counter: EvalCounter | None,
-    need_jacobian: bool,
+    x: np.ndarray, rho: float, cfg: ForwardConfig, counter: EvalCounter | None, need_jacobian: bool
 ) -> tuple[np.ndarray, tuple]:
     """:func:`response_spectrum` as the stacked rows [Y; dY/dE; dY/dnu]
     along the second-to-last axis (the row Y alone without the Jacobian),
@@ -326,7 +301,7 @@ def _response(
     :func:`_response_pullback`: the grid, the carrier tables and the delay
     derivatives d tau / dE and d tau / dnu."""
     grid = _grid(cfg)
-    tau, dtau_de, dtau_dnu = packet_delays(m, cfg)
+    tau, dtau_de, dtau_dnu = packet_delays(x, rho, cfg)
     batch = tau.ndim == 2
     # the validity predicate, one row per material: a single material raises
     # where it fails, checked on the Python floats of its delays, and a batch
@@ -334,7 +309,6 @@ def _response(
     if not batch:
         latest = cfg.tbar + max(tau.tolist()) + grid.margin
         if math.isnan(latest):
-            x, _ = _rows(m)
             raise ValueError(f"(E, nu) = ({x[0]!r}, {x[1]!r}) lies outside E > 0, 0 < nu < 0.5")
         if latest > cfg.duration:
             raise TruncationError(f"last packet at {latest:.3e} s exceeds the {cfg.duration:.3e} s window")
@@ -404,56 +378,60 @@ def forward_response(m: MaterialParams, cfg: ForwardConfig, counter: EvalCounter
     (:func:`~waveinv.bench.gen_refs`, :func:`~waveinv.bench.mean_reference`)
     is this record.  It raises as :func:`response_spectrum` does for one
     material."""
-    y, _ = response_spectrum(m, cfg, counter)
+    y, _ = response_spectrum(m.as_vector(), m.rho, cfg, counter)
     return Signal(np.fft.irfft(y, n=cfg.n), dt=cfg.dt)
 
 
 def forward_jacobian(m: MaterialParams, cfg: ForwardConfig) -> tuple[Signal, Signal]:
     """Analytic derivatives (dy/dE, dy/dnu) of the time response; counts no
     evaluation."""
-    _, dy = response_spectrum(m, cfg, need_jacobian=True)
+    _, dy = response_spectrum(m.as_vector(), m.rho, cfg, need_jacobian=True)
     d_e, d_nu = np.fft.irfft(dy, n=cfg.n)
     return Signal(d_e, dt=cfg.dt), Signal(d_nu, dt=cfg.dt)
 
 
 def phase_objective_terms(
-    m: MaterialParams | Materials,
+    x: np.ndarray,
+    rho: float,
     cfg: ForwardConfig,
     ref_feature: PhaseFeature,
     counter: EvalCounter | None = None,
     need_jacobian: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual r = ref - sim of phase features and the model Jacobian
-    d(sim feature)/d(E, nu), in one counted forward evaluation per material;
-    the model's features are damped by the reference's weights
-    ``ref_feature.gamma``.
+    d(sim feature)/d(E, nu) at the rows (E, nu) of ``x`` of density
+    ``rho``, in one counted forward evaluation per material; the model's
+    features are damped by the reference's weights ``ref_feature.gamma``.
 
-    For a batch of N materials, r has shape (N, M) and the Jacobian
-    (N, M, 2); the rows of materials without a model output or with a
-    degenerate spectrum are NaN.
+    For one material, ``x`` of shape (2,), r has shape (M,) and the
+    Jacobian (M, 2).  For a batch of N, ``x`` of shape (N, 2), r has shape
+    (N, M) and the Jacobian (N, M, 2); the rows of materials without a
+    model output or with a degenerate spectrum are NaN.
     """
-    spectra, _ = _response(m, cfg, counter, need_jacobian)
+    spectra, _ = _response(x, rho, cfg, counter, need_jacobian)
     dy = spectra[..., 1:, :] if need_jacobian else None
     values, dvalues = phase_features(spectra[..., 0, :], ref_feature.gamma, dy)
     return np.subtract(ref_feature.values, values, out=values), dvalues
 
 
 def phase_objective_gradient(
-    m: MaterialParams | Materials,
+    x: np.ndarray,
+    rho: float,
     cfg: ForwardConfig,
     ref_feature: PhaseFeature,
     counter: EvalCounter | None = None,
 ) -> tuple[float, np.ndarray]:
     """Objective 0.5 ||r||^2 of the phase residual r = ref - sim for one
-    material and its gradient with respect to (E, nu), in one counted
-    forward evaluation.
+    material, the row (E, nu) of ``x`` of shape (2,) and density ``rho``,
+    and its gradient with respect to (E, nu), in one counted forward
+    evaluation.
 
     The gradient -sum_k r_k d(sim feature)_k/dp comes from one reverse pass
     over the forward pass's own intermediates (the adjoint of the phase
     kernel, then of the response spectrum), without the Jacobian.  It fails
     as :func:`phase_objective_terms` with the Jacobian does.
     """
-    spectra, spectrum_tape = _response(m, cfg, counter, need_jacobian=False)
+    spectra, spectrum_tape = _response(x, rho, cfg, counter, need_jacobian=False)
     values, _, phase_tape = _phase_forward(spectra[..., 0, :], ref_feature.gamma)
     r = np.subtract(ref_feature.values, values, out=values)
     return 0.5 * float(r @ r), -_response_pullback(spectrum_tape, _phase_pullback(phase_tape, r))

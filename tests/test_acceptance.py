@@ -106,7 +106,7 @@ def test_gradient_correctness():
             e = 1.0e9 * gamma_inv_cdf(prior.marginals["E"], rng.uniform(0.01, 0.99))
             nu = gamma_inv_cdf(prior.marginals["nu"], rng.uniform(0.01, 0.99))
             m = MaterialParams(E=e, nu=nu, rho=rho)
-            jac = -phase_objective_terms(m, cfg, ref)[1]
+            jac = -phase_objective_terms(m.as_vector(), rho, cfg, ref)[1]
             fd = []
             for i, val in enumerate((e, nu)):
                 h = 1e-6 * abs(val)

@@ -5,9 +5,12 @@ benchmark tracer wraps is still there to be wrapped."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from waveinv import forward
 
 MODULES = ("signals", "forward", "optim", "stats", "bench")
 
@@ -147,15 +150,29 @@ def helper(rec):
     assert ("optim", "eta_bar") not in references(ast.parse(source + "\ndef caller():\n    return eta_bar\n"))
 
 
-def test_traced_functions_exist():
+@pytest.fixture(scope="module")
+def tracing():
+    """perfbench/tracing.py, loaded by path; it is read, never changed."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist(tracing):
     # perfbench/tracing.py resolves each TRACED entry with getattr when it
     # patches the package, so a deleted name breaks traced benchmark runs
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     missing = [
         (module, attr)
         for module, attr in tracing.TRACED.values()
         if not hasattr(importlib.import_module(f"waveinv.{module}"), attr)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("need_jacobian, span", [(False, "forward.phase_eval"), (True, "forward.phase_eval_jac")])
+def test_tracer_splits_a_positional_need_jacobian(tracing, need_jacobian, span):
+    # the tracer names a phase evaluation's span from need_jacobian, read
+    # by keyword or at its position in phase_objective_terms' signature
+    call = inspect.signature(forward.phase_objective_terms).bind("x", "rho", "cfg", "ref_feature", None, need_jacobian)
+    assert tracing._span_name("forward.phase_objective_terms", call.args, call.kwargs) == span

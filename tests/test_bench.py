@@ -324,7 +324,7 @@ class TestOptimizeBatch:
         ref = transform_pipeline(forward_response(MaterialParams(*truth, rho), fwd), gamma)
 
         def evaluate(x, need_jacobian):
-            return phase_objective_terms(MaterialParams(*x, rho), fwd, ref)
+            return phase_objective_terms(x, rho, fwd, ref)
 
         trace = optimize(
             evaluate, truth * np.array([0.99, 1.01]), OptimizeOptions(method="gauss-newton", ground_truth=truth)
@@ -573,7 +573,7 @@ class TestPhaseGradient:
         cfg = load_config(None, {"material": "PEEK", "seed": 1})
         ref = gen_refs(cfg)[1]
         x = 1.03 * ref.truth.as_vector()
-        y, _ = forward.response_spectrum(MaterialParams(*x, ref.truth.rho), cfg.forward_config())
+        y, _ = forward.response_spectrum(x, ref.truth.rho, cfg.forward_config())
         assert (signals._autocorr(y[1:])[0] == 0.0).any()
         rows = x * (1.0 + 0.01 * np.random.default_rng(4).standard_normal((16, 2)))
         rows[5] = x
@@ -1038,7 +1038,7 @@ class TestCli:
         result = BenchResult(cfg=cfg)
         for i, evals in enumerate((3, 5, 8, 13)):
             trace = OptTrace(records=[OptRecord(k=0, eval_count=evals, x=truth.as_vector(), objective=0.0)])
-            result.runs.append(RunResult(i, truth, trace, truth.as_vector(), True, evals))
+            result.runs.append(RunResult(i, truth, trace, truth.as_vector(), evals))
         monkeypatch.setattr(cli, "read_refs", lambda out: [])
         monkeypatch.setattr(cli, "optimize_batch", lambda cfg, refs: result)
         monkeypatch.setattr(cli, "write_batch", lambda result, out: None)

@@ -1,5 +1,6 @@
 """Tests for the surrogate waveguide model and its analytic derivatives."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from waveinv.forward import (
     EvalCounter,
     ForwardConfig,
     MaterialParams,
-    Materials,
     TruncationError,
     excitation,
     forward_jacobian,
@@ -77,7 +77,7 @@ class TestWaveSpeeds:
     @staticmethod
     def speeds(m):
         cfg = ForwardConfig()
-        tau, _, _ = packet_delays(m, cfg)
+        tau, _, _ = packet_delays(m.as_vector(), m.rho, cfg)
         return cfg.L / tau[0], cfg.L / tau[2]
 
     def test_peek_reference_values(self):
@@ -116,17 +116,17 @@ class TestPacketDelays:
             m = MaterialParams(
                 E=rng.uniform(0.1e9, 10e9), nu=rng.uniform(0.01, 0.49), rho=rng.uniform(800, 2000)
             )
-            tau, _, _ = packet_delays(m, cfg)
+            tau, _, _ = packet_delays(m.as_vector(), m.rho, cfg)
             assert tau[0] < tau[1] < tau[2]
 
     def test_primary_delay_nu_free(self):
         cfg = ForwardConfig()
-        _, _, dtau_dnu = packet_delays(PEEK, cfg)
+        _, _, dtau_dnu = packet_delays(PEEK.as_vector(), PEEK.rho, cfg)
         assert dtau_dnu[0] == 0.0
 
     def test_primary_delay_modulus_derivative(self):
         cfg = ForwardConfig()
-        tau, dtau_de, _ = packet_delays(PEEK, cfg)
+        tau, dtau_de, _ = packet_delays(PEEK.as_vector(), PEEK.rho, cfg)
         assert dtau_de[0] == pytest.approx(-tau[0] / (2 * PEEK.E), rel=1e-12)
         assert dtau_de[0] < 0.0
 
@@ -134,11 +134,11 @@ class TestPacketDelays:
         cfg = ForwardConfig()
         h_e = PEEK.E * 1e-6
         h_n = PEEK.nu * 1e-6
-        tau_ep, _, _ = packet_delays(MaterialParams(PEEK.E + h_e, PEEK.nu, PEEK.rho), cfg)
-        tau_em, _, _ = packet_delays(MaterialParams(PEEK.E - h_e, PEEK.nu, PEEK.rho), cfg)
-        tau_np, _, _ = packet_delays(MaterialParams(PEEK.E, PEEK.nu + h_n, PEEK.rho), cfg)
-        tau_nm, _, _ = packet_delays(MaterialParams(PEEK.E, PEEK.nu - h_n, PEEK.rho), cfg)
-        _, dtau_de, dtau_dnu = packet_delays(PEEK, cfg)
+        tau_ep, _, _ = packet_delays([PEEK.E + h_e, PEEK.nu], PEEK.rho, cfg)
+        tau_em, _, _ = packet_delays([PEEK.E - h_e, PEEK.nu], PEEK.rho, cfg)
+        tau_np, _, _ = packet_delays([PEEK.E, PEEK.nu + h_n], PEEK.rho, cfg)
+        tau_nm, _, _ = packet_delays([PEEK.E, PEEK.nu - h_n], PEEK.rho, cfg)
+        _, dtau_de, dtau_dnu = packet_delays(PEEK.as_vector(), PEEK.rho, cfg)
         np.testing.assert_allclose((tau_ep - tau_em) / (2 * h_e), dtau_de, rtol=1e-6)
         np.testing.assert_allclose((tau_np - tau_nm) / (2 * h_n), dtau_dnu, rtol=1e-6)
 
@@ -148,7 +148,7 @@ class TestForwardResponse:
         cfg = ForwardConfig(amplitudes=(1.0, 0.0, 0.0))
         out = forward_response(PEEK, cfg)
         p = excitation(cfg)
-        tau, _, _ = packet_delays(PEEK, cfg)
+        tau, _, _ = packet_delays(PEEK.as_vector(), PEEK.rho, cfg)
         xc = np.correlate(out.samples, p.samples, mode="full")
         lag = int(np.argmax(xc)) - (cfg.n - 1)
         assert lag == round(tau[0] / cfg.dt)
@@ -171,7 +171,7 @@ class TestForwardResponse:
         out = forward_response(PEEK, cfg)
         env = envelope(out).samples
         t = np.arange(out.n) * out.dt
-        tau, _, _ = packet_delays(PEEK, cfg)
+        tau, _, _ = packet_delays(PEEK.as_vector(), PEEK.rho, cfg)
         peaks = []
         for tj in tau:
             window = np.abs(t - (cfg.tbar + tj)) <= 1.0e-6
@@ -186,7 +186,7 @@ class TestForwardResponse:
 
     def test_signal_matches_spectrum(self):
         cfg = ForwardConfig()
-        y, _ = response_spectrum(PEEK, cfg)
+        y, _ = response_spectrum(PEEK.as_vector(), PEEK.rho, cfg)
         np.testing.assert_allclose(forward_response(PEEK, cfg).samples, np.fft.irfft(y, n=cfg.n), atol=1e-15)
 
     def test_counter_increments_once(self):
@@ -196,7 +196,7 @@ class TestForwardResponse:
         assert counter.count == 1
         forward_jacobian(PEEK, cfg)  # shares the pass: no increment
         assert counter.count == 1
-        response_spectrum(PEEK, cfg, counter=counter, need_jacobian=True)
+        response_spectrum(PEEK.as_vector(), PEEK.rho, cfg, counter=counter, need_jacobian=True)
         assert counter.count == 2
 
     @pytest.mark.parametrize("amplitudes", [(np.nan, 0.4, 0.2), (1.0, np.inf, 0.2)])
@@ -206,7 +206,7 @@ class TestForwardResponse:
         with np.errstate(invalid="ignore"):
             for need_jacobian in (False, True):
                 with pytest.raises(ValueError, match="not finite"):
-                    response_spectrum(PEEK, cfg, counter, need_jacobian)
+                    response_spectrum(PEEK.as_vector(), PEEK.rho, cfg, counter, need_jacobian)
             with pytest.raises(ValueError):
                 forward_response(PEEK, cfg, counter)
         assert counter.count == 0
@@ -251,7 +251,7 @@ class TestResidualJacobian:
         return transform_pipeline(forward_response(m, self.cfg), self.gamma).values
 
     def test_matches_pipeline_finite_differences(self):
-        jac = -phase_objective_terms(PEEK, self.cfg, self.ref)[1]
+        jac = -phase_objective_terms(PEEK.as_vector(), PEEK.rho, self.cfg, self.ref)[1]
         fd = []
         for i in range(2):
             x = [PEEK.E, PEEK.nu]
@@ -285,30 +285,30 @@ class TestResidualJacobian:
         x = np.array([PEEK.E * scale[0], PEEK.nu * scale[1]])
         truth = MaterialParams(x[0] * 1.01, x[1] * 0.995, PEEK.rho)
         ref = transform_pipeline(forward_response(truth, cfg), gamma)
-        _, dsim = phase_objective_terms(MaterialParams(x[0], x[1], PEEK.rho), cfg, ref)
+        _, dsim = phase_objective_terms(x, PEEK.rho, cfg, ref)
         for i in range(2):
             h = np.zeros(2)
             h[i] = 1e-6 * x[i]
-            rp, _ = phase_objective_terms(MaterialParams(*(x + h), PEEK.rho), cfg, ref, need_jacobian=False)
-            rm, _ = phase_objective_terms(MaterialParams(*(x - h), PEEK.rho), cfg, ref, need_jacobian=False)
+            rp, _ = phase_objective_terms(x + h, PEEK.rho, cfg, ref, need_jacobian=False)
+            rm, _ = phase_objective_terms(x - h, PEEK.rho, cfg, ref, need_jacobian=False)
             fd = -(rp - rm) / (2 * h[i])  # residual = ref - sim
             assert np.max(np.abs(dsim[:, i] - fd)) <= 1e-5 * np.max(np.abs(fd))
 
     def test_amplitude_scaling_leaves_jacobian_unchanged(self):
         cfg2 = ForwardConfig(amplitudes=tuple(2.0 * a for a in self.cfg.amplitudes))
         ref2 = transform_pipeline(forward_response(PEEK, cfg2), self.gamma)
-        j1 = -phase_objective_terms(PEEK, self.cfg, self.ref)[1]
-        j2 = -phase_objective_terms(PEEK, cfg2, ref2)[1]
+        j1 = -phase_objective_terms(PEEK.as_vector(), PEEK.rho, self.cfg, self.ref)[1]
+        j2 = -phase_objective_terms(PEEK.as_vector(), PEEK.rho, cfg2, ref2)[1]
         assert np.max(np.abs(j1 - j2)) <= 1e-9 * np.max(np.abs(j1))
 
     def test_deterministic(self):
-        j1 = -phase_objective_terms(PEEK, self.cfg, self.ref)[1]
-        j2 = -phase_objective_terms(PEEK, self.cfg, self.ref)[1]
+        j1 = -phase_objective_terms(PEEK.as_vector(), PEEK.rho, self.cfg, self.ref)[1]
+        j2 = -phase_objective_terms(PEEK.as_vector(), PEEK.rho, self.cfg, self.ref)[1]
         assert np.array_equal(j1, j2)
 
     def test_counts_one_evaluation(self):
         counter = EvalCounter()
-        phase_objective_terms(PEEK, self.cfg, self.ref, counter=counter)
+        phase_objective_terms(PEEK.as_vector(), PEEK.rho, self.cfg, self.ref, counter=counter)
         assert counter.count == 1
 
     def test_zero_coefficient_at_undamped_index_flagged(self):
@@ -320,7 +320,7 @@ class TestResidualJacobian:
             phase_features(y, damping_weights(8, 1e6, 1.0, 1.0), dy[None, :])
 
     def test_residual_against_reference_feature(self):
-        r, jac = phase_objective_terms(PEEK, self.cfg, self.ref)
+        r, jac = phase_objective_terms(PEEK.as_vector(), PEEK.rho, self.cfg, self.ref)
         sim = self.feature_at(PEEK)
         np.testing.assert_allclose(r, self.ref.values - sim, atol=1e-12)
         assert jac.shape == (r.size, 2)
@@ -347,10 +347,10 @@ class TestPhaseKernelCost:
         monkeypatch.setattr(forward, "excitation", counted(forward.excitation, "excitation"))
         forward._grid.cache_clear()
 
-        phase_objective_terms(PEEK, cfg, ref)
+        phase_objective_terms(PEEK.as_vector(), PEEK.rho, cfg, ref)
         assert calls["excitation"] == 1
         calls["fft"] = 0
-        _, jac = phase_objective_terms(PEEK, cfg, ref)
+        _, jac = phase_objective_terms(PEEK.as_vector(), PEEK.rho, cfg, ref)
         assert jac.shape == (cfg.n // 2, 2)
         assert calls["fft"] <= 4
         assert calls["excitation"] == 1  # served from the cache
@@ -374,12 +374,12 @@ class TestPhaseKernelCost:
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         response, asked = forward._response, []
 
-        def recorded(m, cfg, counter, need_jacobian):
+        def recorded(x, rho, cfg, counter, need_jacobian):
             asked.append(need_jacobian)
-            return response(m, cfg, counter, need_jacobian)
+            return response(x, rho, cfg, counter, need_jacobian)
 
         monkeypatch.setattr(forward, "_response", recorded)
-        phase_objective_gradient(PEEK, cfg, ref)
+        phase_objective_gradient(PEEK.as_vector(), PEEK.rho, cfg, ref)
         assert rows == [1, 1, 1, 1]
         assert asked == [False]
 
@@ -391,11 +391,11 @@ class TestPhaseKernelCost:
         cfg = ForwardConfig()
         assert cfg.n == 4096
         ref = transform_pipeline(forward_response(PEEK, cfg), weights_for(cfg))
-        m = MaterialParams(1.03 * PEEK.E, PEEK.nu, PEEK.rho)
+        x = np.array([1.03 * PEEK.E, PEEK.nu])
         evaluate = {
-            "terms-with-jacobian": lambda: phase_objective_terms(m, cfg, ref, need_jacobian=True),
-            "terms": lambda: phase_objective_terms(m, cfg, ref, need_jacobian=False),
-            "gradient": lambda: phase_objective_gradient(m, cfg, ref),
+            "terms-with-jacobian": lambda: phase_objective_terms(x, PEEK.rho, cfg, ref, need_jacobian=True),
+            "terms": lambda: phase_objective_terms(x, PEEK.rho, cfg, ref, need_jacobian=False),
+            "gradient": lambda: phase_objective_gradient(x, PEEK.rho, cfg, ref),
         }[call]
         evaluate()
         evaluate()
@@ -436,7 +436,7 @@ class TestCarrierTables:
         (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
         for e in np.linspace(e_mean - 2 * e_std, e_mean + 2 * e_std, 5):
             for nu in np.linspace(nu_mean - 2 * nu_std, nu_mean + 2 * nu_std, 5):
-                tau, _, _ = packet_delays(MaterialParams(e, nu, prior.rho_si()), cfg)
+                tau, _, _ = packet_delays([e, nu], prior.rho_si(), cfg)
                 coarse, fine = forward._carrier_tables(tau, forward._grid(cfg))
                 table = (coarse[:, :, None] * fine[:, None, :]).reshape(3, -1)[:, : omega.size]
                 direct = np.exp(-1j * np.outer(tau, omega))
@@ -445,7 +445,7 @@ class TestCarrierTables:
 
     def test_response_spectrum_matches_direct_sum(self):
         cfg = ForwardConfig()
-        tau, dtau_de, dtau_dnu = packet_delays(PEEK, cfg)
+        tau, dtau_de, dtau_dnu = packet_delays(PEEK.as_vector(), PEEK.rho, cfg)
         p_spec = np.fft.rfft(excitation(cfg).samples)
         omega = 2 * np.pi * np.arange(p_spec.size) / cfg.duration
         carriers = np.exp(-1j * np.outer(tau, omega))
@@ -453,7 +453,7 @@ class TestCarrierTables:
         want = [p_spec * (a @ carriers)]
         for dtau in (dtau_de, dtau_dnu):
             want.append(p_spec * ((a * dtau) @ (-1j * omega * carriers)))
-        y, dy = response_spectrum(PEEK, cfg, need_jacobian=True)
+        y, dy = response_spectrum(PEEK.as_vector(), PEEK.rho, cfg, need_jacobian=True)
         for got, ref in zip((y, dy[0], dy[1]), want):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -464,8 +464,8 @@ class TestPullbacks:
 
     def test_response_pullback_pairs_with_the_jacobian_rows(self):
         cfg = ForwardConfig()
-        _, dy = response_spectrum(PEEK, cfg, need_jacobian=True)
-        _, tape = forward._response(PEEK, cfg, None, need_jacobian=False)
+        _, dy = response_spectrum(PEEK.as_vector(), PEEK.rho, cfg, need_jacobian=True)
+        _, tape = forward._response(PEEK.as_vector(), PEEK.rho, cfg, None, need_jacobian=False)
         rng = np.random.default_rng(2)
         for _ in range(5):
             w = rng.standard_normal(dy.shape[-1]) + 1j * rng.standard_normal(dy.shape[-1])
@@ -496,15 +496,14 @@ class TestBatch:
     def test_delays_and_spectra_are_the_single_rows(self):
         cfg = ForwardConfig()
         x = self.rows()
-        batch = Materials(x, PEEK.rho)
-        for got, want in zip(packet_delays(batch, cfg), zip(*(packet_delays(MaterialParams(*row, PEEK.rho), cfg) for row in x))):
+        for got, want in zip(packet_delays(x, PEEK.rho, cfg), zip(*(packet_delays(row, PEEK.rho, cfg) for row in x))):
             assert got.tobytes() == np.array(want).tobytes()
         for need_jacobian in (False, True):
             counter = EvalCounter()
-            y, dy = response_spectrum(batch, cfg, counter, need_jacobian)
+            y, dy = response_spectrum(x, PEEK.rho, cfg, counter, need_jacobian)
             assert counter.count == len(x)
             for i, row in enumerate(x):
-                y1, dy1 = response_spectrum(Materials(row, PEEK.rho), cfg, need_jacobian=need_jacobian)
+                y1, dy1 = response_spectrum(row, PEEK.rho, cfg, need_jacobian=need_jacobian)
                 assert y[i].tobytes() == y1.tobytes()
                 assert dy is None and dy1 is None or dy[i].tobytes() == dy1.tobytes()
 
@@ -527,7 +526,7 @@ class TestBatch:
             tau[:, 1] = 0.5 * cfg.L * (1.0 / c_l[:, 0] + 1.0 / c_t[:, 0])
             dtau_de = -tau / (2.0 * x[:, :1])
             dtau_dnu = np.array([0.0, 0.5 * cfg.L, cfg.L]) / c_t / (2.0 * (1.0 + x[:, 1:]))
-        for got, want in zip(packet_delays(Materials(x, rho), cfg), (tau, dtau_de, dtau_dnu)):
+        for got, want in zip(packet_delays(x, rho, cfg), (tau, dtau_de, dtau_dnu)):
             assert got.tobytes() == want.tobytes()
 
     def test_delays_outside_the_domain_are_nan(self):
@@ -535,21 +534,44 @@ class TestBatch:
         x = np.array(
             [PEEK.as_vector(), [PEEK.E, 0.5], [PEEK.E, 0.0], [0.0, PEEK.nu], [-PEEK.E, PEEK.nu], [np.inf, PEEK.nu], [np.nan, PEEK.nu]]
         )
-        for values in packet_delays(Materials(x, PEEK.rho), cfg):
+        for values in packet_delays(x, PEEK.rho, cfg):
             assert np.isfinite(values[0]).all() and np.isnan(values[1:]).all()
+
+    @staticmethod
+    def model_calls(x, rho, counter):
+        """Every model entry point at the rows ``x`` of density ``rho``."""
+        cfg = ForwardConfig()
+        ref = transform_pipeline(forward_response(PEEK, cfg), weights_for(cfg))
+        return [
+            lambda: packet_delays(x, rho, cfg),
+            lambda: response_spectrum(x, rho, cfg, counter, need_jacobian=True),
+            lambda: phase_objective_terms(x, rho, cfg, ref, counter),
+            lambda: phase_objective_gradient(x, rho, cfg, ref, counter),
+        ]
 
     def test_density_must_be_positive_and_finite(self):
         for rho in (0.0, -PEEK.rho, np.inf, np.nan):
-            with pytest.raises(ValueError, match="rho"):
-                Materials(PEEK.as_vector(), rho)
+            counter = EvalCounter()
+            for call in self.model_calls(PEEK.as_vector(), rho, counter):
+                with pytest.raises(ValueError, match="rho"):
+                    call()
+            assert counter.count == 0
+
+    def test_rows_must_have_shape_2_or_n_2(self):
+        for shape in ((3,), (2, 3), (1, 2, 2)):
+            counter = EvalCounter()
+            for call in self.model_calls(np.resize(PEEK.as_vector(), shape), PEEK.rho, counter):
+                with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+                    call()
+            assert counter.count == 0
 
     def test_vanishing_speed_is_a_truncated_window(self):
         # E / rho underflows to zero: the packets never arrive
-        m = Materials(np.array([1e-321, PEEK.nu]), PEEK.rho)
-        tau, _, _ = packet_delays(m, ForwardConfig())
+        x = np.array([1e-321, PEEK.nu])
+        tau, _, _ = packet_delays(x, PEEK.rho, ForwardConfig())
         assert (tau == np.inf).all()
         with pytest.raises(TruncationError):
-            response_spectrum(m, ForwardConfig())
+            response_spectrum(x, PEEK.rho, ForwardConfig())
 
     def test_rows_without_model_output_are_nan_and_uncounted(self):
         # (E, nu) outside the domain, and a window that cuts the slow packets
@@ -557,14 +579,14 @@ class TestBatch:
         cfg = ForwardConfig(n=1024, dt=2.36e-5 / 1024)
         x = np.array([[PEEK.E, 0.6], [-PEEK.E, PEEK.nu], [1.2 * PEEK.E, PEEK.nu], [0.8 * PEEK.E, PEEK.nu]])
         counter = EvalCounter()
-        y, dy = response_spectrum(Materials(x, PEEK.rho), cfg, counter, need_jacobian=True)
+        y, dy = response_spectrum(x, PEEK.rho, cfg, counter, need_jacobian=True)
         assert counter.count == 1
         assert np.isnan(y[[0, 1, 3]]).all() and np.isnan(dy[[0, 1, 3]]).all()
-        y1, dy1 = response_spectrum(Materials(x[2], PEEK.rho), cfg, need_jacobian=True)
+        y1, dy1 = response_spectrum(x[2], PEEK.rho, cfg, need_jacobian=True)
         assert y[2].tobytes() == y1.tobytes() and dy[2].tobytes() == dy1.tobytes()
         for row, error in ((x[0], ValueError), (x[1], ValueError), (x[3], TruncationError)):
             with pytest.raises(error):
-                response_spectrum(Materials(row, PEEK.rho), cfg, counter)
+                response_spectrum(row, PEEK.rho, cfg, counter)
         assert counter.count == 1
 
     def test_phase_terms_are_the_single_rows(self):
@@ -572,10 +594,10 @@ class TestBatch:
         gamma = weights_for(cfg)
         ref = transform_pipeline(forward_response(PEEK, cfg), gamma)
         x = self.rows()
-        r, jac = phase_objective_terms(Materials(x, PEEK.rho), cfg, ref)
+        r, jac = phase_objective_terms(x, PEEK.rho, cfg, ref)
         assert r.shape == (len(x), cfg.n // 2) and jac.shape == (len(x), cfg.n // 2, 2)
         for i, row in enumerate(x):
-            r1, jac1 = phase_objective_terms(MaterialParams(*row, PEEK.rho), cfg, ref)
+            r1, jac1 = phase_objective_terms(row, PEEK.rho, cfg, ref)
             assert r[i].tobytes() == r1.tobytes()
             assert jac[i].tobytes() == jac1.tobytes()
 
