@@ -26,7 +26,6 @@ from .optim import (
     optimize,
 )
 from .signals import (
-    PhaseFeature,
     PipelineError,
     Signal,
     analytic_signal,

@@ -168,19 +168,11 @@ class ExperimentConfig:
             raise ConfigError("evaluation budget must be at least 1")
         try:
             fwd = self.forward_config()
-            damping_weights(1, fwd.b, fwd.duration, self.damping)  # C in [1, 10], on every objective
+            # C alone on the raw objectives; the phase objective's n/2 weights
+            # must also not underflow
+            damping_weights(fwd.n // 2 if self.objective == "autocorr-phase" else 1, fwd.b, fwd.duration, self.damping)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # gamma_k = exp(-C k^2 / (bT)^2) must stay positive up to the last lag
-        # k = n/2 - 1, and exp underflows to 0 below about exp(-745); fbar
-        # below the Nyquist frequency keeps bT < 0.325 n, so (bT)^2 is finite
-        bt2, last_lag2 = (fwd.b * fwd.duration) ** 2, (fwd.n // 2 - 1) ** 2
-        if self.objective == "autocorr-phase" and self.damping * last_lag2 > 745.0 * bt2:
-            c_max = 745.0 * bt2 / last_lag2
-            raise ConfigError(
-                f"damping {self.damping} underflows the phase weights at the last lag; "
-                f"the largest usable damping for this grid is 745*(bT)^2/(n/2-1)^2 = {c_max:.4g}"
-            )
 
     def forward_config(self) -> ForwardConfig:
         return ForwardConfig(L=self.L, fbar=self.fbar, tbar=self.tbar, n=self.n, dt=self.dt)
@@ -348,16 +340,17 @@ def make_objective(cfg: ExperimentConfig, ref: Reference):
     rho = ref.truth.rho
 
     if cfg.objective == "autocorr-phase":
-        # weights on the model's grid; the feature carries them to the model
+        # the model's features are damped by the reference's weights
         gamma = damping_weights(fwd.n // 2, fwd.b, fwd.duration, cfg.damping)
-        ref_feature = transform_pipeline(ref.signal, gamma)
-        ref_norm = float(np.linalg.norm(ref_feature.values))
+        ref_values = transform_pipeline(ref.signal, gamma)
+        ref_norm = float(np.linalg.norm(ref_values))
 
         def evaluate(x, need_jacobian=True):
-            return phase_objective_terms(x, rho, fwd, ref_feature, counter=counter, need_jacobian=need_jacobian)
+            values, dvalues = phase_objective_terms(x, rho, fwd, gamma, counter=counter, need_jacobian=need_jacobian)
+            return np.subtract(ref_values, values, out=values), dvalues
 
         def fg(x):
-            return phase_objective_gradient(x, rho, fwd, ref_feature, counter)
+            return phase_objective_gradient(x, rho, fwd, ref_values, gamma, counter)
 
     elif cfg.objective == "signal":
         # r = ref - irfft(Y) and the columns of J in the orthonormal real
@@ -480,7 +473,6 @@ class RunResult:
     ref_id: int
     truth: MaterialParams
     trace: OptTrace
-    x0: np.ndarray
     evals_to_success: int | None
 
     @property
@@ -544,7 +536,7 @@ def optimize_batch(cfg: ExperimentConfig, refs: list[Reference]) -> BenchResult:
             trace, counter = run_single(cfg, ref, x0)
         except MODEL_ERRORS as exc:
             log.warning("run %d failed outright: %s", ref.ref_id, exc)
-            result.runs.append(RunResult(ref.ref_id, ref.truth, OptTrace(status="error", message=str(exc)), x0, None))
+            result.runs.append(RunResult(ref.ref_id, ref.truth, OptTrace(status="error", message=str(exc)), None))
             continue
         # every counted evaluation is in the trace, except one that raised
         unrecorded = counter.count - trace.eval_count
@@ -554,7 +546,7 @@ def optimize_batch(cfg: ExperimentConfig, refs: list[Reference]) -> BenchResult:
                 f"model counted {counter.count}"
             )
         evals = trace.evals_to(lambda rec: rec.rel1 < cfg.cutoff)
-        result.runs.append(RunResult(ref.ref_id, ref.truth, trace, x0, evals))
+        result.runs.append(RunResult(ref.ref_id, ref.truth, trace, evals))
     return result
 
 

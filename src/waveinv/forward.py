@@ -23,8 +23,11 @@ evaluations are counted per optimization run through an explicit
 :class:`EvalCounter`, one per row; a Jacobian, or the gradient of the
 phase objective, shares its forward pass and never double counts.  The
 Jacobian is forward mode, one derivative row per parameter; the gradient
-(:func:`phase_objective_gradient`) is one reverse pass over the forward
-pass's own intermediates, without the Jacobian.
+(:func:`phase_objective_gradient`), for one material only, is one reverse
+pass over the forward pass's own intermediates, without the Jacobian.
+The phase objective's functions take the damping weights gamma as a plain
+array; :func:`phase_objective_terms` returns the model's damped features,
+and its caller (:func:`~waveinv.bench.make_objective`) takes the residual.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signals import PhaseFeature, Signal, _phase_forward, _phase_pullback, _scratch, phase_features
+from .signals import Signal, _phase_forward, _phase_pullback, _scratch, phase_features
 
 __all__ = [
     "MaterialParams",
@@ -394,44 +397,49 @@ def phase_objective_terms(
     x: np.ndarray,
     rho: float,
     cfg: ForwardConfig,
-    ref_feature: PhaseFeature,
+    gamma: np.ndarray,
     counter: EvalCounter | None = None,
     need_jacobian: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Residual r = ref - sim of phase features and the model Jacobian
-    d(sim feature)/d(E, nu) at the rows (E, nu) of ``x`` of density
-    ``rho``, in one counted forward evaluation per material; the model's
-    features are damped by the reference's weights ``ref_feature.gamma``.
+    """The model's phase features, damped by the weights ``gamma``
+    (:func:`~waveinv.signals.damping_weights`), and their Jacobian
+    d(features)/d(E, nu) at the rows (E, nu) of ``x`` of density ``rho``, in
+    one counted forward evaluation per material.  The residual against a
+    reference's features is taken by the caller
+    (:func:`~waveinv.bench.make_objective`).
 
-    For one material, ``x`` of shape (2,), r has shape (M,) and the
-    Jacobian (M, 2).  For a batch of N, ``x`` of shape (N, 2), r has shape
-    (N, M) and the Jacobian (N, M, 2); the rows of materials without a
-    model output or with a degenerate spectrum are NaN.
+    For one material, ``x`` of shape (2,), the features have shape (M,) and
+    the Jacobian (M, 2).  For a batch of N, ``x`` of shape (N, 2), they have
+    shape (N, M) and (N, M, 2); the rows of materials without a model output
+    or with a degenerate spectrum are NaN.
     """
     spectra, _ = _response(x, rho, cfg, counter, need_jacobian)
     dy = spectra[..., 1:, :] if need_jacobian else None
-    values, dvalues = phase_features(spectra[..., 0, :], ref_feature.gamma, dy)
-    return np.subtract(ref_feature.values, values, out=values), dvalues
+    return phase_features(spectra[..., 0, :], gamma, dy)
 
 
 def phase_objective_gradient(
     x: np.ndarray,
     rho: float,
     cfg: ForwardConfig,
-    ref_feature: PhaseFeature,
+    ref_values: np.ndarray,
+    gamma: np.ndarray,
     counter: EvalCounter | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Objective 0.5 ||r||^2 of the phase residual r = ref - sim for one
-    material, the row (E, nu) of ``x`` of shape (2,) and density ``rho``,
-    and its gradient with respect to (E, nu), in one counted forward
-    evaluation.
+    """Objective 0.5 ||r||^2 of the phase residual r = ref_values - features
+    for one material, the row (E, nu) of ``x`` of shape (2,) and density
+    ``rho``, with the model's features damped by ``gamma``, and its gradient
+    with respect to (E, nu), in one counted forward evaluation.  ``x`` of
+    another shape raises ``ValueError`` before any evaluation is counted.
 
-    The gradient -sum_k r_k d(sim feature)_k/dp comes from one reverse pass
+    The gradient -sum_k r_k d(features)_k/dp comes from one reverse pass
     over the forward pass's own intermediates (the adjoint of the phase
     kernel, then of the response spectrum), without the Jacobian.  It fails
     as :func:`phase_objective_terms` with the Jacobian does.
     """
+    if np.shape(x) != (2,):
+        raise ValueError(f"the phase gradient takes one material, a row (E, nu) of shape (2,), got {np.shape(x)}")
     spectra, spectrum_tape = _response(x, rho, cfg, counter, need_jacobian=False)
-    values, _, phase_tape = _phase_forward(spectra[..., 0, :], ref_feature.gamma)
-    r = np.subtract(ref_feature.values, values, out=values)
+    values, _, phase_tape = _phase_forward(spectra[..., 0, :], gamma)
+    r = np.subtract(ref_values, values, out=values)
     return 0.5 * float(r @ r), -_response_pullback(spectrum_tape, _phase_pullback(phase_tape, r))

@@ -11,7 +11,9 @@ finite-energy signals considered and is dropped), the stages are
     raw_k = atan2(Im(E_k / Y_k), Re(E_k / Y_k)),  Y_k = (-1)^k
     values_k = gamma_k * (unwrap(raw)_k - pi*k),  gamma_k = exp(-C k^2 / (bT)^2)
 
-where b is the excitation bandwidth in hertz and T the record duration.
+where b is the excitation bandwidth in hertz and T the record duration;
+:func:`damping_weights` holds the rule for C, and :func:`transform_pipeline`
+returns the values as a plain read-only array.
 E_k is, up to a constant, the spectrum of the squared Hilbert envelope of u,
 which is what makes phases of E a robust comparison measure: amplitude
 scaling drops out entirely, and time shifts enter linearly.
@@ -44,7 +46,6 @@ from .table import data_lines, read_table, write_table
 
 __all__ = [
     "Signal",
-    "PhaseFeature",
     "PipelineError",
     "analytic_signal",
     "envelope",
@@ -128,27 +129,6 @@ class Signal:
     def duration(self) -> float:
         """Record length T = n * dt."""
         return self.n * self.dt
-
-
-@dataclass(frozen=True)
-class PhaseFeature:
-    """Damped, normalized, unwrapped phase angles of an autocorrelation
-    spectrum, together with the damping weights used to produce them; the
-    phase objective damps the model's features by the same weights."""
-
-    values: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        gamma = np.asarray(self.gamma, dtype=np.float64).copy()
-        if values.shape != gamma.shape or values.ndim != 1:
-            raise ValueError("values and gamma must be 1-d arrays of equal length")
-        _check_gamma(gamma)
-        values.flags.writeable = False
-        gamma.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "gamma", gamma)
 
 
 def analytic_signal(s: Signal) -> np.ndarray:
@@ -262,26 +242,29 @@ def unwrap(phases: np.ndarray) -> np.ndarray:
 def damping_weights(n_coeffs: int, b: float, duration: float, c: float) -> np.ndarray:
     """Gaussian frequency weights gamma_k = exp(-C k^2 / (b T)^2), k < n_coeffs,
     of the phase objective: b is the excitation bandwidth in hertz, T the
-    record duration and C the damping constant, which must lie in [1, 10].
+    record duration and C the damping constant.  The whole damping rule
+    lives here: C lies in [1, 10], and no weight may underflow, as exp does
+    below about exp(-745), so C <= 745 (bT)^2 / (n_coeffs - 1)^2 (the last of
+    the n/2 lags of an n-sample record is n/2 - 1).
 
-    Computed and checked once per argument tuple: gamma starts at 1, stays
-    positive (no weight underflows) and does not increase.  The returned
-    array is read-only.
+    Computed once per argument tuple; gamma starts at 1, stays positive and
+    does not increase.  The returned array is read-only.
     """
     if not (1.0 <= c <= 10.0):
         raise ValueError(f"damping constant must lie in [1, 10], got {c}")
-    if b <= 0.0 or duration <= 0.0:
+    if not (b > 0.0 and duration > 0.0):
         raise ValueError("bandwidth and duration must be positive")
+    if n_coeffs > 1:
+        c_max = 745.0 * (b * duration) ** 2 / (n_coeffs - 1) ** 2
+        if c > c_max:
+            raise ValueError(
+                f"damping {c} underflows the phase weights at the last lag, where they must stay positive; "
+                f"the largest usable damping for this grid is 745*(bT)^2/(n/2-1)^2 = {c_max:.4g}"
+            )
     k = np.arange(n_coeffs, dtype=np.float64)
     gamma = np.exp(-c * k**2 / (b * duration) ** 2)
-    _check_gamma(gamma)
     gamma.flags.writeable = False
     return gamma
-
-
-def _check_gamma(gamma: np.ndarray) -> None:
-    if gamma[0] != 1.0 or np.any(gamma <= 0.0) or np.any(np.diff(gamma) > 0.0):
-        raise ValueError("gamma must start at 1, stay positive, and be non-increasing")
 
 
 @functools.lru_cache(maxsize=32)
@@ -441,15 +424,16 @@ def _phase_pullback(tape: tuple[np.ndarray, ...], u: np.ndarray) -> np.ndarray:
     return w
 
 
-def transform_pipeline(s: Signal, gamma: np.ndarray) -> PhaseFeature:
+def transform_pipeline(s: Signal, gamma: np.ndarray) -> np.ndarray:
     """Full objective transform: one-sided DFT, static-coefficient removal,
     positive-frequency autocorrelation, stable argument damped by the s.n/2
-    weights ``gamma``, which the feature carries.
+    weights ``gamma``.  Returns the s.n/2 feature values, read-only.
 
     Deterministic: identical inputs give bitwise-identical outputs.
     """
     values, _ = phase_features(np.fft.rfft(s.samples), gamma)
-    return PhaseFeature(values=values, gamma=gamma)
+    values.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -92,21 +92,15 @@ def test_gradient_correctness():
     for mat in MATERIALS:
         prior = BUILTIN_PRIORS[mat]
         rho = prior.rho_si()
-        ref = transform_pipeline(
-            forward_response(
-                MaterialParams(*prior.mean_params_si(), rho=rho), cfg
-            ),
-            gamma,
-        )
 
         def feature(m):
-            return transform_pipeline(forward_response(m, cfg), gamma).values
+            return transform_pipeline(forward_response(m, cfg), gamma)
 
         for _ in range(20):
             e = 1.0e9 * gamma_inv_cdf(prior.marginals["E"], rng.uniform(0.01, 0.99))
             nu = gamma_inv_cdf(prior.marginals["nu"], rng.uniform(0.01, 0.99))
             m = MaterialParams(E=e, nu=nu, rho=rho)
-            jac = -phase_objective_terms(m.as_vector(), rho, cfg, ref)[1]
+            jac = -phase_objective_terms(m.as_vector(), rho, cfg, gamma)[1]
             fd = []
             for i, val in enumerate((e, nu)):
                 h = 1e-6 * abs(val)

@@ -306,7 +306,8 @@ class TestOptimizeBatch:
         lm = optimize_batch(cfg, refs)
         bf = optimize_batch(replace(cfg, optimizer="bfgs"), refs)
         for lm_run, bf_run in zip(lm.runs, bf.runs):
-            np.testing.assert_array_equal(lm_run.x0, bf_run.x0)
+            # the first record of either optimizer holds its start bit for bit
+            np.testing.assert_array_equal(lm_run.trace.records[0].x, bf_run.trace.records[0].x)
 
     def test_gauss_newton_near_linear_surrogate(self):
         # Gauss-Newton in (E, nu) from a 1% start converges quadratically:
@@ -324,7 +325,8 @@ class TestOptimizeBatch:
         ref = transform_pipeline(forward_response(MaterialParams(*truth, rho), fwd), gamma)
 
         def evaluate(x, need_jacobian):
-            return phase_objective_terms(x, rho, fwd, ref)
+            features, jac = phase_objective_terms(x, rho, fwd, gamma)
+            return ref - features, jac
 
         trace = optimize(
             evaluate, truth * np.array([0.99, 1.01]), OptimizeOptions(method="gauss-newton", ground_truth=truth)
@@ -1038,7 +1040,7 @@ class TestCli:
         result = BenchResult(cfg=cfg)
         for i, evals in enumerate((3, 5, 8, 13)):
             trace = OptTrace(records=[OptRecord(k=0, eval_count=evals, x=truth.as_vector(), objective=0.0)])
-            result.runs.append(RunResult(i, truth, trace, truth.as_vector(), evals))
+            result.runs.append(RunResult(i, truth, trace, evals))
         monkeypatch.setattr(cli, "read_refs", lambda out: [])
         monkeypatch.setattr(cli, "optimize_batch", lambda cfg, refs: result)
         monkeypatch.setattr(cli, "write_batch", lambda result, out: None)

@@ -309,6 +309,17 @@ class TestStableArg:
         with pytest.raises(ValueError, match="stay positive"):
             damping_weights(4096, b=1.0, duration=1.0, c=10.0)
 
+    def test_underflow_bound_is_checked_before_the_weights(self):
+        # damping_weights holds the whole rule: at the default grid the last
+        # lag 2047 caps C at 745 (bT)^2 / 2047^2 = 4.923
+        cfg = ForwardConfig()
+        b, duration = cfg.b, cfg.duration
+        cap = "largest usable damping for this grid is 745*(bT)^2/(n/2-1)^2 = 4.923"
+        with pytest.raises(ValueError, match=re.escape(cap)):
+            damping_weights(2048, b, duration, 4.93)
+        gamma = damping_weights(2048, b, duration, 745.0 * (b * duration) ** 2 / 2047**2)
+        assert gamma[0] == 1.0 and np.all(gamma > 0.0) and np.all(np.diff(gamma) <= 0.0)
+
     def test_pseudo_coefficient_pattern(self):
         # Y_k for k = 0..3 must be [1, -1, 1, -1]; probe it through a
         # constant V, whose autocorrelation E = [4, 3, 2, 1] is real and
@@ -421,7 +432,7 @@ class TestPhaseProperties:
         s = packet_signal(tbar=tbar)
         a = transform_pipeline(s, packet_weights(s))
         b = transform_pipeline(Signal(alpha * s.samples, dt=s.dt), packet_weights(s))
-        assert np.max(np.abs(a.values - b.values)) <= 1e-9
+        assert np.max(np.abs(a - b)) <= 1e-9
 
     @settings(max_examples=25, deadline=None)
     @given(shift=st.integers(min_value=-8, max_value=8), tbar=st.floats(min_value=3e-6, max_value=5e-6))
@@ -433,10 +444,10 @@ class TestPhaseProperties:
         # 2 pi gamma_k jumps near k = 660).
         s = packet_signal(tbar=tbar)
         sim = Signal(np.roll(s.samples, -shift), dt=s.dt)
-        ref = transform_pipeline(s, packet_weights(s))
-        r = ref.values - transform_pipeline(sim, packet_weights(s)).values
+        gamma = packet_weights(s)
+        r = transform_pipeline(s, gamma) - transform_pipeline(sim, gamma)
         omega = 2 * np.pi * np.arange(r.size) / s.duration
-        want = -ref.gamma * omega * shift * s.dt
+        want = -gamma * omega * shift * s.dt
         interior = slice(1, r.size // 2)
         assert np.max(np.abs(r[interior] - want[interior])) <= 1e-6
 
@@ -446,39 +457,37 @@ class TestPhaseResidual:
         s = packet_signal()
         a = transform_pipeline(s, packet_weights(s))
         b = transform_pipeline(Signal(s.samples.copy(), dt=s.dt), packet_weights(s))
-        assert np.all(a.values - b.values == 0.0)
+        assert np.all(a - b == 0.0)
 
     def test_amplitude_invariance(self):
         s = packet_signal()
         ref = transform_pipeline(s, packet_weights(s))
         for alpha in (0.1, 3.0, 250.0):
             scaled = Signal(alpha * s.samples, dt=s.dt)
-            r = ref.values - transform_pipeline(scaled, packet_weights(s)).values
+            r = ref - transform_pipeline(scaled, packet_weights(s))
             assert np.max(np.abs(r)) <= 1e-9
 
     def test_antisymmetry(self):
         s = packet_signal()
-        a = transform_pipeline(s, packet_weights(s)).values
-        b = transform_pipeline(packet_signal(tbar=3.4e-6), packet_weights(s)).values
+        a = transform_pipeline(s, packet_weights(s))
+        b = transform_pipeline(packet_signal(tbar=3.4e-6), packet_weights(s))
         np.testing.assert_allclose(a - b, -(b - a), atol=1e-15)
 
     def test_model_is_damped_by_the_reference_weights(self):
         # phase_objective_terms damps the model's features by the weights the
-        # reference feature carries, and refuses weights of another grid
+        # reference is damped by, and refuses weights of another grid
         cfg = ForwardConfig(n=1024, dt=2.4e-5 / 1024)
         x, rho = np.array([3.9559e9, 0.40079]), 1400.3
         y, dy = response_spectrum(x, rho, cfg, need_jacobian=True)
-        s = Signal(np.fft.irfft(y, cfg.n), dt=cfg.dt)
-        residuals = []
+        features = []
         for c in (1.0, 2.0):
-            ref = transform_pipeline(s, damping_weights(cfg.n // 2, cfg.b, cfg.duration, c))
-            r, jac = phase_objective_terms(x, rho, cfg, ref)
-            values, dvalues = phase_features(y, ref.gamma, dy)
-            assert np.array_equal(r, ref.values - values) and np.array_equal(jac, dvalues)
-            residuals.append(r)
-        assert not np.array_equal(*residuals)
-        half = Signal(s.samples[: cfg.n // 2], dt=cfg.dt)
-        coarse = transform_pipeline(half, damping_weights(cfg.n // 4, cfg.b, half.duration, 1.0))
+            gamma = damping_weights(cfg.n // 2, cfg.b, cfg.duration, c)
+            sim, jac = phase_objective_terms(x, rho, cfg, gamma)
+            values, dvalues = phase_features(y, gamma, dy)
+            assert np.array_equal(sim, values) and np.array_equal(jac, dvalues)
+            features.append(sim)
+        assert not np.array_equal(*features)
+        coarse = damping_weights(cfg.n // 4, cfg.b, cfg.duration / 2, 1.0)
         with pytest.raises(ValueError, match=f"expected {cfg.n // 2} damping weights"):
             phase_objective_terms(x, rho, cfg, coarse)
 
@@ -514,25 +523,26 @@ class TestTransformPipeline:
 
     def test_packet_features_finite_and_bounded(self):
         s = packet_signal()
-        feat = transform_pipeline(s, packet_weights(s))
+        gamma = packet_weights(s)
+        values = transform_pipeline(s, gamma)
         nplus = s.n // 2
-        assert feat.values.size == feat.gamma.size == nplus
-        assert np.all(np.isfinite(feat.values))
-        assert np.all(np.abs(feat.values) <= feat.gamma * (np.pi * nplus + np.pi))
+        assert values.size == gamma.size == nplus
+        assert np.all(np.isfinite(values))
+        assert np.all(np.abs(values) <= gamma * (np.pi * nplus + np.pi))
+        assert not values.flags.writeable
 
     def test_time_reversal_changes_features(self):
         s = packet_signal()
         reversed_ = Signal(s.samples[::-1].copy(), dt=s.dt)
         a = transform_pipeline(s, packet_weights(s))
         b = transform_pipeline(reversed_, packet_weights(s))
-        assert np.max(np.abs(a.values - b.values)) > 1e-3
+        assert np.max(np.abs(a - b)) > 1e-3
 
     def test_deterministic(self):
         s = packet_signal()
         a = transform_pipeline(s, packet_weights(s))
         b = transform_pipeline(s, packet_weights(s))
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.gamma, b.gamma)
+        assert np.array_equal(a, b)
 
 
 class TestScratchArrays:
