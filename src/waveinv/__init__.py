@@ -20,8 +20,6 @@ from .optim import (
     OptimizeOptions,
     OptTrace,
     bfgs_baseline,
-    eta_bar,
-    lambda_k,
     modified_lm_step,
     optimize,
 )

@@ -115,11 +115,11 @@ class ExperimentConfig:
     grid_sigmas: float = 2.0
     manifold_grid_n: int = 9
     manifold_dim: int = 3
-    fbar: float = 3.0e6
-    tbar: float = 3.0e-6
-    L: float = 0.02
-    n: int = 4096
-    dt: float = 1.0 / 48.0e6
+    fbar: float = ForwardConfig.fbar
+    tbar: float = ForwardConfig.tbar
+    L: float = ForwardConfig.L
+    n: int = ForwardConfig.n
+    dt: float = ForwardConfig.dt
     priors_file: str = ""
 
     def __post_init__(self) -> None:
@@ -188,8 +188,17 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a flat ``key = value`` file (comments with '#'), apply overrides,
-    and validate."""
+    and validate.  Override keys are read as file keys ('-' as '_', unknown
+    keys rejected); an override of None is no override."""
     values: dict = {}
+
+    def put(key: str, value, where: str) -> None:
+        key = key.strip().replace("-", "_")
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{where}unknown key {key!r}")
+        if value is not None:
+            values[key] = value
+
     if path is not None:
         text = Path(path).read_text()
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -199,13 +208,9 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+            put(key, value.strip(), f"{path}:{lineno}: ")
+    for key, value in (overrides or {}).items():
+        put(key, value, "override: ")
     kwargs = {}
     for key, value in values.items():
         target = _FIELD_TYPES[key]
@@ -498,10 +503,10 @@ class BenchResult:
             current = []
             for run in self.runs:
                 rel = None
-                for rec in run.trace.records:
-                    if rec.eval_count <= e and not np.isnan(rec.rel1):
+                for count, rec in enumerate(run.trace.records, start=1):
+                    if count <= e and not np.isnan(rec.rel1):
                         rel = rec.rel1
-                    if rec.eval_count > e:
+                    if count > e:
                         break
                 if rel is not None:
                     current.append(max(rel, _LOG_FLOOR))

@@ -21,13 +21,13 @@ damping instead of triggering a line search.
 
 There are two unknowns, (E, nu), so the step is worked out on Python
 floats without forming Jt.  The driver takes three dot products of J's
-columns and two with r, c_ij = J_i' J_j and b_i = J_i' r, and hands them
-with x and eta_bar to the step function, which returns (dx0, dx1, lambda)
-from
+columns and two with r, c_ij = J_i' J_j and b_i = J_i' r, works out
+eta_bar, and hands them with x to ``modified_lm_step``, the one step
+function, which works out lambda and returns (dx0, dx1, lambda) from
 
   G = [[x0^2 c00, x0 x1 c01], [x0 x1 c01, x1^2 c11]],   dxt* = (x0 b0, x1 b1).
 
-Both 2x2 systems are solved in closed form: G^-1 = [[g11, -g01], [-g10,
+Both 2x2 systems are solved in closed form: G^-1 = [[g11, -g01], [-g01,
 g00]] / det G for lambda, and (G + mu I)^-1 the same way.  A Gram with
 det G < RCOND_LIMIT g00 g11, whose columns are parallel to within
 rounding, is singular.  The recorder computes ||r|| and the five dot
@@ -44,8 +44,8 @@ start-rescaled coordinates u = x / x0 (a zero start component is left
 unscaled) and returns its records in physical units.  Its line search and
 its 2x2 inverse-Hessian update run on floats as well.  Both drivers spend
 every model evaluation, line-search trials included, through one recorder
-that checks the budget and appends one record, so evaluation counts
-between methods are directly comparable.
+that checks the budget and appends one record, so a trace's evaluation
+count is its length, and counts between methods are directly comparable.
 
 A run ends on a stopping test or when the evaluation budget, its only cost
 limit, is spent (status ``budget``).  The stopping tolerances are fixed
@@ -70,8 +70,6 @@ __all__ = [
     "OptRecord",
     "OptTrace",
     "OptimizeOptions",
-    "lambda_k",
-    "eta_bar",
     "modified_lm_step",
     "optimize",
     "bfgs_baseline",
@@ -99,49 +97,18 @@ class SingularMatrixError(np.linalg.LinAlgError):
         self.rcond = rcond
 
 
-def _gram_rcond(g00: float, g01: float, g10: float, g11: float) -> float:
-    """det G / (g00 g11) for a 2x2 Gram matrix G: 1 for orthogonal columns
-    of Jt, 0 for parallel or zero ones.  The step and lambda check their
-    Gram here: below RCOND_LIMIT it is singular, and it must be positive
-    definite."""
+def _gram_rcond(g00: float, g01: float, g11: float) -> float:
+    """det G / (g00 g11) for a symmetric 2x2 Gram matrix G: 1 for
+    orthogonal columns of Jt, 0 for parallel or zero ones.  The step checks
+    its Gram here: below RCOND_LIMIT it is singular, and it must be
+    positive definite."""
     if not (g00 >= 0.0 and g11 >= 0.0):
         raise SingularMatrixError("metric tensor is not positive definite", 0.0)
-    rcond = 1.0 - (g01 / g00) * (g10 / g11) if g00 > 0.0 and g11 > 0.0 else 0.0
+    rcond = 1.0 - (g01 / g00) * (g01 / g11) if g00 > 0.0 and g11 > 0.0 else 0.0
     if not rcond >= RCOND_LIMIT:
         message = "metric tensor is singular" if abs(rcond) < RCOND_LIMIT else "metric tensor is not positive definite"
         raise SingularMatrixError(message, rcond)
     return rcond
-
-
-def lambda_k(G, dx_star) -> float:
-    """Scalar making the gradient step as long, in the metric, as the
-    Gauss-Newton step: lambda = sqrt((dx*' G^-1 dx*) / (dx*' G dx*)), for a
-    2x2 metric G (any nested pair of rows) and a 2-vector dx*."""
-    (g00, g01), (g10, g11) = G
-    p, q = dx_star
-    g00, g01, g10, g11, p, q = float(g00), float(g01), float(g10), float(g11), float(p), float(q)
-    if p == 0.0 and q == 0.0:
-        raise ValueError("lambda is undefined for a zero gradient step")
-    rcond = _gram_rcond(g00, g01, g10, g11)
-    # both forms are quadratic in dx*, so the ratio does not depend on its
-    # length: scaling it to unit max-norm keeps p*p and q*q in range
-    size = max(abs(p), abs(q))
-    p, q = p / size, q / size
-    cross = (g01 + g10) * p * q
-    num = g11 * p * p - cross + g00 * q * q  # det G * dx*' G^-1 dx*
-    den = (g00 * g11 * rcond) * (g00 * p * p + cross + g11 * q * q)
-    lam = math.sqrt(num / den) if num > 0.0 and den > 0.0 else math.nan
-    if not 0.0 < lam < math.inf:
-        raise SingularMatrixError("metric tensor is not positive definite", rcond)
-    return lam
-
-
-def eta_bar(r_norm: float, r0_norm: float) -> float:
-    """Residual ratio ||r_k|| / ||r_0||; 1 at the start, may exceed 1 on
-    uphill excursions."""
-    if r0_norm <= 0.0:
-        raise ValueError("initial residual is zero; optimization should have terminated")
-    return r_norm / r0_norm
 
 
 def modified_lm_step(x: list[float], dots: tuple[float, ...], eta: float) -> tuple[float, float, float]:
@@ -161,10 +128,20 @@ def modified_lm_step(x: list[float], dots: tuple[float, ...], eta: float) -> tup
     g11 = x1 * x1 * c11
     p = x0 * b0
     q = x1 * b1
+    rcond = _gram_rcond(g00, g01, g11)
     if p == 0.0 and q == 0.0:
-        _gram_rcond(g00, g01, g01, g11)
         return 0.0, 0.0, math.nan
-    lam = lambda_k(((g00, g01), (g01, g11)), (p, q))
+    # lambda = sqrt((dxt*' G^-1 dxt*) / (dxt*' G dxt*)).  Both forms are
+    # quadratic in dxt*, so the ratio does not depend on its length: scaling
+    # it to unit max-norm keeps p*p and q*q in range
+    size = max(abs(p), abs(q))
+    ps, qs = p / size, q / size
+    cross = (g01 + g01) * ps * qs
+    num = g11 * ps * ps - cross + g00 * qs * qs  # det G * dxt*' G^-1 dxt*
+    den = (g00 * g11 * rcond) * (g00 * ps * ps + cross + g11 * qs * qs)
+    lam = math.sqrt(num / den) if num > 0.0 and den > 0.0 else math.nan
+    if not 0.0 < lam < math.inf:
+        raise SingularMatrixError("metric tensor is not positive definite", rcond)
     mu = eta / lam
     a, d = g00 + mu, g11 + mu
     det = a * d - g01 * g01
@@ -196,10 +173,10 @@ _MAX_LS_TRIALS = 20
 
 @dataclass
 class OptRecord:
-    """One model evaluation: where it happened and what it cost."""
+    """One model evaluation: where it happened and what it cost.  Its
+    cumulative evaluation count is its position in the trace, plus one."""
 
     k: int
-    eval_count: int
     x: np.ndarray
     objective: float
     lambda_: float = np.nan
@@ -218,7 +195,7 @@ class OptTrace:
 
     @property
     def eval_count(self) -> int:
-        return self.records[-1].eval_count if self.records else 0
+        return len(self.records)
 
     @property
     def final_x(self) -> np.ndarray:
@@ -227,9 +204,9 @@ class OptTrace:
     def evals_to(self, predicate: Callable[[OptRecord], bool]) -> int | None:
         """Cumulative evaluation count at the first record satisfying
         ``predicate``, or None."""
-        for rec in self.records:
+        for count, rec in enumerate(self.records, start=1):
             if predicate(rec):
-                return rec.eval_count
+                return count
         return None
 
 
@@ -323,7 +300,6 @@ def _evaluate(trace: OptTrace, call: Callable, u: np.ndarray, k: int, opts: Opti
     trace.records.append(
         OptRecord(
             k=k,
-            eval_count=trace.eval_count + 1,
             x=u * scale,
             objective=objective,
             rel1=math.nan if truth is None else relative_1(truth, u.tolist()),
@@ -393,7 +369,7 @@ def optimize(
                 return _end(trace, "stalled", f"no relative decrease above {_STALL_TOL} for {_STALL_ITERS} iterations")
         prev_norm = r_norm
 
-        eta = eta_bar(r_norm, r0_norm)
+        eta = r_norm / r0_norm
         xs = x.tolist()
         try:
             # called through the module global, which perfbench/tracing.py
@@ -566,10 +542,10 @@ def write_trace_csv(trace: OptTrace, path: str | Path, header_comments: list[str
     rel1, rel2, status (one row per model evaluation; the terminal status
     repeats on every row)."""
     rows = (
-        [str(rec.k), str(rec.eval_count)]
+        [str(rec.k), str(count)]
         + [repr(float(v)) for v in (rec.objective, rec.x[0], rec.x[1])]
         + [cell(v) for v in (rec.lambda_, rec.eta_bar, rec.rel1, rec.rel2)]
         + [trace.status]
-        for rec in trace.records
+        for count, rec in enumerate(trace.records, start=1)
     )
     write_table(path, header_comments or (), "iter,eval_count,objective,E,nu,lambda,eta_bar,rel1,rel2,status", rows)

@@ -26,7 +26,7 @@ from waveinv.bench import (
 )
 from waveinv.cli import main as cli_main
 from waveinv.forward import ForwardConfig, MaterialParams, forward_response, phase_objective_terms
-from waveinv.optim import lambda_k
+from waveinv.optim import modified_lm_step
 from waveinv.signals import Signal, _autocorr, damping_weights, envelope, transform_pipeline
 from waveinv.stats import BUILTIN_PRIORS, MATERIALS, PRIOR_STATED_MOMENTS, gamma_inv_cdf
 
@@ -70,7 +70,8 @@ def test_lambda_defining_property():
         q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         g = q @ np.diag(np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))) @ q.T
         dx = rng.standard_normal(2)
-        lam = lambda_k(g, dx)
+        # lambda of the step at x = (1, 1), where Jt = J: G and dx* go in as the Gram and J' r
+        lam = modified_lm_step([1.0, 1.0], (g[0, 0], g[0, 1], g[1, 1], dx[0], dx[1]), 0.0)[2]
         # metric lengths sqrt(dx' G dx)
         lhs, rhs = (np.sqrt(v @ (g @ v)) for v in (lam * dx, np.linalg.solve(g, dx)))
         worst = max(worst, abs(lhs - rhs) / rhs)

@@ -39,7 +39,7 @@ from waveinv.bench import (
 )
 from waveinv.bench import _count_interior_minima
 from waveinv.cli import main as cli_main
-from waveinv.forward import EvalCounter, MaterialParams, forward_jacobian, forward_response
+from waveinv.forward import EvalCounter, ForwardConfig, MaterialParams, forward_jacobian, forward_response
 from waveinv.optim import OptRecord, OptTrace
 from waveinv.stats import BUILTIN_PRIORS, MATERIALS, gamma_inv_cdf
 
@@ -99,6 +99,17 @@ class TestConfig:
     def test_seed_override(self):
         cfg = load_config(None, {"seed": 1234})
         assert cfg.seed == 1234
+
+    def test_override_keys_read_as_file_keys(self):
+        # an override key takes the file's spelling rules and its
+        # unknown-key check
+        assert load_config(None, {"n-refs": 3}).n_refs == 3
+        for value in (1, None):
+            with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+                load_config(None, {"bogus": value})
+
+    def test_geometry_defaults_are_the_forward_defaults(self):
+        assert ExperimentConfig().forward_config() == ForwardConfig()
 
     def test_damping_just_below_underflow_limit_evaluates(self):
         # the limit at the default grid is 745 (bT)^2 / (n/2 - 1)^2 = 4.923
@@ -234,7 +245,7 @@ class TestOptimizeBatch:
         cfg = small_cfg(n_refs=1)
         refs = gen_refs(cfg)
         trace = OptTrace(
-            records=[OptRecord(k=0, eval_count=1, x=refs[0].truth.as_vector(), objective=0.0)],
+            records=[OptRecord(k=0, x=refs[0].truth.as_vector(), objective=0.0)],
             status="converged",
         )
         counter = EvalCounter()
@@ -248,7 +259,7 @@ class TestOptimizeBatch:
         cfg = small_cfg(n_refs=1)
         refs = gen_refs(cfg)
         trace = OptTrace(
-            records=[OptRecord(k=0, eval_count=1, x=refs[0].truth.as_vector(), objective=1.0)],
+            records=[OptRecord(k=0, x=refs[0].truth.as_vector(), objective=1.0)],
             status="error",
         )
         counter = EvalCounter()
@@ -1039,7 +1050,7 @@ class TestCli:
         truth = MaterialParams(E=4e9, nu=0.4, rho=1400.0)
         result = BenchResult(cfg=cfg)
         for i, evals in enumerate((3, 5, 8, 13)):
-            trace = OptTrace(records=[OptRecord(k=0, eval_count=evals, x=truth.as_vector(), objective=0.0)])
+            trace = OptTrace(records=[OptRecord(k=0, x=truth.as_vector(), objective=0.0)])
             result.runs.append(RunResult(i, truth, trace, evals))
         monkeypatch.setattr(cli, "read_refs", lambda out: [])
         monkeypatch.setattr(cli, "optimize_batch", lambda cfg, refs: result)
@@ -1079,7 +1090,7 @@ class TestCli:
         cfg_file.write_text("n_refs = 1\nlhs_restarts = 5\n")
         out = tmp_path / "out"
         assert self.run_cli("--config", str(cfg_file), "--out", str(out), "gen-refs") == 0
-        trace = OptTrace(records=[OptRecord(k=0, eval_count=1, x=np.array([4e9, 0.4]), objective=0.0)])
+        trace = OptTrace(records=[OptRecord(k=0, x=np.array([4e9, 0.4]), objective=0.0)])
         counter = EvalCounter()
         counter.add(2)
         monkeypatch.setattr(bench, "run_single", lambda cfg, ref, x0: (trace, counter))
