@@ -275,7 +275,7 @@ def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     refs = []
     for i, truth in enumerate(truths):
         try:
-            signal = forward_response(truth, fwd)
+            signal = forward_response(truth.as_vector(), truth.rho, fwd)
         except ValueError:
             log.warning("reference %d failed: truth %s has no model output", i, truth)
             continue
@@ -301,9 +301,15 @@ def read_refs(out_dir: str | Path) -> list[Reference]:
     if not (ref_dir / "index.csv").exists():
         raise ConfigError(f"no references found under {ref_dir}; run gen-refs first")
 
+    seen = set()
+
     def parse(ref_id, e_pa, nu, rho, name):
+        ref_id = int(ref_id)
+        if ref_id in seen:  # its run would overwrite the first one's trace file
+            raise ValueError(f"repeated ref_id {ref_id}")
+        seen.add(ref_id)
         truth = MaterialParams(E=float(e_pa), nu=float(nu), rho=float(rho))
-        return Reference(ref_id=int(ref_id), truth=truth, signal=read_signal_csv(ref_dir / name))
+        return Reference(ref_id=ref_id, truth=truth, signal=read_signal_csv(ref_dir / name))
 
     return read_table(ref_dir / "index.csv", _REFS_HEADER, parse)
 
@@ -320,7 +326,7 @@ def mean_reference(cfg: ExperimentConfig) -> Reference:
     e_values, nu_values, _ = _grid_nodes(cfg, cfg.grid_n)
     center = cfg.grid_n // 2
     truth = MaterialParams(E=float(e_values[center]), nu=float(nu_values[center]), rho=cfg.prior().rho_si())
-    return Reference(ref_id=0, truth=truth, signal=forward_response(truth, cfg.forward_config()))
+    return Reference(ref_id=0, truth=truth, signal=forward_response(truth.as_vector(), truth.rho, cfg.forward_config()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ Jacobian with respect to (E, nu) analytic, which the optimizer relies on.
 Speeds are frequency independent; the nonlinearity of the inverse problem
 enters through tau_j(E, nu).
 
-Every function from the delays to the phase objective takes the rows
-(E, nu) of ``x`` and the density ``rho`` of the materials: shape (2,) is
-one material, shape (N, 2) a batch of N along a leading axis, and the
-single material is the batch of one: the same operations on one row.  Model
+Every model function, from the delays to the reference simulator and the
+phase objective, takes the rows (E, nu) of ``x`` and the density ``rho`` of
+the materials: shape (2,) is one material, shape (N, 2) a batch of N along
+a leading axis, and the single material is the batch of one: the same
+operations on one row.  :class:`MaterialParams` is the validated truth
+record that the benchmark builds; no model function takes it.  Model
 evaluations are counted per optimization run through an explicit
 :class:`EvalCounter`, one per row; a Jacobian, or the gradient of the
 phase objective, shares its forward pass and never double counts.  The
@@ -375,20 +377,20 @@ def _response_pullback(tape: tuple, w: np.ndarray) -> np.ndarray:
     )
 
 
-def forward_response(m: MaterialParams, cfg: ForwardConfig, counter: EvalCounter | None = None) -> Signal:
-    """Simulated transmission response for one material; one model
-    evaluation.  The reference simulator: every virtual measurement
-    (:func:`~waveinv.bench.gen_refs`, :func:`~waveinv.bench.mean_reference`)
-    is this record.  It raises as :func:`response_spectrum` does for one
-    material."""
-    y, _ = response_spectrum(m.as_vector(), m.rho, cfg, counter)
+def forward_response(x: np.ndarray, rho: float, cfg: ForwardConfig) -> Signal:
+    """Simulated transmission response for one material, the row (E, nu)
+    of ``x`` of shape (2,); counts no evaluation.  The reference simulator:
+    every virtual measurement (:func:`~waveinv.bench.gen_refs`,
+    :func:`~waveinv.bench.mean_reference`) is this record.  It raises as
+    :func:`response_spectrum` does for one material."""
+    y, _ = response_spectrum(x, rho, cfg)
     return Signal(np.fft.irfft(y, n=cfg.n), dt=cfg.dt)
 
 
-def forward_jacobian(m: MaterialParams, cfg: ForwardConfig) -> tuple[Signal, Signal]:
-    """Analytic derivatives (dy/dE, dy/dnu) of the time response; counts no
-    evaluation."""
-    _, dy = response_spectrum(m.as_vector(), m.rho, cfg, need_jacobian=True)
+def forward_jacobian(x: np.ndarray, rho: float, cfg: ForwardConfig) -> tuple[Signal, Signal]:
+    """Analytic derivatives (dy/dE, dy/dnu) of the time response of one
+    material, the row (E, nu) of ``x``; counts no evaluation."""
+    _, dy = response_spectrum(x, rho, cfg, need_jacobian=True)
     d_e, d_nu = np.fft.irfft(dy, n=cfg.n)
     return Signal(d_e, dt=cfg.dt), Signal(d_nu, dt=cfg.dt)
 

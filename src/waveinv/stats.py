@@ -517,8 +517,18 @@ def load_priors(path: str | Path) -> dict[str, MaterialPrior]:
     """Read an editable priors CSV with the header
     ``material,parameter,alpha,theta`` and one gamma marginal (shape alpha,
     scale theta) per row; a malformed row raises ``ValueError`` naming its
-    line."""
+    line, and so does a parameter outside :data:`PARAMETERS` or a second
+    row for the same material and parameter."""
     table: dict[str, dict[str, GammaDist]] = {}
-    for mat, par, dist in read_table(path, _PRIORS_HEADER, lambda m, p, a, t: (m, p, GammaDist(float(a), float(t)))):
-        table.setdefault(mat, {})[par] = dist
+
+    def parse(mat, par, alpha, theta):
+        if par not in PARAMETERS:
+            raise ValueError(f"unknown parameter {par!r}, expected one of {', '.join(PARAMETERS)}")
+        dist = GammaDist(float(alpha), float(theta))
+        marginals = table.setdefault(mat, {})
+        if par in marginals:
+            raise ValueError(f"repeated row for {mat} {par}")
+        marginals[par] = dist
+
+    read_table(path, _PRIORS_HEADER, parse)
     return {mat: MaterialPrior(name=mat, marginals=marginals) for mat, marginals in table.items()}

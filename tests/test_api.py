@@ -6,10 +6,12 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import waveinv
 from waveinv import forward
 
 MODULES = ("signals", "forward", "optim", "stats", "bench")
@@ -24,6 +26,20 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"waveinv.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_root_exports_nothing():
+    # each module's __all__ is the one public list: once every submodule is
+    # imported, the package root holds its dunder names and the submodules
+    for info in pkgutil.iter_modules(waveinv.__path__):
+        importlib.import_module(f"waveinv.{info.name}")
+    extra = [
+        name
+        for name, value in vars(waveinv).items()
+        if not (name.startswith("__") and name.endswith("__"))
+        and not (inspect.ismodule(value) and value.__name__ == f"waveinv.{name}")
+    ]
+    assert extra == []
 
 
 def waveinv_module(node: ast.ImportFrom) -> str | None:

@@ -161,7 +161,7 @@ class TestGenRefs:
         refs = gen_refs(cfg) + [mean_reference(cfg)]
         assert len(refs) == 6
         for ref in refs:
-            want = forward_response(ref.truth, fwd)
+            want = forward_response(ref.truth.as_vector(), ref.truth.rho, fwd)
             assert ref.signal.dt == want.dt
             assert ref.signal.samples.tobytes() == want.samples.tobytes()
 
@@ -333,7 +333,7 @@ class TestOptimizeBatch:
         fwd = ForwardConfig()
         gamma = damping_weights(fwd.n // 2, fwd.b, fwd.duration, 1.0)
         truth, rho = np.array([3.9559e9, 0.40079]), 1400.3
-        ref = transform_pipeline(forward_response(MaterialParams(*truth, rho), fwd), gamma)
+        ref = transform_pipeline(forward_response(truth, rho, fwd), gamma)
 
         def evaluate(x, need_jacobian):
             features, jac = phase_objective_terms(x, rho, fwd, gamma)
@@ -376,7 +376,6 @@ class TestRawObjectives:
         self.cfg = small_cfg(n_refs=1)
         self.ref = gen_refs(self.cfg)[0]
         self.x = self.ref.truth.as_vector() * np.array([1.004, 0.997])
-        self.m = MaterialParams(self.x[0], self.x[1], self.ref.truth.rho)
         self.fwd = self.cfg.forward_config()
 
     def evaluate(self, objective):
@@ -399,11 +398,10 @@ class TestRawObjectives:
         # J^T r keep their values, to rounding on the Cauchy-Schwarz scale.
         # The residual's rounding scales with its operands, ref and y, not
         # with ref - y, which cancels where the two records agree
-        m = MaterialParams(x[0], x[1], self.ref.truth.rho)
         r, jac = evaluate(x, True)
-        y = forward_response(m, self.fwd).samples
+        y = forward_response(x, self.ref.truth.rho, self.fwd).samples
         r_time = self.ref.signal.samples - y
-        jac_time = np.column_stack([d.samples for d in forward_jacobian(m, self.fwd)])
+        jac_time = np.column_stack([d.samples for d in forward_jacobian(x, self.ref.truth.rho, self.fwd)])
         assert r.shape == (self.fwd.n,) and jac.shape == (self.fwd.n, 2)
         r_scale = max(np.max(np.abs(self.ref.signal.samples)), np.max(np.abs(y)))
         for got, want, scale in [
@@ -435,11 +433,11 @@ class TestRawObjectives:
         # |a| and Re(conj(a) da) / max(|a|, 1e-12 max|a|) from the analytic
         # signals of the time-domain response and its derivatives
         r, jac = self.evaluate("envelope")(self.x, True)
-        a = full_fft_analytic_signal(forward_response(self.m, self.fwd).samples)
+        a = full_fft_analytic_signal(forward_response(self.x, self.ref.truth.rho, self.fwd).samples)
         env = np.abs(a)
         env_safe = np.maximum(env, 1e-12 * env.max())
         want = np.column_stack(
-            [(a.conj() * full_fft_analytic_signal(d.samples)).real / env_safe for d in forward_jacobian(self.m, self.fwd)]
+            [(a.conj() * full_fft_analytic_signal(d.samples)).real / env_safe for d in forward_jacobian(self.x, self.ref.truth.rho, self.fwd)]
         )
         ref_env = np.abs(full_fft_analytic_signal(self.ref.signal.samples))
         assert np.max(np.abs(r - (ref_env - env))) <= 1e-12 * np.max(env)
@@ -680,7 +678,7 @@ class TestBatchedEvaluation:
         kept, skipped = [], []
         for ref_id, truth in enumerate(gen_refs(replace(cfg, n=4096, dt=1.0 / 48.0e6))):
             try:
-                forward_response(truth.truth, cfg.forward_config())
+                forward_response(truth.truth.as_vector(), truth.truth.rho, cfg.forward_config())
             except ValueError:
                 skipped.append(f"reference {ref_id} failed: truth {truth.truth} has no model output")
                 continue
@@ -912,8 +910,10 @@ class TestCli:
             (["PEEK,E,1.0"], "priors.csv:14: expected 4 fields, found 3"),
             (["PEEK,E,-1.0,0.5"], "priors.csv:14: shape and scale must be positive and finite, got -1.0, 0.5"),
             (["PEEK,E,100.0,0"], "priors.csv:14: shape and scale must be positive and finite, got 100.0, 0.0"),
+            (["PEEK,E,100.0,1e8"], "priors.csv:14: repeated row for PEEK E"),
+            (["PEEK,Young,5,5"], "priors.csv:14: unknown parameter 'Young', expected one of rho, E, nu, G"),
         ],
-        ids=["missing", "malformed-row", "negative-shape", "zero-scale"],
+        ids=["missing", "malformed-row", "negative-shape", "zero-scale", "repeated-row", "unknown-parameter"],
     )
     def test_bad_priors_file_exits_2_before_any_work(self, tmp_path, capsys, write_builtin_priors, rows, message):
         priors = tmp_path / "priors.csv"
@@ -959,6 +959,7 @@ class TestCli:
     DAMAGED = [
         ("refs/index.csv", {4: None}, "optimize", r"refs/index\.csv:6: expected 5 fields, found 4"),
         ("refs/index.csv", {2: "1.5"}, "optimize", r"refs/index\.csv:6: nu must lie in \(0, 0\.5\), got 1\.5"),
+        ("refs/index.csv", {0: "0"}, "optimize", r"refs/index\.csv:6: repeated ref_id 0"),
         ("refs/ref_001.csv", None, "optimize", r"refs/index\.csv:6: \[Errno 2\] No such file .*refs/ref_001\.csv"),
         ("runs/modified-lm/runs_index.csv", {7: None}, "report", r"runs_index\.csv:7: expected 8 fields, found 7"),
         (
@@ -983,6 +984,7 @@ class TestCli:
         ids=[
             "ragged-refs-row",
             "nu-1.5",
+            "repeated-ref-id",
             "missing-ref",
             "ragged-runs-row",
             "success-without-evals",

@@ -146,7 +146,7 @@ class TestPacketDelays:
 class TestForwardResponse:
     def test_single_packet_is_delayed_excitation(self):
         cfg = ForwardConfig(amplitudes=(1.0, 0.0, 0.0))
-        out = forward_response(PEEK, cfg)
+        out = forward_response(PEEK.as_vector(), PEEK.rho, cfg)
         p = excitation(cfg)
         tau, _, _ = packet_delays(PEEK.as_vector(), PEEK.rho, cfg)
         xc = np.correlate(out.samples, p.samples, mode="full")
@@ -155,20 +155,20 @@ class TestForwardResponse:
 
     def test_primary_packet_nu_insensitive(self):
         cfg = ForwardConfig(amplitudes=(1.0, 0.0, 0.0))
-        a = forward_response(PEEK, cfg).samples
-        b = forward_response(MaterialParams(PEEK.E, 0.30, PEEK.rho), cfg).samples
+        a = forward_response(PEEK.as_vector(), PEEK.rho, cfg).samples
+        b = forward_response([PEEK.E, 0.30], PEEK.rho, cfg).samples
         np.testing.assert_array_equal(a, b)
 
     def test_linear_in_packet_amplitudes(self):
         cfg = ForwardConfig()
         scaled = ForwardConfig(amplitudes=tuple(3.0 * a for a in cfg.amplitudes))
-        y1 = forward_response(PEEK, cfg).samples
-        y3 = forward_response(PEEK, scaled).samples
+        y1 = forward_response(PEEK.as_vector(), PEEK.rho, cfg).samples
+        y3 = forward_response(PEEK.as_vector(), PEEK.rho, scaled).samples
         np.testing.assert_allclose(y3, 3.0 * y1, atol=1e-12 * np.max(np.abs(y1)))
 
     def test_default_packet_amplitude_ratios(self):
         cfg = ForwardConfig()
-        out = forward_response(PEEK, cfg)
+        out = forward_response(PEEK.as_vector(), PEEK.rho, cfg)
         env = envelope(out).samples
         t = np.arange(out.n) * out.dt
         tau, _, _ = packet_delays(PEEK.as_vector(), PEEK.rho, cfg)
@@ -182,20 +182,21 @@ class TestForwardResponse:
     def test_truncation_rejected(self):
         cfg = ForwardConfig(n=256, dt=6.25e-8)  # 16 us window, packets near 20 us
         with pytest.raises(TruncationError):
-            forward_response(PEEK, cfg)
+            forward_response(PEEK.as_vector(), PEEK.rho, cfg)
 
     def test_signal_matches_spectrum(self):
         cfg = ForwardConfig()
         y, _ = response_spectrum(PEEK.as_vector(), PEEK.rho, cfg)
-        np.testing.assert_allclose(forward_response(PEEK, cfg).samples, np.fft.irfft(y, n=cfg.n), atol=1e-15)
+        np.testing.assert_allclose(forward_response(PEEK.as_vector(), PEEK.rho, cfg).samples, np.fft.irfft(y, n=cfg.n), atol=1e-15)
 
     def test_counter_increments_once(self):
         counter = EvalCounter()
         cfg = ForwardConfig()
-        forward_response(PEEK, cfg, counter=counter)
+        response_spectrum(PEEK.as_vector(), PEEK.rho, cfg, counter)
         assert counter.count == 1
-        forward_jacobian(PEEK, cfg)  # shares the pass: no increment
+        forward_jacobian(PEEK.as_vector(), PEEK.rho, cfg)  # counts no evaluation
         assert counter.count == 1
+        # the Jacobian shares the pass: one increment
         response_spectrum(PEEK.as_vector(), PEEK.rho, cfg, counter=counter, need_jacobian=True)
         assert counter.count == 2
 
@@ -208,7 +209,7 @@ class TestForwardResponse:
                 with pytest.raises(ValueError, match="not finite"):
                     response_spectrum(PEEK.as_vector(), PEEK.rho, cfg, counter, need_jacobian)
             with pytest.raises(ValueError):
-                forward_response(PEEK, cfg, counter)
+                forward_response(PEEK.as_vector(), PEEK.rho, cfg)
         assert counter.count == 0
 
 
@@ -222,21 +223,21 @@ class TestForwardJacobian:
             xm = list(x)
             xp[i] += h
             xm[i] -= h
-            yp = forward_response(MaterialParams(xp[0], xp[1], PEEK.rho), cfg).samples
-            ym = forward_response(MaterialParams(xm[0], xm[1], PEEK.rho), cfg).samples
+            yp = forward_response(xp, PEEK.rho, cfg).samples
+            ym = forward_response(xm, PEEK.rho, cfg).samples
             cols.append((yp - ym) / (2 * h))
         return cols
 
     def test_matches_central_differences(self):
         cfg = ForwardConfig()
-        d_e, d_nu = forward_jacobian(PEEK, cfg)
+        d_e, d_nu = forward_jacobian(PEEK.as_vector(), PEEK.rho, cfg)
         fd_e, fd_nu = self.fd_columns(cfg)
         assert np.max(np.abs(d_e.samples - fd_e)) <= 1e-5 * np.max(np.abs(d_e.samples))
         assert np.max(np.abs(d_nu.samples - fd_nu)) <= 1e-5 * np.max(np.abs(d_nu.samples))
 
     def test_nu_column_vanishes_for_primary_only(self):
         cfg = ForwardConfig(amplitudes=(1.0, 0.0, 0.0))
-        _, d_nu = forward_jacobian(PEEK, cfg)
+        _, d_nu = forward_jacobian(PEEK.as_vector(), PEEK.rho, cfg)
         assert np.max(np.abs(d_nu.samples)) == 0.0
 
 
@@ -245,8 +246,8 @@ class TestResidualJacobian:
         self.cfg = ForwardConfig()
         self.gamma = weights_for(self.cfg)
 
-    def feature_at(self, m):
-        return transform_pipeline(forward_response(m, self.cfg), self.gamma)
+    def feature_at(self, x):
+        return transform_pipeline(forward_response(x, PEEK.rho, self.cfg), self.gamma)
 
     def test_matches_pipeline_finite_differences(self):
         jac = phase_objective_terms(PEEK.as_vector(), PEEK.rho, self.cfg, self.gamma)[1]
@@ -258,10 +259,7 @@ class TestResidualJacobian:
             xm = list(x)
             xp[i] += h
             xm[i] -= h
-            df = (
-                self.feature_at(MaterialParams(xp[0], xp[1], PEEK.rho))
-                - self.feature_at(MaterialParams(xm[0], xm[1], PEEK.rho))
-            ) / (2 * h)
+            df = (self.feature_at(xp) - self.feature_at(xm)) / (2 * h)
             fd.append(df)
         fd = np.column_stack(fd)
         assert np.max(np.abs(jac - fd)) <= 1e-4 * np.max(np.abs(fd))
@@ -316,7 +314,7 @@ class TestResidualJacobian:
 
     def test_features_match_the_pipeline(self):
         features, jac = phase_objective_terms(PEEK.as_vector(), PEEK.rho, self.cfg, self.gamma)
-        np.testing.assert_allclose(features, self.feature_at(PEEK), atol=1e-12)
+        np.testing.assert_allclose(features, self.feature_at(PEEK.as_vector()), atol=1e-12)
         assert jac.shape == (features.size, 2)
 
 
@@ -353,7 +351,7 @@ class TestPhaseKernelCost:
         # pass's irfft and fft, each on one row; no dY is built
         cfg = ForwardConfig()
         gamma = weights_for(cfg)
-        ref = transform_pipeline(forward_response(PEEK, cfg), gamma)
+        ref = transform_pipeline(forward_response(PEEK.as_vector(), PEEK.rho, cfg), gamma)
         rows = []
 
         def counted(fn):
@@ -384,7 +382,7 @@ class TestPhaseKernelCost:
         cfg = ForwardConfig()
         assert cfg.n == 4096
         gamma = weights_for(cfg)
-        ref = transform_pipeline(forward_response(PEEK, cfg), gamma)
+        ref = transform_pipeline(forward_response(PEEK.as_vector(), PEEK.rho, cfg), gamma)
         x = np.array([1.03 * PEEK.E, PEEK.nu])
         evaluate = {
             "terms-with-jacobian": lambda: phase_objective_terms(x, PEEK.rho, cfg, gamma, need_jacobian=True),
@@ -536,7 +534,7 @@ class TestBatch:
         """Every model entry point at the rows ``x`` of density ``rho``."""
         cfg = ForwardConfig()
         gamma = weights_for(cfg)
-        ref = transform_pipeline(forward_response(PEEK, cfg), gamma)
+        ref = transform_pipeline(forward_response(PEEK.as_vector(), PEEK.rho, cfg), gamma)
         return [
             lambda: packet_delays(x, rho, cfg),
             lambda: response_spectrum(x, rho, cfg, counter, need_jacobian=True),
@@ -564,7 +562,7 @@ class TestBatch:
         # a batch of rows is refused before any evaluation is counted
         cfg = ForwardConfig()
         gamma = weights_for(cfg)
-        ref = transform_pipeline(forward_response(PEEK, cfg), gamma)
+        ref = transform_pipeline(forward_response(PEEK.as_vector(), PEEK.rho, cfg), gamma)
         for x in (np.array([PEEK.as_vector(), PEEK.as_vector()]), PEEK.as_vector()[None, :]):
             counter = EvalCounter()
             with pytest.raises(ValueError, match=re.escape(f"got {x.shape}")):

@@ -91,7 +91,7 @@ class TestRescale:
         from waveinv.forward import ForwardConfig, MaterialParams, forward_jacobian
 
         peek = MaterialParams(E=3.9559e9, nu=0.40079, rho=1400.3)
-        d_e, d_nu = forward_jacobian(peek, ForwardConfig())
+        d_e, d_nu = forward_jacobian(peek.as_vector(), peek.rho, ForwardConfig())
         raw = np.column_stack([d_e.samples, d_nu.samples])
         raw_ratio = np.linalg.norm(raw[:, 1]) / np.linalg.norm(raw[:, 0])
         assert raw_ratio > 1e8
