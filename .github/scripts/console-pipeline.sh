@@ -4,8 +4,9 @@
 # success-table row per optimizer and no run with status error, and a config
 # naming scaled-gd, which is not an optimizer, exits 2.  Then the
 # raw objectives, signal and envelope, each into its own output directory:
-# gen-refs, optimize with modified-lm and surface, with one trace per
-# reference and the surface file.
+# gen-refs, optimize with modified-lm, surface and manifold, with one trace
+# per reference and the surface file.  Each objective's manifold file holds
+# one data row per node of the manifold_grid_n x manifold_grid_n grid.
 # Usage: console-pipeline.sh <work directory>
 set -e
 dir="$1"
@@ -29,11 +30,14 @@ done
 status=0
 waveinv --config "$dir/scaled-gd.cfg" --out "$dir/out" optimize || status=$?
 test "$status" -eq 2
+# manifold_grid_n = 3: 9 data rows after the comments and the header
+test "$(grep -c -v -e '^#' -e '^E,' "$dir/out/manifold/manifold_autocorr-phase.csv")" -eq 9
 for objective in signal envelope; do
   { cat "$dir/tiny.cfg"; echo "objective = $objective"; } > "$dir/$objective.cfg"
-  for command in gen-refs optimize surface; do
+  for command in gen-refs optimize surface manifold; do
     waveinv --config "$dir/$objective.cfg" --out "$dir/out-$objective" "$command"
   done
   test "$(ls "$dir/out-$objective/runs/modified-lm"/trace_*.csv | wc -l)" -eq 2
   test -s "$dir/out-$objective/surface/surface_$objective.csv"
+  test "$(grep -c -v -e '^#' -e '^E,' "$dir/out-$objective/manifold/manifold_$objective.csv")" -eq 9
 done

@@ -679,23 +679,32 @@ def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.n
     g = cfg.manifold_grid_n
     _, _, nodes = _grid_nodes(cfg, g)
     evaluate, _, _, _ = make_objective(cfg, mean_reference(cfg))
-    chunks = [evaluate(nodes[start : start + _CHUNK], False)[0] for start in range(0, len(nodes), _CHUNK)]
-    # the rows -r = f(x) - ref are the model outputs once centered
-    matrix = -np.concatenate(chunks)
-    failed = np.flatnonzero(np.isnan(matrix).any(axis=1))
+    # the rows -r = f(x) - ref are the model outputs once centered, which
+    # happens in place
+    centered = None
+    for start in range(0, len(nodes), _CHUNK):
+        r, _ = evaluate(nodes[start : start + _CHUNK], False)
+        if centered is None:
+            centered = np.empty((len(nodes), r.shape[1]))
+        np.negative(r, out=centered[start : start + len(r)])
+    failed = np.flatnonzero(np.isnan(centered).any(axis=1))
     if failed.size:
         raise ValueError(f"manifold node (E, nu) = {nodes[failed[0]]} has no model output")
     lines = np.indices((g, g)).reshape(2, -1).T
     params = np.column_stack([nodes, lines])
-    centered = matrix - matrix.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    variances = s**2 / max(matrix.shape[0] - 1, 1)
+    centered -= centered.mean(axis=0)
+    # centered = R^T Q^T with R min(nodes, lags) x nodes, so R^T = U S W^T
+    # gives centered = U S (Q W)^T: the SVD is min(nodes, lags) wide and
+    # neither Q nor the lags-long principal directions are formed
+    rfac = np.linalg.qr(centered.T, mode="r")
+    u, s, _ = np.linalg.svd(rfac.T, full_matrices=False)
+    variances = s**2 / max(centered.shape[0] - 1, 1)
     total = float(np.sum(variances))
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
     dim = min(cfg.manifold_dim, rank)
     if dim < cfg.manifold_dim:
         log.warning("degenerate covariance: %d informative directions < %d requested", rank, cfg.manifold_dim)
-    projected = centered @ vt[:dim].T
+    projected = u[:, :dim] * s[:dim]
     explained = variances[:dim] / total if total > 0 else variances[:dim]
     return params, projected, explained, rank
 

@@ -794,6 +794,56 @@ class TestManifold:
         assert lines[0].startswith("E,nu,line_E,line_nu,pc1")
         assert len(lines) == 10
 
+    # (objective, overrides): 16 nodes against 2048 phase lags or 4096
+    # signal and envelope samples, and a tall grid of 289 nodes against the
+    # 256 phase lags of n = 512
+    SHAPES = [
+        ("autocorr-phase", dict(material="PA6", seed=2, manifold_grid_n=4)),
+        ("signal", dict(material="PA6", seed=2, manifold_grid_n=4)),
+        ("envelope", dict(material="PA6", seed=2, manifold_grid_n=4)),
+        ("autocorr-phase", dict(L=0.005, n=512, manifold_grid_n=17)),
+    ]
+
+    @staticmethod
+    def centered_outputs(cfg):
+        """The model outputs on the manifold grid, evaluated in one batch
+        and centered."""
+        _, _, nodes = bench._grid_nodes(cfg, cfg.manifold_grid_n)
+        evaluate, _, _, _ = make_objective(cfg, mean_reference(cfg))
+        outputs = -evaluate(nodes, False)[0]
+        return outputs - outputs.mean(axis=0)
+
+    @pytest.mark.parametrize("objective, overrides", SHAPES)
+    def test_matches_wide_svd_reference(self, objective, overrides):
+        cfg = small_cfg(objective=objective, **overrides)
+        centered = self.centered_outputs(cfg)
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        rank = int(np.sum(s > 1e-12 * s[0]))
+        dim = min(cfg.manifold_dim, rank)
+        scores = centered @ vt[:dim].T
+        _, projected, explained, got_rank = manifold_export(cfg)
+        assert got_rank == rank
+        np.testing.assert_allclose(explained, s[:dim] ** 2 / np.sum(s**2), rtol=1e-12, atol=0)
+        # a principal direction is defined up to its sign
+        signs = np.sign(np.sum(projected * scores, axis=0))
+        assert np.max(np.abs(projected * signs - scores)) <= 1e-10 * np.max(np.abs(scores))
+
+    # the scan workload's 81 nodes against 2048 lags, and the tall grid
+    @pytest.mark.parametrize("objective, overrides", [("autocorr-phase", dict(manifold_grid_n=9)), SHAPES[-1]])
+    def test_svd_takes_the_short_side(self, objective, overrides, monkeypatch):
+        cfg = small_cfg(objective=objective, **overrides)
+        short = min(self.centered_outputs(cfg).shape)
+        shapes, svd = [], np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(bench.np.linalg, "svd", recorded)
+        manifold_export(cfg)
+        # the SVD's width sets the size of its right singular vectors
+        assert shapes and max(shape[1] for shape in shapes) <= short, shapes
+
 
 class TestReport:
     def test_report_aggregates_runs(self, tmp_path):
