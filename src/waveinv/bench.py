@@ -42,6 +42,7 @@ from .stats import (
     BUILTIN_PRIORS,
     MATERIALS,
     MaterialPrior,
+    Stream,
     apply_marginals,
     gamma_cdf,
     gamma_inv_cdf,
@@ -264,11 +265,10 @@ def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     prior = cfg.prior()
     if cfg.n_refs == 1:
         # a hypercube needs two strata; a single truth is one uniform draw
-        unit = np.random.default_rng([cfg.seed, 1]).uniform(size=(1, 2))
+        unit = Stream([cfg.seed, 1]).uniform(size=(1, 2))
     else:
         unit = lhs_sample(cfg.n_refs, 2, seed=cfg.seed, restarts=cfg.lhs_restarts)
-    redraw_rng = np.random.default_rng([cfg.seed, 2])
-    draws = apply_marginals(unit, prior, redraw_rng)
+    draws = apply_marginals(unit, prior, Stream([cfg.seed, 2]))
     rho = prior.rho_si()
     fwd = cfg.forward_config()
     truths = [MaterialParams(E=1.0e9 * e_gpa, nu=nu, rho=rho) for e_gpa, nu in draws]
@@ -448,7 +448,7 @@ def draw_starts(cfg: ExperimentConfig, count: int) -> np.ndarray:
     optimizers see identical starts.
     """
     prior = cfg.prior()
-    rng = np.random.default_rng([cfg.seed, 7])
+    rng = Stream([cfg.seed, 7])
     starts = np.empty((count, 2))
     for j, par in enumerate(("E", "nu")):
         d = prior.marginals[par]
@@ -705,6 +705,10 @@ def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.n
     if dim < cfg.manifold_dim:
         log.warning("degenerate covariance: %d informative directions < %d requested", rank, cfg.manifold_dim)
     projected = u[:, :dim] * s[:dim]
+    # the SVD leaves each component's sign to LAPACK; the data fix it: the
+    # largest-magnitude score is positive (the first one, on a tie)
+    largest = projected[np.abs(projected).argmax(axis=0), np.arange(dim)]
+    projected *= np.where(largest < 0.0, -1.0, 1.0)
     explained = variances[:dim] / total if total > 0 else variances[:dim]
     return params, projected, explained, rank
 

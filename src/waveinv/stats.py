@@ -8,7 +8,10 @@ shipped with the package (density in g/cm^3, moduli in GPa).  Marginals are
 treated as independent: parameter draws go through an optimized (maximin)
 Latin hypercube in the unit cube and are rescaled through the inverse CDFs.
 
-All stochastic operations take an explicit seeded generator; nothing touches
+Every draw comes from a :class:`Stream`: PCG64 seeded through numpy's
+SeedSequence, on Python ints, which gives the same doubles and permutations
+as ``numpy.random.default_rng(entropy)`` bit for bit without importing
+``numpy.random``, and keeps them across numpy releases.  Nothing touches
 global random state.  The gamma functions need numpy alone.
 """
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +36,7 @@ __all__ = [
     "PARAMETERS",
     "gamma_cdf",
     "gamma_inv_cdf",
+    "Stream",
     "lhs_sample",
     "apply_marginals",
     "relative_1",
@@ -426,6 +431,129 @@ def gamma_inv_cdf(d: GammaDist, p) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
+# random stream
+
+# numpy's SeedSequence (its 4-word pool, the hashmix and mix hashes, and
+# generate_state) and PCG64 with the XSL-RR output (O'Neill, HMC-CS-2014-0905,
+# 2014), as numpy.random.default_rng(entropy) runs them
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_POOL_WORDS = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # pool hash
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state hash
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_UNIT = 2.0**-53  # a double from the top 53 bits of an output
+
+
+def _entropy_words(entropy) -> list[int]:
+    """A non-negative int split into 32-bit words, lowest first (0 is one
+    word), or a list of them joined: SeedSequence's entropy array."""
+    if isinstance(entropy, (list, tuple)):
+        return [word for item in entropy for word in _entropy_words(item)]
+    value = operator.index(entropy)
+    if value < 0:
+        raise ValueError(f"entropy must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_pool(words: list[int]) -> list[int]:
+    """SeedSequence's pool: the words hashed into 4, then mixed so that every
+    word reaches every pool word."""
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+class Stream:
+    """A seeded random stream: PCG64 as ``numpy.random.default_rng(entropy)``
+    seeds it, where entropy is a non-negative int or a list of them.  Its
+    :meth:`uniform` and :meth:`permutation` return numpy's draws bit for bit,
+    and carry the stream across calls the same way."""
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, entropy: int | list[int]) -> None:
+        pool = _seed_pool(_entropy_words(entropy))
+        # generate_state(4, uint64): 8 hashed 32-bit words, paired low-high
+        hash_const = _HASH_INIT_B
+        halves = []
+        for i in range(2 * _POOL_WORDS):
+            value = pool[i % _POOL_WORDS] ^ hash_const
+            hash_const = hash_const * _HASH_MULT_B & _MASK32
+            value = value * hash_const & _MASK32
+            halves.append(value ^ value >> 16)
+        w0, w1, w2, w3 = (halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2))
+        # pcg64_set_seed: state w0:w1 and stream w2:w3, each (high, low)
+        self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self._state = ((self._inc + (w0 << 64 | w1)) * _PCG_MULT + self._inc) & _MASK128
+        self._half = None  # the unused high half of the last 64-bit output split in two
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        bits = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        return (bits >> rot | bits << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        """The low half of an output, then its high half on the next call."""
+        if self._half is not None:
+            value, self._half = self._half, None
+            return value
+        value = self._next64()
+        self._half = value >> 32
+        return value & _MASK32
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size: int | tuple[int, ...] | None = None):
+        """``low + (high - low) u`` with u = (output >> 11) 2^-53 in [0, 1):
+        a float for ``size=None``, else an array of that shape filled in C
+        order."""
+        low = float(low)
+        span = float(high) - low
+        if size is None:
+            return low + span * ((self._next64() >> 11) * _UNIT)
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        draws = [low + span * ((self._next64() >> 11) * _UNIT) for _ in range(math.prod(shape))]
+        return np.array(draws, dtype=float).reshape(shape)
+
+    def permutation(self, n: int) -> np.ndarray:
+        """A shuffled ``arange(n)``: numpy's Fisher-Yates from the top, each
+        index in [0, i] drawn by masked rejection on 32-bit halves (numpy
+        draws 64-bit words only for i >= 2**32)."""
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1  # the smallest all-ones mask >= i
+            while (j := self._next32() & mask) > i:
+                pass
+            items[i], items[j] = items[j], items[i]
+        return np.array(items, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 def lhs_sample(n: int, m: int, seed: int, restarts: int = 100) -> np.ndarray:
@@ -440,7 +568,7 @@ def lhs_sample(n: int, m: int, seed: int, restarts: int = 100) -> np.ndarray:
         raise ValueError("need n >= 2 samples and m >= 1 dimensions")
     if restarts < 1:
         raise ValueError("need at least one candidate design")
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     best = None
     best_score = -np.inf
     for _ in range(restarts):
@@ -458,7 +586,7 @@ def lhs_sample(n: int, m: int, seed: int, restarts: int = 100) -> np.ndarray:
     return best
 
 
-def apply_marginals(unit: np.ndarray, prior: MaterialPrior, rng: np.random.Generator) -> np.ndarray:
+def apply_marginals(unit: np.ndarray, prior: MaterialPrior, rng: Stream) -> np.ndarray:
     """Map (n, 2) unit-cube samples through the inverse marginal CDFs of E
     and nu: one column of physical draws each.
 

@@ -765,17 +765,25 @@ class TestSurface:
 
 
 class TestManifold:
-    def test_affine_plane_reconstructs_exactly(self):
-        # synthetic outputs on a 2-plane: PCA with 3 directions loses nothing
+    def test_affine_plane_reconstructs_exactly(self, monkeypatch):
+        # model outputs on an affine 2-plane over the grid nodes: the export
+        # finds rank 2, and its two scores keep every distance between nodes
+        cfg = small_cfg(manifold_grid_n=4)
         rng = np.random.default_rng(0)
         basis = rng.standard_normal((2, 50))
-        coeffs = rng.standard_normal((30, 2))
-        data = coeffs @ basis + rng.standard_normal(50) * 0.0 + 3.0
-        centered = data - data.mean(axis=0)
-        _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        projected = centered @ vt[:3].T
-        recon = projected @ vt[:3]
-        assert np.max(np.abs(recon - centered)) <= 1e-10
+        offset = rng.standard_normal(50) + 3.0
+
+        def plane(x):
+            return (x * [1e-9, 10.0]) @ basis + offset
+
+        monkeypatch.setattr(bench, "make_objective", lambda cfg, ref: (lambda x, _: (-plane(x), None), None, None, None))
+        _, projected, explained, rank = manifold_export(cfg)
+        centered = plane(bench._grid_nodes(cfg, 4)[2])
+        centered -= centered.mean(axis=0)
+        assert rank == 2 and projected.shape == (16, 2)
+        assert np.sum(explained) == pytest.approx(1.0, rel=1e-12)
+        gram = centered @ centered.T
+        assert np.max(np.abs(projected @ projected.T - gram)) <= 1e-10 * np.max(np.abs(gram))
 
     def test_explained_variance_non_increasing(self):
         cfg = small_cfg(manifold_grid_n=4, objective="envelope")
@@ -813,20 +821,54 @@ class TestManifold:
         outputs = -evaluate(nodes, False)[0]
         return outputs - outputs.mean(axis=0)
 
+    @staticmethod
+    def sign_normalized(scores):
+        """Each column times the sign of its largest-magnitude entry, the
+        first one on a tie."""
+        largest = scores[np.abs(scores).argmax(axis=0), np.arange(scores.shape[1])]
+        return scores * np.where(largest < 0.0, -1.0, 1.0)
+
+    @staticmethod
+    def read_manifold(path):
+        """A manifold file's lines with every number parsed, the explained
+        variances split out."""
+        lines, explained = [], None
+        for line in path.read_text().splitlines():
+            if line.startswith("# explained_variance="):
+                explained = [float(v) for v in line.split("=")[1].split(";")]
+            elif line.startswith("#") or line.startswith("E,"):
+                lines.append(line)
+            else:
+                lines.append([float(v) for v in line.split(",")])
+        return lines, np.array(explained)
+
     @pytest.mark.parametrize("objective, overrides", SHAPES)
-    def test_matches_wide_svd_reference(self, objective, overrides):
+    def test_matches_wide_svd_reference(self, objective, overrides, tmp_path):
         cfg = small_cfg(objective=objective, **overrides)
         centered = self.centered_outputs(cfg)
         _, s, vt = np.linalg.svd(centered, full_matrices=False)
         rank = int(np.sum(s > 1e-12 * s[0]))
         dim = min(cfg.manifold_dim, rank)
-        scores = centered @ vt[:dim].T
-        _, projected, explained, got_rank = manifold_export(cfg)
+        scores = self.sign_normalized(centered @ vt[:dim].T)
+        params, projected, explained, got_rank = manifold_export(cfg)
         assert got_rank == rank
         np.testing.assert_allclose(explained, s[:dim] ** 2 / np.sum(s**2), rtol=1e-12, atol=0)
-        # a principal direction is defined up to its sign
-        signs = np.sign(np.sum(projected * scores, axis=0))
-        assert np.max(np.abs(projected * signs - scores)) <= 1e-10 * np.max(np.abs(scores))
+        # the export's signs follow the data, not the SVD route
+        assert np.array_equal(self.sign_normalized(projected), projected)
+        # both routes write the same file, up to the last digits
+        write_manifold(params, projected, explained, cfg, tmp_path / "qr.csv")
+        write_manifold(params, scores, s[:dim] ** 2 / np.sum(s**2), cfg, tmp_path / "wide.csv")
+        (qr_lines, qr_explained), (wide_lines, wide_explained) = map(
+            self.read_manifold, (tmp_path / "qr.csv", tmp_path / "wide.csv")
+        )
+        np.testing.assert_allclose(qr_explained, wide_explained, rtol=1e-12, atol=0)
+        assert [type(l) for l in qr_lines] == [type(l) for l in wide_lines]
+        for qr, wide in zip(qr_lines, wide_lines):
+            if isinstance(qr, str):
+                assert qr == wide
+            else:
+                assert qr[:4] == wide[:4]
+                np.testing.assert_allclose(qr[4:], wide[4:], rtol=0, atol=1e-10 * np.max(np.abs(scores)))
 
     # the scan workload's 81 nodes against 2048 lags, and the tall grid
     @pytest.mark.parametrize("objective, overrides", [("autocorr-phase", dict(manifold_grid_n=9)), SHAPES[-1]])

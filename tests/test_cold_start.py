@@ -1,4 +1,4 @@
-"""Start-up cost: no command needs scipy.
+"""Start-up cost: no command needs scipy or loads numpy.random.
 
 Each check runs in a fresh interpreter, because other test modules import
 scipy into the pytest process.
@@ -16,9 +16,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = "n_refs = 2\nlhs_restarts = 5\neval_budget = 20\ngrid_n = 5\nmanifold_grid_n = 3\nseed = 2\n"
 
-# prints, as JSON, the scipy modules loaded after `import waveinv` and after
-# each listed command runs through cli.main; with "--block-scipy" first,
-# scipy cannot be imported at all
+# prints, as JSON, the scipy and numpy.random modules loaded after
+# `import waveinv` and after each listed command runs through cli.main; with
+# "--block-scipy" first, scipy cannot be imported at all
 PROBE = """
 import json, sys
 if sys.argv[1] == "--block-scipy":
@@ -27,14 +27,17 @@ if sys.argv[1] == "--block-scipy":
 import waveinv
 from waveinv.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if (m == "scipy" or m.startswith("scipy.")) and sys.modules[m] is not None)
+def unwanted_modules():
+    return sorted(
+        name for name, module in sys.modules.items()
+        if module is not None and (name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "random"])
+    )
 
-loaded = {"import": scipy_modules()}
+loaded = {"import": unwanted_modules()}
 for command in sys.argv[3:]:
     code = main(["--config", sys.argv[1], "--out", sys.argv[2], command])
     assert code == 0, (command, code)
-    loaded[command] = scipy_modules()
+    loaded[command] = unwanted_modules()
 print(json.dumps(loaded))
 """
 
@@ -63,7 +66,7 @@ def test_import_surface_manifold_and_report_load_no_scipy(tmp_path):
 
 def test_commands_run_with_scipy_blocked(tmp_path):
     # the gamma priors of gen-refs (truths) and optimize (start points) are
-    # drawn by waveinv.stats itself
+    # drawn by waveinv.stats itself, from its own random stream
     cfg_file = tmp_path / "tiny.cfg"
     cfg_file.write_text(TINY)
     commands = ("gen-refs", "optimize", "report", "surface", "manifold")

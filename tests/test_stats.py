@@ -1,5 +1,5 @@
-"""Tests for priors, the gamma distribution function and quantile, Latin
-hypercube sampling, and the relative parameter error."""
+"""Tests for priors, the gamma distribution function and quantile, the
+random stream, Latin hypercube sampling, and the relative parameter error."""
 
 import logging
 import math
@@ -18,6 +18,7 @@ from waveinv.stats import (
     PARAMETERS,
     PRIOR_STATED_MOMENTS,
     GammaDist,
+    Stream,
     apply_marginals,
     gamma_cdf,
     gamma_inv_cdf,
@@ -217,6 +218,78 @@ class TestGammaAgainstScipy:
         assert np.max(np.abs(gamma_cdf(d, want) - special.gammainc(d.alpha, want / d.theta))) <= 1e-14
 
 
+def draw_script(rng):
+    """Permutations interleaved with unit, sized and ranged uniform draws,
+    each as bytes: a permutation's 32-bit halves are buffered across the
+    64-bit doubles drawn between them."""
+    draws = []
+    for n in (20, 7, 2, 1, 33):
+        draws.append(rng.permutation(n).tobytes())
+        draws.append(rng.uniform().hex())
+        draws.append(rng.permutation(3).tobytes())
+        draws.append(rng.uniform(size=n).tobytes())
+        draws.append(rng.permutation(n + 1).tobytes())
+        draws.append(rng.uniform(0.25, 0.75, size=(n, 2)).tobytes())
+    return draws
+
+
+class TestStream:
+    """stats.Stream against numpy.random.default_rng, which the package
+    never imports: the same entropy gives the same bits."""
+
+    @pytest.mark.parametrize(
+        "entropies",
+        [
+            list(range(50)),
+            [[s, k] for s in range(50) for k in (1, 2, 7)],
+            [2**32 + 5, 2**64 + 2**33 + 1, [2**40 + 3, 7], [0, 0], [1, 2, 3, 4, 5, 6], []],
+        ],
+        ids=["seeds", "seed-lists", "wide"],
+    )
+    def test_matches_default_rng(self, entropies):
+        for entropy in entropies:
+            assert draw_script(Stream(entropy)) == draw_script(np.random.default_rng(entropy)), entropy
+
+    def test_draw_types_and_shapes(self):
+        rng = Stream(3)
+        assert type(rng.uniform()) is float
+        assert rng.uniform(size=4).shape == (4,)
+        assert rng.uniform(size=(0, 2)).shape == (0, 2)
+        assert rng.permutation(5).dtype == np.int64 and rng.permutation(0).size == 0
+
+    def test_rejects_what_numpy_rejects(self):
+        for entropy, error in ((-1, ValueError), ([1, -2], ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                np.random.default_rng(entropy)
+            with pytest.raises(error):
+                Stream(entropy)
+
+    # pinned bits, independent of the installed numpy: unit-cube values only,
+    # since the gamma quantile's exp and log may differ in the last ulp
+    # between CPUs
+    LHS_20_2_SEED_1 = """
+        0x1.2ffdecd4f1382p-1 0x1.33c8d83c7ad3ep-2 0x1.51d22bad0cbeep-1 0x1.520a290ec6af1p-1
+        0x1.b2b9714b6d29ep-1 0x1.0a1c59ade5d0ap-3 0x1.4f6e1e1a817cdp-2 0x1.a85c30647e7c8p-1
+        0x1.d64d3b3efc086p-2 0x1.2a3614bf7b526p-2 0x1.a2ec8711c3c4ep-3 0x1.e876459d508cep-1
+        0x1.81d1256d3774dp-1 0x1.300c51bf019abp-6 0x1.76b4d44211d4dp-1 0x1.c2f1d32f50faap-3
+        0x1.202f0725c1935p-2 0x1.67bbe4979a3d5p-3 0x1.8eae978fb89c5p-2 0x1.3c3253978b729p-1
+        0x1.10dc4c6823b0ep-1 0x1.12cebb60c3336p-1 0x1.407f29d97e021p-1 0x1.9ef0d8d65d098p-2
+        0x1.dc4aafdfb41cep-5 0x1.67f3b8ded336dp-1 0x1.f933d909aed13p-1 0x1.767377a969172p-2
+        0x1.b34dd00e934d8p-1 0x1.cf167c067191dp-1 0x1.ddb42dd28c402p-1 0x1.e0e436aa0bd63p-2
+        0x1.0ed84ee155ef3p-7 0x1.c202006fe1b80p-1 0x1.43765fd986fbbp-3 0x1.1bc1585de43e2p-1
+        0x1.c7fdedc7d9220p-2 0x1.2af758c29df16p-4 0x1.2bc0985edc0e6p-3 0x1.8e37546598107p-1
+    """.split()
+
+    def test_golden_lhs(self):
+        # the reference draws of the seed-1 acceptance batches
+        assert [v.hex() for v in lhs_sample(20, 2, seed=1).ravel().tolist()] == self.LHS_20_2_SEED_1
+
+    def test_golden_start_stream(self):
+        # the stream of draw_starts at seed 1
+        got = [v.hex() for v in Stream([1, 7]).uniform(size=4).tolist()]
+        assert got == ["0x1.704f1b2b1c81ap-2", "0x1.3babf71b08293p-1", "0x1.4a20c5291c3e1p-1", "0x1.5fb8683ed8dc8p-2"]
+
+
 class TestLhs:
     def test_stratification_1d(self):
         u = np.sort(lhs_sample(4, 1, seed=1)[:, 0])
@@ -254,12 +327,12 @@ class TestApplyMarginals:
     def test_median_maps_to_median(self):
         prior = BUILTIN_PRIORS["PEEK"]
         unit = np.array([[0.5, 0.5]])
-        draws = apply_marginals(unit, prior, np.random.default_rng(9))
+        draws = apply_marginals(unit, prior, Stream(9))
         assert draws.shape == (1, 2)
         assert draws[0, 0] == pytest.approx(gamma_inv_cdf(prior.marginals["E"], 0.5))
 
     def test_empirical_mean(self):
-        rng = np.random.default_rng(10)
+        rng = Stream(10)
         unit = rng.uniform(size=(10000, 2))
         prior = BUILTIN_PRIORS["PEEK"]
         draws = apply_marginals(unit, prior, rng)
@@ -271,14 +344,14 @@ class TestApplyMarginals:
         # above 0.5 and must be redrawn
         prior = BUILTIN_PRIORS["PA6"]
         unit = np.array([[0.5, 0.99999]])
-        rng = np.random.default_rng(11)
+        rng = Stream(11)
         with caplog.at_level(logging.INFO, logger="waveinv.stats"):
             draws = apply_marginals(unit, prior, rng)
         assert re.search(r"redrew [1-9]\d* Poisson's-ratio samples >= 0.5 for prior PA6", caplog.text)
         assert draws[0, 1] < 0.5
 
     def test_all_draws_physical(self):
-        rng = np.random.default_rng(12)
+        rng = Stream(12)
         for mat in MATERIALS:
             unit = rng.uniform(size=(500, 2))
             e, nu = apply_marginals(unit, BUILTIN_PRIORS[mat], rng).T
