@@ -83,9 +83,11 @@ OBJECTIVES = ("signal", "envelope", "autocorr-phase")
 _LOG_FLOOR = 1e-16
 
 #: Nodes per batched evaluation in surface scans and manifold exports.  At
-#: n = 4096 one chunk's zero-padded complex FFT block in the phase transform
-#: is 16 x 4096 x 16 B = 1 MiB; larger chunks (a whole 41-node grid row)
-#: fall out of cache and are slower per node.
+#: n = 4096 a residual-only phase evaluation keeps 199 KiB of scratch per
+#: row: the zero-padded fft(V), 64 KiB; the carrier sums with the spectrum
+#: written over them, 33 KiB; the power rows, the spare rows and E, 32 KiB
+#: each; two masks, 6 KiB: 3.1 MiB per chunk.  Larger chunks (a whole
+#: 41-node grid row) fall out of cache and are slower per node.
 _CHUNK = 16
 
 #: Upper bound on n_refs.  lhs_sample scores each candidate design through

@@ -285,7 +285,8 @@ def response_spectrum(
     dY/dp = -i omega P sum_j a_j (d tau_j / dp) c_j over the carriers
     c_j = exp(-i tau_j omega), so one small product of weight rows with the
     carrier tables gives every sum.  Every objective starts here; Y and dY
-    are copies of the kernels' scratch rows.
+    are copies of the rows that the kernel writes in place over its carrier
+    sums, in this thread's ``sums`` scratch array.
 
     A material has no model output when (E, nu) lies outside E > 0,
     0 < nu < 0.5, when a packet arrives less than 4 sigma before the end of
@@ -302,9 +303,11 @@ def _response(
 ) -> tuple[np.ndarray, tuple]:
     """:func:`response_spectrum` as the stacked rows [Y; dY/dE; dY/dnu]
     along the second-to-last axis (the row Y alone without the Jacobian),
-    in this thread's scratch array, and the forward pass's tape for
-    :func:`_response_pullback`: the grid, the carrier tables and the delay
-    derivatives d tau / dE and d tau / dnu."""
+    and the forward pass's tape for :func:`_response_pullback`: the grid,
+    the carrier tables and the delay derivatives d tau / dE and d tau / dnu.
+    The rows are the first K columns of this thread's ``sums`` scratch rows,
+    which hold the carrier sums until each is multiplied in place, so they
+    are a view whose rows are not contiguous with each other."""
     grid = _grid(cfg)
     tau, dtau_de, dtau_dnu = packet_delays(x, rho, cfg)
     batch = tau.ndim == 2
@@ -332,12 +335,12 @@ def _response(
     terms = (weights[..., None] * coarse[..., None, :, :]).swapaxes(-1, -2)
     sums = np.matmul(terms, fine[..., None, :, :], out=_scratch("sums", terms.shape[:-1] + fine.shape[-1:]))
     size = grid.p_spec.size
-    sums = sums.reshape(sums.shape[:-2] + (-1,))[..., :size]
-    # rows [Y; dY/dE; dY/dnu] = [P; -i omega P; -i omega P] sums, one row at a
-    # time: numpy buffers a factor broadcast over the rows in a fresh array
-    spectra = _scratch("spectra", sums.shape)
-    for i in range(sums.shape[-2]):
-        np.multiply(grid.p_rate if i else grid.p_spec, sums[..., i, :], out=spectra[..., i, :])
+    # rows [Y; dY/dE; dY/dnu] = [P; -i omega P; -i omega P] sums, in place in
+    # the first size columns of the sums rows, one row at a time: numpy
+    # buffers a factor broadcast over the rows in a fresh array
+    spectra = sums.reshape(sums.shape[:-2] + (-1,))[..., :size]
+    for i in range(spectra.shape[-2]):
+        np.multiply(grid.p_rate if i else grid.p_spec, spectra[..., i, :], out=spectra[..., i, :])
     parts = spectra.view(np.float64)  # a complex value is finite when both parts are
     finite = np.isfinite(parts, out=_scratch("finite", parts.shape, np.bool_)).all(axis=(-2, -1))
     if not batch:

@@ -21,7 +21,8 @@ scaling drops out entirely, and time shifts enter linearly.
 All operations are pure functions on immutable inputs and are safe to call
 concurrently.  The phase and analytic kernels write every FFT, product and
 mask as long as the record into scratch arrays that each thread keeps for
-itself (one per named temporary, reallocated only when its shape changes),
+itself (one per role, reallocated only when its shape changes; temporaries
+that are never live at the same time share a role, see :func:`_scratch`),
 with ``out=``, so a repeated single-record evaluation allocates nothing of
 that length beyond the arrays it returns.  Two numpy behaviours would
 allocate behind an ``out=``: a real operand of a complex product is cast
@@ -36,6 +37,7 @@ function returns fresh arrays, never one of these.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,12 +81,47 @@ def _scratch(role: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarr
     the steady state off the allocator.  The contents are overwritten by the
     next call that takes the same role on the same thread, so no public
     function may return one of these arrays or a view of it.
+
+    A role is storage, not one temporary: a temporary may be written into
+    a role's storage only when every temporary held there before is dead,
+    never read again.  Three roles are shared this way.  With m lags per
+    record, padded to N (:func:`_padded_shape`), ``power`` holds
+    |fft(V)|^2 until the autocorrelation has read it, then the raw angles;
+    ``spare`` holds Im(fft(V))^2, then E_k / Y_k as m complex values per
+    record, then the differences and the turns of :func:`unwrap`.  Each
+    later temporary is a contiguous block of the storage (:func:`_carve`).
+    ``sums`` of the response kernel holds the carrier sums, then the
+    spectra multiplied over them.  ``fv`` and ``e`` keep their own storage,
+    because the derivative and reverse passes read them.
     """
     buffers = _SCRATCH.__dict__
     buf = buffers.get(role)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
         buf = buffers[role] = np.zeros(shape, dtype)
     return buf
+
+
+def _padded_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``shape`` with its last axis, m lags, replaced by the zero-padded
+    length of their autocorrelation (:func:`_autocorr`): the power of two
+    of at least 2 m."""
+    return shape[:-1] + (1 << (2 * shape[-1] - 1).bit_length(),)
+
+
+def _spare(shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's ``spare`` float rows for records of ``shape``, one
+    zero-padded row (:func:`_padded_shape`) per record: the storage that
+    the phase kernel's short-lived temporaries share (see :func:`_scratch`)."""
+    return _scratch("spare", _padded_shape(shape), np.float64)
+
+
+def _carve(storage: np.ndarray, shape: tuple[int, ...], dtype=np.float64, start: int = 0) -> np.ndarray:
+    """A C-contiguous array of ``shape`` and ``dtype`` over the storage of
+    the scratch array ``storage``, from its element ``start`` (counted in
+    ``dtype``) on.  A block, unlike a strided view of the storage's rows,
+    keeps numpy's loops running over whole arrays, and two blocks that do
+    not overlap have extents that numpy sees apart."""
+    return storage.reshape(-1).view(dtype)[start : start + math.prod(shape)].reshape(shape)
 
 
 class PipelineError(ValueError):
@@ -194,10 +231,10 @@ def _autocorr(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = v.shape[-1]
     if m == 0:
         raise ValueError("autocorrelation of an empty spectrum is undefined")
-    shape = v.shape[:-1] + (1 << (2 * m - 1).bit_length(),)
+    shape = _padded_shape(v.shape)
     fv = np.fft.fft(v, shape[-1], axis=-1, out=_scratch("fv", shape))
     power = np.square(fv.real, out=_scratch("power", shape, np.float64))
-    power += np.square(fv.imag, out=_scratch("power-imag", shape, np.float64))
+    power += np.square(fv.imag, out=_spare(v.shape))
     e = _real_ifft_head(power, m, "e")
     e[..., 0] = e[..., 0].real  # exact: E_0 is a sum of |V_i|^2 (conj left a -0.0 there)
     return e, fv
@@ -223,11 +260,12 @@ def unwrap(phases: np.ndarray) -> np.ndarray:
     phases = np.asarray(phases, dtype=np.float64)
     if phases.shape[-1:] in ((), (0,), (1,)):
         return phases.copy()
-    # the differences and their turns in this thread's scratch arrays
-    shape = phases.shape[:-1] + (phases.shape[-1] - 1,)
-    d = np.subtract(phases[..., 1:], phases[..., :-1], out=_scratch("unwrap-d", shape, np.float64))
+    # the differences and their turns, one block after the other in this
+    # thread's spare rows, each row at least twice as long as a row of phases
+    shape, spare = phases.shape[:-1] + (phases.shape[-1] - 1,), _spare(phases.shape)
+    d = np.subtract(phases[..., 1:], phases[..., :-1], out=_carve(spare, shape))
     # principal value d - 2 pi ceil((d - pi) / 2 pi), in (-pi, pi]
-    turns = np.subtract(d, np.pi, out=_scratch("unwrap-turns", shape, np.float64))
+    turns = np.subtract(d, np.pi, out=_carve(spare, shape, start=d.size))
     np.divide(turns, _TWO_PI, out=turns)
     np.ceil(turns, out=turns)
     np.subtract(d, np.multiply(_TWO_PI, turns, out=turns), out=d)
@@ -289,8 +327,10 @@ def _stable_phase(e: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndar
     if e.ndim == 1 and empty:
         raise PipelineError("all-zero spectrum has no well-defined phases")
     y, phi = _pseudo_phases(e.shape[-1])
-    z = np.multiply(e, y, out=_scratch("z", e.shape))  # E_k / Y_k = E_k * Y_k
-    raw = np.arctan2(z.imag, z.real, out=_scratch("raw", e.shape, np.float64))
+    # z = E_k / Y_k = E_k * Y_k in the spare rows, as complex, and the raw
+    # angles in the power rows, which the autocorrelation has read
+    z = np.multiply(e, y, out=_carve(_spare(e.shape), e.shape, np.complex128))
+    raw = np.arctan2(z.imag, z.real, out=_carve(_scratch("power", _padded_shape(e.shape), np.float64), e.shape))
     np.copyto(raw, 0.0, where=zero)
     # the fresh array of unwrap becomes the values
     values = unwrap(raw)

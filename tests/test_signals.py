@@ -234,6 +234,52 @@ class TestAutocorrSpectrum:
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(lhs))
 
 
+def fresh_unwrap(phases):
+    """unwrap's formula on fresh arrays, without out=: the same float
+    operations in the same order, so the same bits."""
+    d = np.diff(phases, axis=-1)
+    d = d - 2.0 * np.pi * np.ceil((d - np.pi) / (2.0 * np.pi))
+    return np.concatenate([phases[..., :1], np.cumsum(d, axis=-1) + phases[..., :1]], axis=-1)
+
+
+def fresh_phase_features(coeffs, gamma, dcoeffs=None):
+    """phase_features transcribed on fresh arrays, without out= or shared
+    storage: the same float operations in the same order, so the same bits.
+    A kernel temporary that is written over before it is read for the last
+    time shows here, where a batch-against-single test would share the
+    fault on both sides."""
+    v = coeffs[..., 1:]
+    m = v.shape[-1]
+    size = 1 << (2 * m - 1).bit_length()
+    fv = np.fft.fft(v, size, axis=-1)
+    power = fv.real**2
+    power += fv.imag**2
+    e = np.conj(np.fft.rfft(power, axis=-1, norm="forward")[..., :m])
+    e[..., 0] = e[..., 0].real
+    zero = e == 0
+    k = np.arange(m)
+    z = e * np.where(k % 2 == 0, 1.0 + 0j, -1.0 + 0j)
+    raw = np.arctan2(z.imag, z.real)
+    raw[zero] = 0.0
+    values = gamma * (fresh_unwrap(raw) - np.pi * k)
+    fault = zero.all(axis=-1)
+    dvalues = None
+    if dcoeffs is not None:
+        fault = fault | (zero & (gamma > 1e-12)).any(axis=-1)
+        x = np.fft.fft(dcoeffs[..., 1:], size, axis=-1) * np.conj(fv)[..., None, :]
+        de = np.conj(np.fft.rfft(2.0 * x.real, axis=-1, norm="forward")[..., :m])
+        mag2 = e.real**2
+        mag2 += e.imag**2
+        mag2[zero] = 1.0
+        dtheta = (np.conj(e)[..., None, :] * de).imag / mag2[..., None, :]
+        dtheta[np.broadcast_to(zero[..., None, :], dtheta.shape)] = 0.0
+        dvalues = (gamma * dtheta).swapaxes(-1, -2)
+    values[fault] = np.nan
+    if dvalues is not None:
+        dvalues[fault] = np.nan
+    return values, dvalues, zero
+
+
 class TestUnwrap:
     def test_smooth_sequence_unchanged(self):
         x = np.array([0.0, 0.1, 0.2])
@@ -279,6 +325,21 @@ class TestUnwrap:
         assert got.shape == phases.shape
         for row, want in zip(got, phases):
             assert np.array_equal(row, unwrap(want))
+
+    def test_chunk_matches_rows_and_fresh_formula_bitwise(self):
+        # a 16-row chunk of phase-length rows, with jumps beyond +-pi and
+        # exactly +-pi: its differences and turns share one scratch row per
+        # record
+        rng = np.random.default_rng(11)
+        phases = rng.uniform(-30.0, 30.0, (16, 2048))
+        phases[3, 100:110] = np.pi * np.arange(10)
+        phases[4, 200:210] = -np.pi * np.arange(10)
+        kept = phases.copy()
+        got = unwrap(phases)
+        assert phases.tobytes() == kept.tobytes()
+        assert got.tobytes() == fresh_unwrap(kept).tobytes()
+        for row, want in zip(got, kept):
+            assert row.tobytes() == unwrap(want).tobytes()
 
 
 class TestStableArg:
@@ -558,6 +619,44 @@ class TestScratchArrays:
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
             rng.standard_normal(dshape) + 1j * rng.standard_normal(dshape),
         )
+
+    @staticmethod
+    def model_chunk():
+        """A scan chunk's model spectra [Y; dY] at 16 nodes spread over the
+        41 x 41 PEEK grid, with the points and weights that made them."""
+        cfg = bench.load_config(None, {})
+        fwd, rho = cfg.forward_config(), cfg.prior().rho_si()
+        x = bench._grid_nodes(cfg, 41)[2][::105][:16]
+        y, dy = response_spectrum(x, rho, fwd, need_jacobian=True)
+        return x, rho, fwd, damping_weights(fwd.n // 2, fwd.b, fwd.duration, cfg.damping), y, dy
+
+    @pytest.mark.parametrize("rows", [0, 16])
+    @pytest.mark.parametrize("with_jacobian", [False, True])
+    def test_phase_features_match_a_fresh_array_transcription(self, rows, with_jacobian):
+        # every model row has exact-zero autocorrelation lags, which are
+        # damped; an all-zero row is NaN in a batch
+        x, rho, fwd, gamma, y, dy = self.model_chunk()
+        y[5], dy[5] = 0.0, 0.0
+        coeffs, dcoeffs = (y, dy) if rows else (y[3], dy[3])
+        values, dvalues = phase_features(coeffs, gamma, dcoeffs if with_jacobian else None)
+        want, dwant, zero = fresh_phase_features(coeffs, gamma, dcoeffs if with_jacobian else None)
+        assert zero.any(axis=-1).all() and np.isnan(want).any() == bool(rows)
+        assert values.tobytes() == want.tobytes()
+        assert (dvalues is None) is not with_jacobian
+        if with_jacobian:
+            assert np.ascontiguousarray(dvalues).tobytes() == np.ascontiguousarray(dwant).tobytes()
+
+    @pytest.mark.parametrize("with_jacobian", [False, True])
+    def test_phase_objective_terms_match_a_fresh_array_transcription(self, with_jacobian):
+        # the model writes [Y; dY] over its carrier sums, and the phase
+        # kernel reads them there
+        x, rho, fwd, gamma, y, dy = self.model_chunk()
+        values, dvalues = phase_objective_terms(x, rho, fwd, gamma, need_jacobian=with_jacobian)
+        want, dwant, zero = fresh_phase_features(y, gamma, dy if with_jacobian else None)
+        assert zero.any(axis=-1).all() and not np.isnan(want).any()
+        assert values.tobytes() == want.tobytes()
+        if with_jacobian:
+            assert np.ascontiguousarray(dvalues).tobytes() == np.ascontiguousarray(dwant).tobytes()
 
     @pytest.mark.parametrize("rows", [0, 16])
     @pytest.mark.parametrize("with_jacobian", [False, True])
