@@ -7,6 +7,10 @@
 # gen-refs, optimize with modified-lm, surface and manifold, with one trace
 # per reference and the surface file.  Each objective's manifold file holds
 # one data row per node of the manifold_grid_n x manifold_grid_n grid.
+# Last, gen-refs for PA6, the one shipped prior with mass at nu >= 0.5,
+# into its own directory, with every nu in refs/index.csv below 0.5 (the
+# prior is truncated there), and a priors file whose nu marginal has no
+# mass below 0.5 exits 2.
 # Usage: console-pipeline.sh <work directory>
 set -e
 dir="$1"
@@ -41,3 +45,12 @@ for objective in signal envelope; do
   test -s "$dir/out-$objective/surface/surface_$objective.csv"
   test "$(grep -c -v -e '^#' -e '^E,' "$dir/out-$objective/manifold/manifold_$objective.csv")" -eq 9
 done
+printf 'material = PA6\nn_refs = 20\nlhs_restarts = 5\n' > "$dir/pa6.cfg"
+waveinv --config "$dir/pa6.cfg" --out "$dir/out-pa6" gen-refs
+grep -v -e '^#' -e '^ref_id,' "$dir/out-pa6/refs/index.csv" | awk -F, '{ n++ } $3 >= 0.5 { bad++ } END { exit !(n == 20 && bad == 0) }'
+# PEEK's built-in prior with nu of mean 1 and standard deviation 0.01
+printf 'material,parameter,alpha,theta\nPEEK,rho,1.3145e2,1.0653e-2\nPEEK,E,1.063e2,3.7214e-2\nPEEK,nu,1e4,1e-4\nPEEK,G,4.7092e2,2.9832e-3\n' > "$dir/no-mass-priors.csv"
+echo "priors_file = $dir/no-mass-priors.csv" > "$dir/no-mass.cfg"
+status=0
+waveinv --config "$dir/no-mass.cfg" --out "$dir/out-no-mass" gen-refs || status=$?
+test "$status" -eq 2

@@ -44,8 +44,6 @@ from .stats import (
     MaterialPrior,
     Stream,
     apply_marginals,
-    gamma_cdf,
-    gamma_inv_cdf,
     lhs_sample,
     load_priors,
 )
@@ -257,7 +255,7 @@ class Reference:
 
 def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
     """Draw ground truths through the optimized LHS and the marginal inverse
-    CDFs, then simulate one response per truth with
+    CDFs, nu truncated below 0.5, then simulate one response per truth with
     :func:`~waveinv.forward.forward_response`.
 
     A truth without a model output (its packets do not fit the window, or
@@ -270,10 +268,10 @@ def gen_refs(cfg: ExperimentConfig) -> list[Reference]:
         unit = Stream([cfg.seed, 1]).uniform(size=(1, 2))
     else:
         unit = lhs_sample(cfg.n_refs, 2, seed=cfg.seed, restarts=cfg.lhs_restarts)
-    draws = apply_marginals(unit, prior, Stream([cfg.seed, 2]))
+    draws = apply_marginals(unit, prior, ((0.0, np.inf), (0.0, 0.5)))
     rho = prior.rho_si()
     fwd = cfg.forward_config()
-    truths = [MaterialParams(E=1.0e9 * e_gpa, nu=nu, rho=rho) for e_gpa, nu in draws]
+    truths = [MaterialParams(E=e, nu=nu, rho=rho) for e, nu in draws]
     refs = []
     for i, truth in enumerate(truths):
         try:
@@ -443,23 +441,16 @@ def _modulus_floor(cfg: ExperimentConfig, rho: float) -> float:
 
 
 def draw_starts(cfg: ExperimentConfig, count: int) -> np.ndarray:
-    """Initial estimates drawn from the prior marginals truncated to
-    +- start_sigma standard deviations around the marginal means.
+    """Initial estimates (E in Pa, nu) drawn by :func:`~waveinv.stats.apply_marginals`
+    within +- start_sigma standard deviations of the marginal means.
 
     The stream depends only on (seed, "starts"), so runs with different
     optimizers see identical starts.
     """
     prior = cfg.prior()
-    rng = Stream([cfg.seed, 7])
-    starts = np.empty((count, 2))
-    for j, par in enumerate(("E", "nu")):
-        d = prior.marginals[par]
-        lo = gamma_cdf(d, d.mean - cfg.start_sigma * d.std)
-        hi = gamma_cdf(d, d.mean + cfg.start_sigma * d.std)
-        u = rng.uniform(lo, hi, size=count)
-        starts[:, j] = gamma_inv_cdf(d, u)
-    starts[:, 0] *= 1.0e9  # GPa -> Pa
-    return starts
+    marginals = [prior.marginals[par] for par in ("E", "nu")]
+    bounds = [(d.mean - cfg.start_sigma * d.std, d.mean + cfg.start_sigma * d.std) for d in marginals]
+    return apply_marginals(Stream([cfg.seed, 7]).uniform(size=(2, count)).T, prior, bounds)
 
 
 def run_single(cfg: ExperimentConfig, ref: Reference, x0: np.ndarray) -> tuple[OptTrace, EvalCounter]:

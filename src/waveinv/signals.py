@@ -29,9 +29,10 @@ allocate behind an ``out=``: a real operand of a complex product is cast
 in a fresh buffer, so the pseudo-coefficients Y_k, the adjoint's real
 factors c and q and the analytic weights are held in complex arrays; and
 an operand broadcast over the rows of a 2-d operation is buffered in a
-fresh array of up to 8192 elements, so derivative rows, and the rows the
-analytic weights multiply, are written one at a time.  Every public
-function returns fresh arrays, never one of these.
+fresh array of up to 8192 elements, so derivative rows, the rows the
+analytic weights multiply and the rows :func:`unwrap` offsets by their
+first phase are written one at a time.  Every public function returns
+fresh arrays, never one of these.
 """
 
 from __future__ import annotations
@@ -269,10 +270,11 @@ def unwrap(phases: np.ndarray) -> np.ndarray:
     np.divide(turns, _TWO_PI, out=turns)
     np.ceil(turns, out=turns)
     np.subtract(d, np.multiply(_TWO_PI, turns, out=turns), out=d)
-    out = np.empty_like(phases)
+    out = np.empty(phases.shape)  # C order, so that its reshape below is a view
     out[..., 0] = phases[..., 0]
     np.add.accumulate(d, axis=-1, out=out[..., 1:])
-    out[..., 1:] += phases[..., :1]
+    for row in out.reshape(-1, out.shape[-1]):  # row by row: see the module docstring
+        row[1:] += row[0]
     return out
 
 

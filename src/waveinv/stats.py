@@ -6,7 +6,8 @@ modulus of the three polymers of interest (PEEK, PA6, PP) were condensed
 into gamma marginals; the shape/scale pairs below are the canonical priors
 shipped with the package (density in g/cm^3, moduli in GPa).  Marginals are
 treated as independent: parameter draws go through an optimized (maximin)
-Latin hypercube in the unit cube and are rescaled through the inverse CDFs.
+Latin hypercube in the unit cube, then one truncated inverse CDF per
+marginal (:func:`apply_marginals`), with no rejection and no redraw.
 
 Every draw comes from a :class:`Stream`: PCG64 seeded through numpy's
 SeedSequence, on Python ints, which gives the same doubles and permutations
@@ -18,9 +19,9 @@ global random state.  The gamma functions need numpy alone.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +43,6 @@ __all__ = [
     "relative_1",
     "load_priors",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -586,31 +585,21 @@ def lhs_sample(n: int, m: int, seed: int, restarts: int = 100) -> np.ndarray:
     return best
 
 
-def apply_marginals(unit: np.ndarray, prior: MaterialPrior, rng: Stream) -> np.ndarray:
-    """Map (n, 2) unit-cube samples through the inverse marginal CDFs of E
-    and nu: one column of physical draws each.
-
-    Poisson's-ratio draws at or above 0.5 (unit sample beyond the 0.99974
-    quantile for the shipped priors) are redrawn uniformly from ``rng`` and
-    logged; all returned rows satisfy the physical parameter constraints.
-    """
+def apply_marginals(unit: np.ndarray, prior: MaterialPrior, bounds: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Map (n, 2) unit-cube samples to draws of (E in Pa, nu) from their
+    gamma marginals truncated to ``bounds``, one (lo, hi) per column in the
+    marginal's units (GPa for E), by the inverse CDF of the truncated
+    distribution: u -> F^-1(F(lo) + u (F(hi) - F(lo))).  As F(0) = 0 and
+    F(inf) = 1, the bounds (0, inf) leave u's quantile as it is."""
     unit = np.asarray(unit, dtype=float)
     if unit.ndim != 2 or unit.shape[1] != 2:
         raise ValueError(f"expected a (n, 2) unit matrix, got {unit.shape}")
     values = np.empty_like(unit)
-    redraws = 0
-    for j, name in enumerate(("E", "nu")):
+    for j, (name, (lo, hi)) in enumerate(zip(("E", "nu"), bounds, strict=True)):
         dist = prior.marginals[name]
-        column = gamma_inv_cdf(dist, unit[:, j])
-        if name == "nu":
-            for i in range(column.size):
-                while column[i] >= 0.5:
-                    u = rng.uniform()
-                    column[i] = gamma_inv_cdf(dist, u)
-                    redraws += 1
-        values[:, j] = column
-    if redraws:
-        log.info("redrew %d Poisson's-ratio samples >= 0.5 for prior %s", redraws, prior.name)
+        f_lo = gamma_cdf(dist, lo)
+        values[:, j] = gamma_inv_cdf(dist, f_lo + (gamma_cdf(dist, hi) - f_lo) * unit[:, j])
+    values[:, 0] *= 1.0e9  # GPa -> Pa
     return values
 
 
@@ -645,14 +634,16 @@ def load_priors(path: str | Path) -> dict[str, MaterialPrior]:
     """Read an editable priors CSV with the header
     ``material,parameter,alpha,theta`` and one gamma marginal (shape alpha,
     scale theta) per row; a malformed row raises ``ValueError`` naming its
-    line, and so does a parameter outside :data:`PARAMETERS` or a second
-    row for the same material and parameter."""
+    line, and so does a parameter outside :data:`PARAMETERS`, a second row
+    for a material and parameter, or a ``nu`` with no mass below 0.5."""
     table: dict[str, dict[str, GammaDist]] = {}
 
     def parse(mat, par, alpha, theta):
         if par not in PARAMETERS:
             raise ValueError(f"unknown parameter {par!r}, expected one of {', '.join(PARAMETERS)}")
         dist = GammaDist(float(alpha), float(theta))
+        if par == "nu" and gamma_cdf(dist, 0.5) == 0.0:
+            raise ValueError(f"{mat} nu has no prior mass below 0.5, where every Poisson's ratio must lie")
         marginals = table.setdefault(mat, {})
         if par in marginals:
             raise ValueError(f"repeated row for {mat} {par}")

@@ -2,7 +2,10 @@
 batches, surfaces, manifold export, reports, and the CLI."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -43,6 +46,9 @@ from waveinv.cli import main as cli_main
 from waveinv.forward import EvalCounter, ForwardConfig, MaterialParams, forward_jacobian, forward_response
 from waveinv.optim import OptRecord, OptTrace
 from waveinv.stats import BUILTIN_PRIORS, MATERIALS, gamma_inv_cdf
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_cfg(**overrides):
@@ -135,6 +141,23 @@ class TestGenRefs:
             assert ra.truth == rb.truth
             assert np.array_equal(ra.signal.samples, rb.signal.samples)
 
+    def test_peek_seed_1_truths_pinned(self):
+        # the acceptance batch's references: (E, nu) of each truth by float.hex
+        want = [
+            ("0x1.e101beec5bb2ap+31", "0x1.96a406bdef862p-2"), ("0x1.e9278d92c9208p+31", "0x1.9d535fe4532afp-2"),
+            ("0x1.03692a76e5720p+32", "0x1.925d85025bfbcp-2"), ("0x1.c1ffa3748d4b0p+31", "0x1.a130bc8d5e3b2p-2"),
+            ("0x1.d17171d53f52ep+31", "0x1.9672d25466fdcp-2"), ("0x1.b168e74a5e3afp+31", "0x1.a687885672db3p-2"),
+            ("0x1.f619b63ab6b78p+31", "0x1.8ba57d0b2d625p-2"), ("0x1.f2e5d03a1b28bp+31", "0x1.94e0308754f04p-2"),
+            ("0x1.bc2c2d99d1aacp+31", "0x1.93bd651dbb917p-2"), ("0x1.c9619fbf194bdp+31", "0x1.9c81eda45de8cp-2"),
+            ("0x1.d9e10070b8222p+31", "0x1.9b067b14c540dp-2"), ("0x1.e4e9c4ae6116fp+31", "0x1.98a75dfe1c7afp-2"),
+            ("0x1.91fdb191f9851p+31", "0x1.9e303a36b66d6p-2"), ("0x1.21614e7e3ffbbp+32", "0x1.97eab1f4b627bp-2"),
+            ("0x1.038769eabb0aep+32", "0x1.a3c836f3c57e0p-2"), ("0x1.0ef014dd708dfp+32", "0x1.99d241c11efc8p-2"),
+            ("0x1.70fc755de4245p+31", "0x1.a2c8616f2d149p-2"), ("0x1.a9c7e81590b55p+31", "0x1.9b5746652e820p-2"),
+            ("0x1.cfd843f97e7dep+31", "0x1.900fc59ff62abp-2"), ("0x1.a7aea5c63c35dp+31", "0x1.9fdb14152a899p-2"),
+        ]
+        refs = gen_refs(load_config(None, {"material": "PEEK", "seed": 1}))
+        assert [(ref.truth.E.hex(), ref.truth.nu.hex()) for ref in refs] == want
+
     def test_truths_physical(self):
         for mat in ("PEEK", "PA6", "PP"):
             refs = gen_refs(small_cfg(material=mat, n_refs=8))
@@ -184,6 +207,18 @@ class TestStarts:
         (e_mean, nu_mean), (e_std, nu_std) = prior.mean_params_si(), prior.std_params_si()
         assert np.all(np.abs(starts[:, 0] - e_mean) <= 1.001 * e_std)
         assert np.all(np.abs(starts[:, 1] - nu_mean) <= 1.001 * nu_std)
+
+    @pytest.mark.parametrize(
+        "material, want",
+        [
+            ("PEEK", [["0x1.cb18beb00b103p+31", "0x1.9c286fac0bc8fp-2"], ["0x1.df54640967ec5p+31", "0x1.986e4eb3793dcp-2"]]),
+            ("PA6", [["0x1.69fe7b5294898p+30", "0x1.6ee5bad950a8ap-2"], ["0x1.b56c8082f048bp+30", "0x1.5a4b197a5a884p-2"]]),
+            ("PP", [["0x1.5deafb3609f78p+30", "0x1.9f1169b21691ap-2"], ["0x1.92b8bf87c1e1ap+30", "0x1.9c2305970069ap-2"]]),
+        ],
+    )
+    def test_seed_1_starts_pinned(self, material, want):
+        starts = draw_starts(load_config(None, {"material": material, "seed": 1}), 2)
+        assert [[v.hex() for v in row] for row in starts.tolist()] == want
 
     def test_optimizer_independent(self):
         a = draw_starts(small_cfg(optimizer="modified-lm"), 5)
@@ -1045,6 +1080,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: priors_file: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "alpha, theta, code",
+        [("100", "0.01", 0), ("1e4", "1e-4", 2)],
+        ids=["mass-3e-10-below-half", "no-mass-below-half"],
+    )
+    def test_poisson_prior_near_half_ends_without_hanging(self, tmp_path, write_builtin_priors, alpha, theta, code):
+        # a nu marginal with mean 1 and std 0.1 or 0.01: gen-refs draws every
+        # nu below 0.5 from the truncated prior, or exits 2 when it has no
+        # mass there; in a subprocess, so a hang ends at the timeout
+        priors = tmp_path / "priors.csv"
+        write_builtin_priors(priors)
+        rows = [f"PEEK,nu,{alpha},{theta}" if row.startswith("PEEK,nu,") else row for row in priors.read_text().splitlines()]
+        priors.write_text("\n".join(rows) + "\n")
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"n_refs = 8\nlhs_restarts = 5\npriors_file = {priors}\n")
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from waveinv.cli import main; sys.exit(main(sys.argv[1:]))",
+             "--config", str(cfg_file), "--out", str(out), "gen-refs"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == code, done.stderr
+        if code:
+            assert done.stderr.startswith("config error: priors_file: ")
+            assert "priors.csv:4: PEEK nu has no prior mass below 0.5" in done.stderr
+            assert not out.exists()
+        else:
+            rows = (out / "refs" / "index.csv").read_text().splitlines()
+            nus = [float(row.split(",")[2]) for row in rows if not row.startswith(("#", "ref_id,"))]
+            assert len(nus) == 8 and max(nus) < 0.5
 
     @pytest.mark.parametrize(
         "line",

@@ -1,6 +1,7 @@
 """Tests for the signal types, envelope machinery, and phase-residual transform."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,24 @@ class TestUnwrap:
         assert got.tobytes() == fresh_unwrap(kept).tobytes()
         for row, want in zip(got, kept):
             assert row.tobytes() == unwrap(want).tobytes()
+
+    def test_chunk_allocates_little_beyond_its_output(self):
+        # the first column is added row by row: broadcast over the rows, it
+        # would be buffered in numpy iterator arrays of 8192 elements
+        phases = np.random.default_rng(12).uniform(-30.0, 30.0, (16, 2048))
+        unwrap(phases)  # allocates this thread's spare rows before the trace
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = unwrap(phases)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * 1024, (peak, out.nbytes)
 
 
 class TestStableArg:

@@ -1,9 +1,7 @@
 """Tests for priors, the gamma distribution function and quantile, the
 random stream, Latin hypercube sampling, and the relative parameter error."""
 
-import logging
 import math
-import re
 
 import numpy as np
 import pytest
@@ -323,38 +321,39 @@ class TestLhs:
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
+#: The bounds gen_refs draws the truths within: E unbounded, nu below 0.5.
+TRUTH_BOUNDS = ((0.0, math.inf), (0.0, 0.5))
+
+
 class TestApplyMarginals:
     def test_median_maps_to_median(self):
         prior = BUILTIN_PRIORS["PEEK"]
         unit = np.array([[0.5, 0.5]])
-        draws = apply_marginals(unit, prior, Stream(9))
+        draws = apply_marginals(unit, prior, TRUTH_BOUNDS)
         assert draws.shape == (1, 2)
-        assert draws[0, 0] == pytest.approx(gamma_inv_cdf(prior.marginals["E"], 0.5))
+        assert draws[0, 0] == pytest.approx(1.0e9 * gamma_inv_cdf(prior.marginals["E"], 0.5))
+        assert draws[0, 1] == pytest.approx(gamma_inv_cdf(prior.marginals["nu"], 0.5))
 
     def test_empirical_mean(self):
-        rng = Stream(10)
-        unit = rng.uniform(size=(10000, 2))
+        unit = Stream(10).uniform(size=(10000, 2))
         prior = BUILTIN_PRIORS["PEEK"]
-        draws = apply_marginals(unit, prior, rng)
-        assert draws[:, 0].mean() == pytest.approx(prior.marginals["E"].mean, rel=0.01)
+        draws = apply_marginals(unit, prior, TRUTH_BOUNDS)
+        assert draws[:, 0].mean() == pytest.approx(1.0e9 * prior.marginals["E"].mean, rel=0.01)
         assert draws[:, 1].mean() == pytest.approx(prior.marginals["nu"].mean, rel=0.01)
 
-    def test_extreme_nu_quantile_redrawn_and_logged(self, caplog):
-        # PA6 has P(nu >= 0.5) = 2.6e-4: a unit sample beyond 0.99974 maps
-        # above 0.5 and must be redrawn
-        prior = BUILTIN_PRIORS["PA6"]
-        unit = np.array([[0.5, 0.99999]])
-        rng = Stream(11)
-        with caplog.at_level(logging.INFO, logger="waveinv.stats"):
-            draws = apply_marginals(unit, prior, rng)
-        assert re.search(r"redrew [1-9]\d* Poisson's-ratio samples >= 0.5 for prior PA6", caplog.text)
+    def test_extreme_nu_quantile_truncated_below_half(self):
+        # PA6 has P(nu >= 0.5) = 2.6e-4: the unit sample 0.99999 maps above
+        # 0.5 untruncated, and to the 0.99999 quantile of nu given nu < 0.5
+        nu = BUILTIN_PRIORS["PA6"].marginals["nu"]
+        assert gamma_inv_cdf(nu, 0.99999) > 0.5
+        draws = apply_marginals(np.array([[0.5, 0.99999]]), BUILTIN_PRIORS["PA6"], TRUTH_BOUNDS)
         assert draws[0, 1] < 0.5
+        assert draws[0, 1] == gamma_inv_cdf(nu, 0.99999 * gamma_cdf(nu, 0.5))
 
     def test_all_draws_physical(self):
         rng = Stream(12)
         for mat in MATERIALS:
-            unit = rng.uniform(size=(500, 2))
-            e, nu = apply_marginals(unit, BUILTIN_PRIORS[mat], rng).T
+            e, nu = apply_marginals(rng.uniform(size=(500, 2)), BUILTIN_PRIORS[mat], TRUTH_BOUNDS).T
             assert np.all(e > 0.0)
             assert np.all((nu > 0.0) & (nu < 0.5))
 
@@ -430,11 +429,12 @@ class TestPriorTable:
         for prior in BUILTIN_PRIORS.values():
             assert set(prior.marginals) == set(PARAMETERS)
 
-    def test_nu_tail_probability_matches_redraw_guard(self):
-        # the 0.99974-quantile guard corresponds to P(nu >= 0.5) = 2.6e-4,
-        # realized by the PA6 marginal
+    def test_nu_tail_probability_cut_by_truncation(self):
+        # the truths' truncation at nu = 0.5 cuts P(nu >= 0.5) = 2.6e-4 off
+        # the PA6 marginal, and nothing off PEEK's and PP's
         d = BUILTIN_PRIORS["PA6"].marginals["nu"]
         assert 1.0 - gamma_cdf(d, 0.5) == pytest.approx(2.6e-4, rel=0.02)
+        assert gamma_cdf(BUILTIN_PRIORS["PEEK"].marginals["nu"], 0.5) == gamma_cdf(BUILTIN_PRIORS["PP"].marginals["nu"], 0.5) == 1.0
 
     def test_si_conversions(self):
         prior = BUILTIN_PRIORS["PEEK"]
