@@ -80,13 +80,21 @@ OBJECTIVES = ("signal", "envelope", "autocorr-phase")
 #: Relative error floor used when log-averaging error trajectories.
 _LOG_FLOOR = 1e-16
 
-#: Nodes per batched evaluation in surface scans and manifold exports.  At
-#: n = 4096 a residual-only phase evaluation keeps 199 KiB of scratch per
-#: row: the zero-padded fft(V), 64 KiB; the carrier sums with the spectrum
-#: written over them, 33 KiB; the power rows, the spare rows and E, 32 KiB
-#: each; two masks, 6 KiB: 3.1 MiB per chunk.  Larger chunks (a whole
-#: 41-node grid row) fall out of cache and are slower per node.
+#: Nodes per batched evaluation in surface scans.  At n = 4096 a
+#: residual-only phase evaluation keeps 199 KiB of scratch per row: the
+#: zero-padded fft(V), 64 KiB; the carrier sums with the spectrum written
+#: over them, 33 KiB; the power rows, the spare rows and E, 32 KiB each; two
+#: masks, 6 KiB: 3.1 MiB per chunk.  Larger chunks (a whole 41-node grid
+#: row) fall out of cache and are slower per node; 8-row chunks make the
+#: surfaces about 4% slower.
 _CHUNK = 16
+
+#: Nodes per batched evaluation in manifold exports.  A surface keeps one
+#: float per node beside a chunk's scratch, but the manifold keeps its whole
+#: (nodes, lags) output array, 1.27 MiB at the default 9x9 grid, and the
+#: scratch comes on top of it: 1.6 MiB at 8 rows against 3.1 MiB at 16, and
+#: the 81 nodes take as long either way.
+_MANIFOLD_CHUNK = 8
 
 #: Upper bound on n_refs.  lhs_sample scores each candidate design through
 #: the n x n x 2 float64 array of pairwise differences of its n draws;
@@ -668,6 +676,11 @@ def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.n
     Returns (params, projected, explained_variance, rank): params rows are
     (E, nu, i_E, i_nu) coordinate-line labels; rank < manifold_dim flags a
     degenerate covariance (fewer informative directions than requested).
+
+    Nodes are evaluated in chunks of ``_MANIFOLD_CHUNK`` = 8 rows, half a
+    surface's ``_CHUNK``: the (nodes, lags) output array is live beside each
+    chunk's scratch, so smaller chunks lower the peak.  A batch row is the
+    single row bit for bit, so the chunk size moves no output bit.
     """
     g = cfg.manifold_grid_n
     _, _, nodes = _grid_nodes(cfg, g)
@@ -675,8 +688,8 @@ def manifold_export(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.n
     # the rows -r = f(x) - ref are the model outputs once centered, which
     # happens in place
     centered = None
-    for start in range(0, len(nodes), _CHUNK):
-        r, _ = evaluate(nodes[start : start + _CHUNK], False)
+    for start in range(0, len(nodes), _MANIFOLD_CHUNK):
+        r, _ = evaluate(nodes[start : start + _MANIFOLD_CHUNK], False)
         if centered is None:
             centered = np.empty((len(nodes), r.shape[1]))
         np.negative(r, out=centered[start : start + len(r)])

@@ -690,6 +690,31 @@ class TestBatchedEvaluation:
         thread.join()
         assert peak["bytes"] <= 4 * 1024 * 1024, peak["bytes"] / 1024
 
+    def test_cold_manifold_export_stays_under_4_mib(self):
+        # the export keeps its (81, 2048) output array, 1.27 MiB, beside a
+        # chunk's scratch: about 3.3 MiB traced in 8-row chunks, and 5.0 MiB
+        # in 16-row chunks.  A warm-up call in this thread fills the
+        # module-level caches (the forward grid, the damping weights), which
+        # outlive the export, so the fresh thread's peak is the export's own
+        cfg = small_cfg(manifold_grid_n=9)
+        assert cfg.objective == "autocorr-phase" and cfg.forward_config().n == 4096
+        manifold_export(cfg)
+        peak = {}
+
+        def cold_export():
+            tracemalloc.start()
+            try:
+                manifold_export(cfg)
+                peak["bytes"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=cold_export)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert peak["bytes"] <= 4 * 1024 * 1024, peak["bytes"] / 1024
+
     def test_point_outside_the_domain(self):
         cfg = small_cfg(n_refs=1)
         ref = gen_refs(cfg)[0]
@@ -930,6 +955,23 @@ class TestManifold:
             else:
                 assert qr[:4] == wide[:4]
                 np.testing.assert_allclose(qr[4:], wide[4:], rtol=0, atol=1e-10 * np.max(np.abs(scores)))
+
+    @pytest.mark.parametrize("objective", ["autocorr-phase", "signal"])
+    def test_chunk_size_moves_no_bit(self, objective, monkeypatch):
+        # a batch row is the single row bit for bit, so one node at a time,
+        # the export's 8-row chunks and a surface's 16-row chunks give the
+        # same bytes: 81 nodes leave a one-row tail at 8 and 16 rows
+        cfg = small_cfg(objective=objective, manifold_grid_n=9)
+        exports = []
+        for rows in (1, 8, 16):
+            monkeypatch.setattr(bench, "_MANIFOLD_CHUNK", rows)
+            exports.append(manifold_export(cfg))
+        (params, projected, explained, rank), *others = exports
+        for other in others:
+            assert other[0].tobytes() == params.tobytes()
+            assert other[1].tobytes() == projected.tobytes()
+            assert other[2].tobytes() == explained.tobytes()
+            assert other[3] == rank
 
     # the scan workload's 81 nodes against 2048 lags, and the tall grid
     @pytest.mark.parametrize("objective, overrides", [("autocorr-phase", dict(manifold_grid_n=9)), SHAPES[-1]])
